@@ -46,11 +46,9 @@ from .classifiers import (
     Rule,
     SetMember,
     TreeEnsemble,
-    is_constant,
-    predict,
     validate_classifier,
 )
-from .oracle import Discretization, Oracle, OracleStats, discretize, monotone_box_check
+from .oracle import Discretization, Oracle, OracleStats, classifier_is_constant, discretize
 from .explain import (
     ExplanationProblem,
     enumerate_all,
@@ -60,8 +58,6 @@ from .explain import (
 )
 from .inflate import (
     InflationConfig,
-    expand_inf,
-    expand_sup,
     inflate_axp,
     inflate_categorical,
     inflate_from_full,
@@ -76,7 +72,6 @@ from .duality import (
     enumerate_icxps,
     iaxp_from_icxps,
     icxp_from_iaxps,
-    plain_contrast_holds,
 )
 
 from .serialize import (

@@ -8,20 +8,19 @@ or the number of interval pieces (ordinal).  Aggregates over a run report
 the mean explanation length, mean wall time, and the min, max, and mean
 of the per-instance widening totals.
 
-Set XINFLATE_THREADS (or pass ``workers``) to fan instances out over a
-process pool; results are identical to the sequential order.
+Pass ``workers`` above 1 to fan instances out over a process pool; results
+are identical to the sequential order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classifiers import Classifier, predict, validate_classifier
+from .classifiers import Classifier, validate_classifier
 from .errors import ValidationError
 from .explain import ExplanationProblem, find_axp
 from .inflate import InflationConfig, inflate_axp
@@ -133,7 +132,7 @@ def _init_worker(classifier, space, config):
 
 def _explain_one(classifier, space, config, index: int, values) -> BenchRecord:
     t0 = time.perf_counter()
-    instance = Instance(tuple(values), predict(classifier, values))
+    instance = Instance(tuple(values), classifier.predict(values))
     problem = ExplanationProblem(classifier, space, instance, skip_checks=True)
     axp = find_axp(problem)
     expl = inflate_axp(problem, axp, config, trusted=True)
@@ -154,23 +153,13 @@ def _worker_task(args) -> BenchRecord:
     return _explain_one(_WORKER["classifier"], _WORKER["space"], _WORKER["config"], index, values)
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("XINFLATE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def run_bench(
     classifier: Classifier,
     space: FeatureSpace,
     rows: Sequence[Sequence[Value]],
     config: Optional[InflationConfig] = None,
     labels: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> BenchReport:
     """Explain and inflate every row; return records plus aggregates."""
     if not rows:
@@ -180,12 +169,11 @@ def run_bench(
     if classifier_is_constant(classifier, space):
         raise ValidationError("the classifier is constant; nothing to explain")
     points = [space.validate_point(row) for row in rows]
-    n_workers = _worker_count(workers)
-    if n_workers == 1:
+    if workers <= 1:
         records = [_explain_one(classifier, space, config, i, p) for i, p in enumerate(points)]
     else:
         with ProcessPoolExecutor(
-            max_workers=n_workers,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(classifier, space, config),
         ) as pool:

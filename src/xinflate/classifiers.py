@@ -199,10 +199,6 @@ class TreeEnsemble:
 Classifier = Union[MonotonicClassifier, DecisionList, DecisionTree, TreeEnsemble]
 
 
-def predict(classifier: Classifier, values: Sequence[Value]) -> str:
-    return classifier.predict(values)
-
-
 # ---------------------------------------------------------------------------
 # Structural validation against a feature space
 
@@ -284,10 +280,3 @@ def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
                     raise ValidationError(f"{where}: label split on an ordinal feature")
                 if node.label not in domain.labels:
                     raise ValidationError(f"{where}: label {node.label!r} not in domain")
-
-
-def is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
-    """Whether the classifier predicts one class over the whole space."""
-    from . import oracle
-
-    return oracle.classifier_is_constant(classifier, space)

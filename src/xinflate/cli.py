@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import __version__
 from .bench import run_bench
-from .classifiers import predict as model_predict
 from .duality import ExplanationSets, enumerate_iaxps, enumerate_icxps, check_hits
 from .errors import BudgetExceededError, ValidationError, XInflateError
 from .explain import (
@@ -87,7 +86,7 @@ def _names(mf: ModelFile, features) -> str:
 def _cmd_predict(args) -> int:
     mf = load_model(args.model)
     values = parse_point(mf.space, args.instance)
-    cls = model_predict(mf.classifier, values)
+    cls = mf.classifier.predict(values)
     doc = {
         "schema": "xinflate-predict/1",
         "model": mf.name,
@@ -249,13 +248,11 @@ def _cmd_train_rf(args) -> int:
         "classes": list(dataset.classes),
         "train_accuracy": float(acc),
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
-    else:
-        print(f"wrote {args.model_out} ({args.trees} trees, depth {args.depth})")
-        print(f"train accuracy: {float(acc):.4f}")
+    lines = [
+        f"wrote {args.model_out} ({args.trees} trees, depth {args.depth})",
+        f"train accuracy: {float(acc):.4f}",
+    ]
+    _emit(args, doc, lines)
     return 0
 
 
@@ -382,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of instances; label column optional")
     _add_inflation(p)
     p.add_argument("--limit", type=int, help="only bench the first N rows")
-    p.add_argument("--workers", type=int, help="process count (default: XINFLATE_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process count (default 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this file")
     p.set_defaults(func=_cmd_bench)

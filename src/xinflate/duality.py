@@ -20,33 +20,40 @@ direction re-runs per-feature maximality afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .classifiers import MonotonicClassifier, predict
 from .errors import BudgetExceededError, DualityConstructionError, ValidationError
 from .explain import ExplanationProblem, minimal_hitting_sets
-from .inflate import InflationConfig, _contrast_pieces, _step_for
+from .inflate import (
+    InflationConfig,
+    _contrast_pieces,
+    _step_for,
+    _uses_grid,
+    feature_atoms,
+    grid_delta,
+    grid_points,
+    grow,
+)
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
     CatSet,
-    Categorical,
-    INTEGER,
     InflatedExplanation,
     Interval,
     IntervalUnion,
     Ordinal,
     ValueSet,
-    interval_union,
+    rational,
     vs_contains,
     vs_complement,
     vs_intersect,
     vs_subset,
     vs_union,
 )
+from .oracle import _piece_rep
 
 Selector = Union[Sequence[int], Callable[[InflatedExplanation], int]]
 
@@ -86,19 +93,42 @@ def check_hits(
     return None
 
 
-def _picks(iaxps: Sequence[InflatedExplanation], selector: Selector, kind: str) -> list[int]:
-    if callable(selector):
-        picks = [selector(e) for e in iaxps]
-    else:
-        picks = list(selector)
-    if len(picks) != len(iaxps):
-        raise ValidationError(f"{len(picks)} picks for {len(iaxps)} explanations")
-    for e, j in zip(iaxps, picks):
+def _selected_complements(
+    problem: ExplanationProblem,
+    expls: Sequence[InflatedExplanation],
+    selector: Selector,
+    kind: str,
+) -> tuple[list[int], dict[int, ValueSet]]:
+    """The picks, and per picked feature the intersection of the complements
+    of the sets that chose it."""
+    if not expls:
+        raise ValidationError(f"no {kind} explanations given")
+    picks = [selector(e) for e in expls] if callable(selector) else list(selector)
+    if len(picks) != len(expls):
+        raise ValidationError(f"{len(picks)} picks for {len(expls)} explanations")
+    for e, j in zip(expls, picks):
         if e.kind != kind:
             raise ValidationError(f"expected only {kind} explanations")
         if j not in e.features:
             raise ValidationError(f"selected feature {j} is not in the explanation {e.features}")
-    return picks
+    sets: dict[int, ValueSet] = {}
+    for e, j in zip(expls, picks):
+        domain = problem.space.domain(j)
+        comp = vs_complement(domain, e.set_for(j))
+        if comp is None:
+            raise DualityConstructionError(
+                f"feature {j}: a selected {kind} set covers the whole domain",
+                candidate=(tuple(picks), None),
+            )
+        if j in sets:
+            comp = vs_intersect(domain, sets[j], comp)
+            if comp is None:
+                raise DualityConstructionError(
+                    f"feature {j}: the selected complements have empty intersection",
+                    candidate=(tuple(picks), dict(sets)),
+                )
+        sets[j] = comp
+    return picks, sets
 
 
 def icxp_from_iaxps(
@@ -114,34 +144,13 @@ def icxp_from_iaxps(
     sets with everything else at the instance) and then minimized feature
     wise; the value sets themselves are not narrowed further.
     """
-    if not iaxps:
-        raise ValidationError("no abductive explanations given")
-    picks = _picks(iaxps, selector, ABDUCTIVE)
-    sets: dict[int, ValueSet] = {}
-    for e, j in zip(iaxps, picks):
-        domain = problem.space.domain(j)
-        comp = vs_complement(domain, e.set_for(j))
-        if comp is None:
-            raise DualityConstructionError(
-                f"feature {j} expands to its whole domain; its complement is empty",
-                candidate=(tuple(picks), None),
-            )
-        if j in sets:
-            inter = vs_intersect(domain, sets[j], comp)
-            if inter is None:
-                raise DualityConstructionError(
-                    f"feature {j}: the selected complements have empty intersection",
-                    candidate=(tuple(picks), dict(sets)),
-                )
-            sets[j] = inter
-        else:
-            sets[j] = comp
+    _, sets = _selected_complements(problem, iaxps, selector, ABDUCTIVE)
     feats = tuple(sorted(sets))
     candidate = InflatedExplanation(CONTRASTIVE, feats, dict(sets))
 
     def exists_with(live: dict[int, ValueSet]) -> bool:
         fixed = {j: problem.pin(j) for j in problem.space.features() if j not in live}
-        return problem.oracle.exists_counterexample(fixed, live, problem.target)
+        return problem.counterexample_in({**fixed, **live})
 
     if not exists_with(sets):
         raise DualityConstructionError(
@@ -168,32 +177,11 @@ def iaxp_from_icxps(
     feature gets the intersection of the complements of the sets that chose
     it (these always contain the instance value).  The candidate must be
     sufficient; afterwards each feature's set is topped up to maximality by
-    re-probing missing labels or cells.  Sets of monotone models are only
-    validated: the construction can puncture an interval, and interval
-    growth does not apply to a punctured set.
+    growing it over the missing labels or cells in domain order.  Sets of
+    monotone models are only validated: the construction can puncture an
+    interval, and interval growth does not apply to a punctured set.
     """
-    if not icxps:
-        raise ValidationError("no contrastive explanations given")
-    picks = _picks(icxps, selector, CONTRASTIVE)
-    sets: dict[int, ValueSet] = {}
-    for e, j in zip(icxps, picks):
-        domain = problem.space.domain(j)
-        comp = vs_complement(domain, e.set_for(j))
-        if comp is None:
-            raise DualityConstructionError(
-                f"feature {j}: a contrastive set covering the whole domain is malformed",
-                candidate=(tuple(picks), None),
-            )
-        if j in sets:
-            inter = vs_intersect(domain, sets[j], comp)
-            if inter is None:
-                raise DualityConstructionError(
-                    f"feature {j}: the selected complements have empty intersection",
-                    candidate=(tuple(picks), dict(sets)),
-                )
-            sets[j] = inter
-        else:
-            sets[j] = comp
+    picks, sets = _selected_complements(problem, icxps, selector, CONTRASTIVE)
     for j, s in sets.items():
         if not vs_contains(s, problem.value_of(j)):
             raise DualityConstructionError(
@@ -207,50 +195,10 @@ def iaxp_from_icxps(
             "constructed sets are not sufficient for the prediction",
             candidate=candidate,
         )
-    for j in feats:
-        domain = problem.space.domain(j)
-        others = {k: s for k, s in sets.items() if k != j}
-        if isinstance(domain, Categorical):
-            kept = set(sets[j].labels)
-            for label in domain.labels:
-                if label in kept:
-                    continue
-                trial = dict(others)
-                trial[j] = CatSet(frozenset(kept | {label}))
-                if problem.sufficiency_holds(trial):
-                    kept.add(label)
-            sets[j] = CatSet(frozenset(kept))
-        elif not isinstance(problem.classifier, MonotonicClassifier):
-            disc = problem.oracle.discretization
-            grown = sets[j]
-            for cell in disc.cells_for(j):
-                cell_set = interval_union(domain, [cell])
-                if vs_subset(domain, cell_set, grown):
-                    continue
-                trial = dict(others)
-                trial[j] = vs_union(domain, grown, cell_set)
-                if problem.sufficiency_holds(trial):
-                    grown = trial[j]
-            sets[j] = grown
+    if not _uses_grid(problem):
+        for j in feats:
+            sets[j] = grow(problem, j, sets, sets[j], feature_atoms(problem, j)[0])
     return InflatedExplanation(ABDUCTIVE, feats, dict(sets))
-
-
-def plain_contrast_holds(
-    problem: ExplanationProblem,
-    iaxp: InflatedExplanation,
-    features: Iterable[int],
-) -> bool:
-    """The weak contrastive condition for Y against an inflated AXp.
-
-    Holds when some point whose non-Y features stay inside their inflated
-    sets (features outside the explanation roam free) gets another class.
-    Implied by the strong per-feature form; kept for analysis.
-    """
-    ys = set(features)
-    assignment = {
-        j: iaxp.set_for(j) for j in iaxp.features if j not in ys
-    }
-    return problem.counterexample_in(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -261,45 +209,41 @@ def _axp_feature_options(
     problem: ExplanationProblem, j: int, config: InflationConfig
 ) -> list[ValueSet]:
     domain = problem.space.domain(j)
-    v = problem.value_of(j)
-    if isinstance(domain, Categorical):
-        rest = [l for l in domain.labels if l != v]
-        out = []
-        for size in range(len(rest) + 1):
-            for combo in combinations(rest, size):
-                out.append(CatSet(frozenset((v,) + combo)))
-        return out
-    from .model import rational
-
-    v = rational(v)
-    if isinstance(problem.classifier, MonotonicClassifier):
-        step = _step_for(domain, config)
-        lows = {domain.lo}
-        k = 0
-        while v - k * step >= domain.lo:
-            lows.add(v - k * step)
-            k += 1
-        highs = {domain.hi}
-        k = 0
-        while v + k * step <= domain.hi:
-            highs.add(v + k * step)
-            k += 1
+    if isinstance(domain, Ordinal) and _uses_grid(problem):
+        v = rational(problem.value_of(j))
+        points = grid_points(domain, v, _step_for(domain, config))
         return [
             IntervalUnion((Interval(a, b, True, True),))
-            for a in sorted(lows)
-            for b in sorted(highs)
-            if a <= v <= b
+            for a in points
+            if a <= v
+            for b in points
+            if v <= b
         ]
-    disc = problem.oracle.discretization
-    cells = disc.cells_for(j)
-    seed = disc.cell_index(j, v)
-    rest_idx = [i for i in range(len(cells)) if i != seed]
-    out = []
-    for size in range(len(rest_idx) + 1):
-        for combo in combinations(rest_idx, size):
-            chosen = [cells[i] for i in (seed,) + combo]
-            out.append(interval_union(domain, chosen))
-    return out
+    atoms, seed = feature_atoms(problem, j)
+    rest = atoms[:seed] + atoms[seed + 1 :]
+    return [
+        vs_union(domain, atoms[seed], *combo)
+        for size in range(len(rest) + 1)
+        for combo in combinations(rest, size)
+    ]
+
+
+def _one_step_larger(
+    problem: ExplanationProblem, j: int, s: ValueSet, config: InflationConfig
+) -> Iterator[ValueSet]:
+    """The sets one atom, or one grid step at either end, larger than s."""
+    domain = problem.space.domain(j)
+    if isinstance(domain, Ordinal) and _uses_grid(problem):
+        iv = s.intervals[0]
+        step = _step_for(domain, config)
+        if iv.hi < domain.hi:
+            yield IntervalUnion((Interval(iv.lo, min(domain.hi, iv.hi + step), True, True),))
+        if iv.lo > domain.lo:
+            yield IntervalUnion((Interval(max(domain.lo, iv.lo - step), iv.hi, True, True),))
+        return
+    for atom in feature_atoms(problem, j)[0]:
+        if not vs_subset(domain, atom, s):
+            yield vs_union(domain, s, atom)
 
 
 def _is_locally_maximal(
@@ -307,41 +251,11 @@ def _is_locally_maximal(
     sets: dict[int, ValueSet],
     config: InflationConfig,
 ) -> bool:
-    for j, s in sets.items():
-        domain = problem.space.domain(j)
-        others = {k: t for k, t in sets.items() if k != j}
-        if isinstance(domain, Categorical):
-            for label in domain.labels:
-                if label in s.labels:
-                    continue
-                trial = dict(others)
-                trial[j] = CatSet(s.labels | {label})
-                if problem.sufficiency_holds(trial):
-                    return False
-        elif isinstance(problem.classifier, MonotonicClassifier):
-            iv = s.intervals[0]
-            step = _step_for(domain, config)
-            if iv.hi < domain.hi:
-                trial = dict(others)
-                trial[j] = IntervalUnion((Interval(iv.lo, min(domain.hi, iv.hi + step), True, True),))
-                if problem.sufficiency_holds(trial):
-                    return False
-            if iv.lo > domain.lo:
-                trial = dict(others)
-                trial[j] = IntervalUnion((Interval(max(domain.lo, iv.lo - step), iv.hi, True, True),))
-                if problem.sufficiency_holds(trial):
-                    return False
-        else:
-            disc = problem.oracle.discretization
-            for cell in disc.cells_for(j):
-                cell_set = interval_union(domain, [cell])
-                if vs_subset(domain, cell_set, s):
-                    continue
-                trial = dict(others)
-                trial[j] = vs_union(domain, s, cell_set)
-                if problem.sufficiency_holds(trial):
-                    return False
-    return True
+    return not any(
+        problem.sufficiency_holds({**sets, j: larger})
+        for j, s in sets.items()
+        for larger in _one_step_larger(problem, j, s, config)
+    )
 
 
 def enumerate_iaxps(
@@ -360,29 +274,17 @@ def enumerate_iaxps(
     config = config or InflationConfig()
     feats = tuple(sorted(set(axp)))
     options = [_axp_feature_options(problem, j, config) for j in feats]
-    total = 1
-    for opts in options:
-        total *= len(opts)
+    total = math.prod(len(opts) for opts in options)
     if total > max_candidates:
         raise BudgetExceededError(
             f"{total} candidate set families exceed the cap of {max_candidates}"
         )
+    delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):
         sets = dict(zip(feats, combo))
-        if not problem.sufficiency_holds(sets):
-            continue
-        if not _is_locally_maximal(problem, sets, config):
-            continue
-        out.append(
-            InflatedExplanation(
-                ABDUCTIVE,
-                feats,
-                sets,
-                (),
-                config.delta if isinstance(problem.classifier, MonotonicClassifier) else Fraction(0),
-            )
-        )
+        if problem.sufficiency_holds(sets) and _is_locally_maximal(problem, sets, config):
+            out.append(InflatedExplanation(ABDUCTIVE, feats, sets, (), delta))
     return tuple(out)
 
 
@@ -402,36 +304,20 @@ def enumerate_icxps(
     config = config or InflationConfig()
     feats = tuple(sorted(set(cxp)))
     options = [_contrast_pieces(problem, j, config) for j in feats]
-    total = 1
-    for opts in options:
-        total *= len(opts)
+    total = math.prod(len(opts) for opts in options)
     if total > max_candidates:
         raise BudgetExceededError(
             f"{total} witness combinations exceed the cap of {max_candidates}"
         )
-    base = list(problem.instance.values)
+    delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):
-        point = list(base)
+        point = list(problem.instance.values)
         for j, piece in zip(feats, combo):
             if isinstance(piece, CatSet):
-                (label,) = piece.labels
-                point[j - 1] = label
+                (point[j - 1],) = piece.labels
             else:
-                iv = piece.intervals[0]
-                domain = problem.space.domain(j)
-                if domain.kind == INTEGER or iv.lo == iv.hi:
-                    point[j - 1] = iv.lo
-                else:
-                    point[j - 1] = (iv.lo + iv.hi) / 2
-        if predict(problem.classifier, tuple(point)) != problem.target:
-            out.append(
-                InflatedExplanation(
-                    CONTRASTIVE,
-                    feats,
-                    dict(zip(feats, combo)),
-                    (),
-                    config.delta if isinstance(problem.classifier, MonotonicClassifier) else Fraction(0),
-                )
-            )
+                point[j - 1] = _piece_rep(problem.space.domain(j), piece.intervals[0])
+        if problem.classifier.predict(tuple(point)) != problem.target:
+            out.append(InflatedExplanation(CONTRASTIVE, feats, dict(zip(feats, combo)), (), delta))
     return tuple(out)

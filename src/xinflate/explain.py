@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence
 
-from .classifiers import Classifier, predict, validate_classifier
+from .classifiers import Classifier, validate_classifier
 from .errors import BudgetExceededError, ValidationError
-from .model import FeatureSpace, Instance, Value, ValueSet, singleton_set
+from .model import FeatureSpace, Instance, Value, ValueSet, full_set, singleton_set
 from .oracle import Oracle, OracleStats, classifier_is_constant
 
 DEFAULT_SUBSET_BUDGET = 4096
@@ -46,7 +46,7 @@ class ExplanationProblem:
         self.instance = Instance(values, self.instance.class_id)
         if not self.skip_checks:
             validate_classifier(self.classifier, self.space)
-            got = predict(self.classifier, values)
+            got = self.classifier.predict(values)
             if got != self.instance.class_id:
                 raise ValidationError(
                     f"instance labeled {self.instance.class_id!r} but the model predicts {got!r}"
@@ -60,7 +60,7 @@ class ExplanationProblem:
         cls, classifier: Classifier, space: FeatureSpace, values: Sequence[Value]
     ) -> "ExplanationProblem":
         point = space.validate_point(values)
-        return cls(classifier, space, Instance(point, predict(classifier, point)))
+        return cls(classifier, space, Instance(point, classifier.predict(point)))
 
     @property
     def target(self) -> str:
@@ -82,10 +82,8 @@ class ExplanationProblem:
         """Freeing only these features admits a different prediction."""
         free = set(features)
         fixed = {j: self.pin(j) for j in self.space.features() if j not in free}
-        from .model import full_set
-
         roam = {j: full_set(self.space.domain(j)) for j in free}
-        return self.oracle.exists_counterexample(fixed, roam, self.target)
+        return self.counterexample_in({**fixed, **roam})
 
     def sufficiency_holds(self, assignment: Mapping[int, ValueSet]) -> bool:
         return self.oracle.holds_sufficiency(assignment, self.target)
@@ -94,13 +92,14 @@ class ExplanationProblem:
         return self.oracle.counterexample_in(assignment, self.target)
 
 
-def _check_order(problem: ExplanationProblem, order: Optional[Sequence[int]]) -> tuple[int, ...]:
-    feats = tuple(problem.space.features())
+def _check_order(order: Optional[Sequence[int]], feats: Sequence[int]) -> tuple[int, ...]:
+    """The processing order: feats when order is None, else a permutation of them."""
+    feats = tuple(feats)
     if order is None:
         return feats
     order = tuple(order)
     if sorted(order) != sorted(feats):
-        raise ValidationError(f"order {order} is not a permutation of 1..{problem.space.m}")
+        raise ValidationError(f"order {order} is not a permutation of the features {feats}")
     return order
 
 
@@ -110,7 +109,7 @@ def find_axp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None)
     Features are tentatively discarded in the given order (each feature
     costs exactly one oracle call), so the order steers which AXp comes out.
     """
-    order = _check_order(problem, order)
+    order = _check_order(order, problem.space.features())
     kept = set(order)
     for j in order:
         if problem.waxp_holds(kept - {j}):
@@ -124,7 +123,7 @@ def find_cxp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None)
     The order ranks features by retention preference: discards are attempted
     from the back, so features early in the order survive when possible.
     """
-    order = _check_order(problem, order)
+    order = _check_order(order, problem.space.features())
     kept = set(order)
     for j in reversed(order):
         if problem.wcxp_holds(kept - {j}):

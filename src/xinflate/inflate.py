@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classifiers import DecisionList, DecisionTree, MonotonicClassifier, TreeEnsemble
+from .classifiers import MonotonicClassifier
 from .errors import ValidationError
-from .explain import ExplanationProblem
+from .explain import ExplanationProblem, _check_order
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
@@ -48,9 +48,11 @@ from .model import (
     Ordinal,
     ValueSet,
     full_set,
-    interval_union,
     rational,
+    vs_contains,
+    vs_intersect,
     vs_is_full,
+    vs_subset,
     vs_union,
 )
 
@@ -91,19 +93,6 @@ class InflationConfig:
             object.__setattr__(self, "order", tuple(self.order))
 
 
-def _feature_order(
-    features: Sequence[int], config: InflationConfig
-) -> tuple[int, ...]:
-    feats = tuple(sorted(features))
-    if config.order is None:
-        return feats
-    if sorted(config.order) != sorted(feats):
-        raise ValidationError(
-            f"order {config.order} is not a permutation of the explanation features {feats}"
-        )
-    return config.order
-
-
 def _step_for(domain: Ordinal, config: InflationConfig) -> Fraction:
     # fractional steps leave an integer domain, so round the step up
     if domain.kind == INTEGER:
@@ -125,6 +114,48 @@ def _grid_count(start: Fraction, bound: Fraction, step: Fraction, up: bool) -> i
 # Per-feature growth
 
 
+def feature_atoms(problem: ExplanationProblem, j: int) -> tuple[list[ValueSet], int]:
+    """Feature j's atoms in domain order, and the index of the instance's atom.
+
+    An atom is a single label, or a discretization cell holding at least one
+    point of the domain (a cell of an integer domain may hold no integer).
+    The prediction cannot tell two points of one atom apart.
+    """
+    domain = problem.space.domain(j)
+    if isinstance(domain, Categorical):
+        atoms = [CatSet(frozenset([label])) for label in domain.labels]
+    else:
+        full = full_set(domain)
+        cells = (IntervalUnion((c,)) for c in problem.oracle.discretization.cells_for(j))
+        atoms = [a for a in (vs_intersect(domain, full, c) for c in cells) if a is not None]
+    v = problem.value_of(j)
+    return atoms, next(i for i, atom in enumerate(atoms) if vs_contains(atom, v))
+
+
+def grow(
+    problem: ExplanationProblem,
+    j: int,
+    current: Mapping[int, ValueSet],
+    kept: ValueSet,
+    atoms: Iterable[ValueSet],
+) -> ValueSet:
+    """Add to kept, in order, each atom not already in it that keeps sufficiency.
+
+    current holds the value sets of the other features (an entry for j is
+    ignored); each probed atom costs one oracle call.  The result is
+    maximal over the atoms: any atom left out was probed against a subset
+    of the final sets, and sufficiency can only get harder as sets grow.
+    """
+    domain = problem.space.domain(j)
+    for atom in atoms:
+        if vs_subset(domain, atom, kept):
+            continue
+        trial = vs_union(domain, kept, atom)
+        if problem.sufficiency_holds({**current, j: trial}):
+            kept = trial
+    return kept
+
+
 def inflate_categorical(
     problem: ExplanationProblem,
     j: int,
@@ -132,72 +163,13 @@ def inflate_categorical(
 ) -> CatSet:
     """Grow feature j's label set from the instance label, one probe each.
 
-    current holds the value sets of the other explanation features; labels
-    are probed in domain declaration order.  The result is maximal: any
-    label left out was probed against a subset of the final sets, and
-    sufficiency can only get harder as sets grow.
+    current holds the value sets of the explanation features (an entry for
+    j is ignored); labels are probed in domain declaration order.
     """
-    domain = problem.space.domain(j)
-    if not isinstance(domain, Categorical):
+    if not isinstance(problem.space.domain(j), Categorical):
         raise ValidationError(f"feature {j} is not categorical")
-    v = problem.value_of(j)
-    kept = {v}
-    for label in domain.labels:
-        if label in kept:
-            continue
-        trial = dict(current)
-        trial[j] = CatSet(frozenset(kept | {label}))
-        if problem.sufficiency_holds(trial):
-            kept.add(label)
-    return CatSet(frozenset(kept))
-
-
-def expand_sup(
-    problem: ExplanationProblem,
-    j: int,
-    current: Mapping[int, ValueSet],
-    inf: Fraction,
-    sup: Fraction,
-    config: InflationConfig,
-) -> Fraction:
-    """Largest grid point p = sup + k*step with [inf, p] still sufficient.
-
-    The grid stops strictly below the domain top; the caller has already
-    probed the top directly.  All strategies return the same endpoint.
-    """
-    domain = problem.space.domain(j)
-    step = _step_for(domain, config)
-
-    def holds(k: int) -> bool:
-        trial = dict(current)
-        trial[j] = IntervalUnion((Interval(inf, sup + k * step, True, True),))
-        return problem.sufficiency_holds(trial)
-
-    k_max = _grid_count(sup, domain.hi, step, up=True)
-    best = _search_grid(holds, k_max, config, step)
-    return sup + best * step
-
-
-def expand_inf(
-    problem: ExplanationProblem,
-    j: int,
-    current: Mapping[int, ValueSet],
-    inf: Fraction,
-    sup: Fraction,
-    config: InflationConfig,
-) -> Fraction:
-    """Smallest grid point p = inf - k*step with [p, sup] still sufficient."""
-    domain = problem.space.domain(j)
-    step = _step_for(domain, config)
-
-    def holds(k: int) -> bool:
-        trial = dict(current)
-        trial[j] = IntervalUnion((Interval(inf - k * step, sup, True, True),))
-        return problem.sufficiency_holds(trial)
-
-    k_max = _grid_count(inf, domain.lo, step, up=False)
-    best = _search_grid(holds, k_max, config, step)
-    return inf - best * step
+    atoms, seed = feature_atoms(problem, j)
+    return grow(problem, j, current, atoms[seed], atoms)
 
 
 def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> int:
@@ -249,31 +221,34 @@ def inflate_ordinal(
     """Grow a closed interval around the instance value of feature j.
 
     The domain top is probed first; only if the full reach fails does the
-    grid walk start.  Then the same for the bottom, against the already
-    grown upper end.
+    walk over the grid v + k*step start, stopping strictly below the top.
+    Then the same for the bottom, against the already grown upper end.  All
+    strategies return the same endpoints.
     """
     domain = problem.space.domain(j)
     if not isinstance(domain, Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
     v = rational(problem.value_of(j))
+    step = _step_for(domain, config)
 
     def holds(lo: Fraction, hi: Fraction) -> bool:
-        trial = dict(current)
-        trial[j] = IntervalUnion((Interval(lo, hi, True, True),))
-        return problem.sufficiency_holds(trial)
+        trial = IntervalUnion((Interval(lo, hi, True, True),))
+        return problem.sufficiency_holds({**current, j: trial})
 
     sup = v
     if v < domain.hi:
         if holds(v, domain.hi):
             sup = domain.hi
         else:
-            sup = expand_sup(problem, j, current, v, v, config)
+            k_max = _grid_count(v, domain.hi, step, up=True)
+            sup = v + step * _search_grid(lambda k: holds(v, v + k * step), k_max, config, step)
     inf = v
     if domain.lo < v:
         if holds(domain.lo, sup):
             inf = domain.lo
         else:
-            inf = expand_inf(problem, j, current, v, sup, config)
+            k_max = _grid_count(v, domain.lo, step, up=False)
+            inf = v - step * _search_grid(lambda k: holds(v - k * step, sup), k_max, config, step)
     return IntervalUnion((Interval(inf, sup, True, True),))
 
 
@@ -288,21 +263,10 @@ def inflate_ordinal_cells(
     cannot distinguish points inside one cell) and probes the cells above
     it in ascending order, then the cells below in descending order.
     """
-    domain = problem.space.domain(j)
-    if not isinstance(domain, Ordinal):
+    if not isinstance(problem.space.domain(j), Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
-    disc = problem.oracle.discretization
-    cells = disc.cells_for(j)
-    seed = disc.cell_index(j, rational(problem.value_of(j)))
-    kept = interval_union(domain, [cells[seed]])
-    probe_idx = list(range(seed + 1, len(cells))) + list(range(seed - 1, -1, -1))
-    for idx in probe_idx:
-        candidate = vs_union(domain, kept, IntervalUnion((cells[idx],)))
-        trial = dict(current)
-        trial[j] = candidate
-        if problem.sufficiency_holds(trial):
-            kept = candidate
-    return kept
+    atoms, seed = feature_atoms(problem, j)
+    return grow(problem, j, current, atoms[seed], atoms[seed + 1 :] + atoms[:seed][::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +275,18 @@ def inflate_ordinal_cells(
 
 def _uses_grid(problem: ExplanationProblem) -> bool:
     return isinstance(problem.classifier, MonotonicClassifier)
+
+
+def grid_delta(problem: ExplanationProblem, config: InflationConfig) -> Fraction:
+    """The step width an explanation records: delta on grid models, else 0."""
+    return config.delta if _uses_grid(problem) else Fraction(0)
+
+
+def grid_points(domain: Ordinal, v: Fraction, step: Fraction) -> list[Fraction]:
+    """The points v + k*step inside the domain, plus both domain bounds, ascending."""
+    below = math.floor((v - domain.lo) / step)
+    above = math.floor((domain.hi - v) / step)
+    return sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
 
 
 def _inflate_feature(
@@ -349,13 +325,11 @@ def inflate_axp(
         problem.space.domain(j)
     if not trusted and not problem.waxp_holds(feats):
         raise ValidationError(f"{feats} is not a sufficient feature set for this instance")
-    order = _feature_order(feats, config)
+    order = _check_order(config.order, feats)
     current: dict[int, ValueSet] = {j: problem.pin(j) for j in feats}
     for j in order:
-        grown = _inflate_feature(problem, j, {k: s for k, s in current.items() if k != j}, config)
-        current[j] = grown
-    delta = config.delta if _uses_grid(problem) else Fraction(0)
-    return InflatedExplanation(ABDUCTIVE, feats, dict(current), order, delta)
+        current[j] = _inflate_feature(problem, j, current, config)
+    return InflatedExplanation(ABDUCTIVE, feats, dict(current), order, grid_delta(problem, config))
 
 
 def inflate_from_full(
@@ -365,24 +339,17 @@ def inflate_from_full(
     """Inflate starting from every feature pinned; drop the ones that free up.
 
     A feature whose set grows to the whole domain constrains nothing and
-    leaves the explanation.  The surviving sets are sufficient and each is
+    leaves the explanation (a full set and an absent feature give the
+    oracle the same box).  The surviving sets are sufficient and each is
     maximal given the others; the surviving feature set is not guaranteed
     to be subset-minimal for every model, so extract an explanation first
     when minimality matters.
     """
-    config = config or InflationConfig()
-    feats = tuple(problem.space.features())
-    order = _feature_order(feats, config)
-    current: dict[int, ValueSet] = {j: problem.pin(j) for j in feats}
-    for j in order:
-        grown = _inflate_feature(problem, j, {k: s for k, s in current.items() if k != j}, config)
-        if vs_is_full(problem.space.domain(j), grown):
-            del current[j]
-        else:
-            current[j] = grown
-    kept = tuple(sorted(current))
-    delta = config.delta if _uses_grid(problem) else Fraction(0)
-    return InflatedExplanation(ABDUCTIVE, kept, dict(current), order, delta)
+    expl = inflate_axp(problem, problem.space.features(), config, trusted=True)
+    sets = {
+        j: s for j, s in expl.sets.items() if not vs_is_full(problem.space.domain(j), s)
+    }
+    return InflatedExplanation(ABDUCTIVE, tuple(sorted(sets)), sets, expl.probe_order, expl.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -394,30 +361,12 @@ def _contrast_pieces(
 ) -> list[ValueSet]:
     """Candidate off-instance pieces for feature j of a contrastive set."""
     domain = problem.space.domain(j)
-    v = problem.value_of(j)
-    if isinstance(domain, Categorical):
-        return [CatSet(frozenset([l])) for l in domain.labels if l != v]
-    v = rational(v)
-    if _uses_grid(problem):
-        step = _step_for(domain, config)
-        points = {domain.lo, domain.hi}
-        k = 1
-        while v + k * step <= domain.hi:
-            points.add(v + k * step)
-            k += 1
-        k = 1
-        while v - k * step >= domain.lo:
-            points.add(v - k * step)
-            k += 1
-        points.discard(v)
-        return [IntervalUnion((Interval(p, p, True, True),)) for p in sorted(points)]
-    disc = problem.oracle.discretization
-    seed = disc.cell_index(j, v)
-    return [
-        interval_union(domain, [cell])
-        for idx, cell in enumerate(disc.cells_for(j))
-        if idx != seed
-    ]
+    if isinstance(domain, Ordinal) and _uses_grid(problem):
+        v = rational(problem.value_of(j))
+        points = grid_points(domain, v, _step_for(domain, config))
+        return [IntervalUnion((Interval(p, p, True, True),)) for p in points if p != v]
+    atoms, seed = feature_atoms(problem, j)
+    return atoms[:seed] + atoms[seed + 1 :]
 
 
 def shrink_cxp(
@@ -443,21 +392,17 @@ def shrink_cxp(
         raise ValidationError(f"duplicate features in {tuple(cxp)}")
     if not problem.wcxp_holds(feats):
         raise ValidationError(f"{feats} is not a contrastive feature set for this instance")
-    order = _feature_order(feats, config)
+    order = _check_order(config.order, feats)
     pieces: dict[int, list[ValueSet]] = {
         j: _contrast_pieces(problem, j, config) for j in feats
     }
-    fixed = {j: problem.pin(j) for j in problem.space.features() if j not in set(feats)}
+    fixed = {j: problem.pin(j) for j in problem.space.features() if j not in feats}
+
+    def merged(current: Mapping[int, list[ValueSet]]) -> dict[int, ValueSet]:
+        return {j: vs_union(problem.space.domain(j), *ps) for j, ps in current.items()}
 
     def exists(current: Mapping[int, list[ValueSet]]) -> bool:
-        roam = {}
-        for j, ps in current.items():
-            domain = problem.space.domain(j)
-            merged = ps[0]
-            for p in ps[1:]:
-                merged = vs_union(domain, merged, p)
-            roam[j] = merged
-        return problem.oracle.exists_counterexample(fixed, roam, problem.target)
+        return problem.counterexample_in({**fixed, **merged(current)})
 
     if not exists(pieces):
         raise ValidationError(
@@ -471,12 +416,5 @@ def shrink_cxp(
             trimmed[j] = [p for p in pieces[j] if p != piece]
             if exists(trimmed):
                 pieces[j] = trimmed[j]
-    sets = {}
-    for j, ps in pieces.items():
-        domain = problem.space.domain(j)
-        merged = ps[0]
-        for p in ps[1:]:
-            merged = vs_union(domain, merged, p)
-        sets[j] = merged
-    delta = config.delta if _uses_grid(problem) else Fraction(0)
-    return InflatedExplanation(CONTRASTIVE, feats, sets, order, delta)
+    delta = grid_delta(problem, config)
+    return InflatedExplanation(CONTRASTIVE, feats, merged(pieces), order, delta)

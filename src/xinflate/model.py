@@ -351,12 +351,14 @@ def vs_intersect(domain: Domain, a: ValueSet, b: ValueSet) -> Optional[ValueSet]
         return None
 
 
-def vs_union(domain: Domain, a: ValueSet, b: ValueSet) -> ValueSet:
-    _check_pair(domain, a)
-    _check_pair(domain, b)
-    if isinstance(a, CatSet):
-        return CatSet(a.labels | b.labels)
-    return interval_union(domain, a.intervals + b.intervals)
+def vs_union(domain: Domain, first: ValueSet, *rest: ValueSet) -> ValueSet:
+    """Union of one or more value sets of one domain, normalized once."""
+    sets = (first,) + rest
+    for s in sets:
+        _check_pair(domain, s)
+    if isinstance(first, CatSet):
+        return CatSet(frozenset().union(*(s.labels for s in sets)))
+    return interval_union(domain, [iv for s in sets for iv in s.intervals])
 
 
 def vs_subset(domain: Domain, a: ValueSet, b: ValueSet) -> bool:

@@ -24,7 +24,6 @@ the per-instance call accounting in the benchmark reports.
 from __future__ import annotations
 
 import itertools
-import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -62,15 +61,13 @@ from .model import (
 
 
 class OracleStats:
-    """Thread-safe counter of top-level oracle decisions."""
+    """Counter of top-level oracle decisions."""
 
     def __init__(self):
         self.calls = 0
-        self._lock = threading.Lock()
 
     def bump(self) -> None:
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
 
 
 @dataclass(frozen=True)
@@ -151,38 +148,6 @@ def discretize(classifier: Classifier, space: FeatureSpace) -> Discretization:
 
 
 # ---------------------------------------------------------------------------
-# Monotone boxes
-
-
-def monotone_box_check(
-    classifier: MonotonicClassifier,
-    space: FeatureSpace,
-    assignment: Mapping[int, ValueSet],
-    class_id: str,
-) -> bool:
-    """Corner check: both extreme corners of the box predict class_id.
-
-    Every assigned set must be a single closed interval; absent features
-    take their full domain.  Monotonicity makes the two corners decisive.
-    """
-    los = []
-    his = []
-    for j in space.features():
-        s = assignment.get(j, full_set(space.domain(j)))
-        if not isinstance(s, IntervalUnion) or len(s.intervals) != 1:
-            raise ValidationError(f"feature {j}: corner check needs a single interval")
-        iv = s.intervals[0]
-        if not (iv.lo_closed and iv.hi_closed):
-            raise ValidationError(f"feature {j}: corner check needs closed endpoints")
-        los.append(iv.lo)
-        his.append(iv.hi)
-    return (
-        classifier.predict(tuple(los)) == class_id
-        and classifier.predict(tuple(his)) == class_id
-    )
-
-
-# ---------------------------------------------------------------------------
 # The oracle
 
 
@@ -229,26 +194,6 @@ class Oracle:
         box = self._box_from(assignment)
         self.stats.bump()
         return not self._box_forces(box, class_id)
-
-    def exists_counterexample(
-        self,
-        fixed: Mapping[int, ValueSet],
-        roam: Mapping[int, ValueSet],
-        class_id: str,
-    ) -> bool:
-        """Counterexample decision with the features split into two groups.
-
-        fixed and roam must be disjoint and together cover every feature;
-        the distinction is bookkeeping for the caller, the decision is the
-        same box predicate either way.
-        """
-        overlap = set(fixed) & set(roam)
-        if overlap:
-            raise ValidationError(f"features assigned twice: {sorted(overlap)}")
-        missing = set(self.space.features()) - set(fixed) - set(roam)
-        if missing:
-            raise ValidationError(f"features not assigned: {sorted(missing)}")
-        return self.counterexample_in({**fixed, **roam}, class_id)
 
     # -- plumbing -----------------------------------------------------------
 

@@ -27,8 +27,6 @@ from .classifiers import (
     Rule,
     SetMember,
     TreeEnsemble,
-    is_constant,
-    predict,
 )
 from .model import (
     CatSet,
@@ -40,6 +38,7 @@ from .model import (
     interval_union,
     rational_str,
 )
+from .oracle import classifier_is_constant
 
 _LABEL_POOL = ("red", "blue", "green", "amber", "violet", "gray")
 
@@ -184,7 +183,7 @@ def random_problem(
     """
     for _ in range(max_tries):
         classifier, space = maker(rng)
-        if not is_constant(classifier, space):
+        if not classifier_is_constant(classifier, space):
             return classifier, space, random_point(rng, space)
     raise RuntimeError("could not draw a non-constant classifier")
 

@@ -26,7 +26,6 @@ from .classifiers import (
     Node,
     OrdinalSplit,
     TreeEnsemble,
-    predict,
 )
 from .errors import ValidationError
 from .model import Categorical, FeatureSpace, Ordinal, Value, rational
@@ -214,6 +213,6 @@ def train_forest(
 
 def model_accuracy(classifier: Classifier, dataset: Dataset) -> Fraction:
     hits = sum(
-        1 for row, label in zip(dataset.rows, dataset.labels) if predict(classifier, row) == label
+        1 for row, label in zip(dataset.rows, dataset.labels) if classifier.predict(row) == label
     )
     return Fraction(hits, dataset.n)

@@ -24,7 +24,6 @@ from xinflate.classifiers import (
     OrdinalSplit,
     SetMember,
     TreeEnsemble,
-    predict,
 )
 from xinflate.model import (
     CatSet,
@@ -142,7 +141,7 @@ def bf_forces(classifier, space: FeatureSpace, assignment: Mapping[int, ValueSet
     if isinstance(classifier, MonotonicClassifier):
         return _monotone_reachable(classifier, space, assignment) == {target}
     for point in product(*_grid(classifier, space, assignment)):
-        if predict(classifier, point) != target:
+        if classifier.predict(point) != target:
             return False
     return True
 
@@ -151,7 +150,7 @@ def bf_reachable(classifier, space: FeatureSpace, assignment: Mapping[int, Value
     """Classes the scan reaches inside the box (superset-exact for forces checks)."""
     out = set()
     for point in product(*_grid(classifier, space, assignment)):
-        out.add(predict(classifier, point))
+        out.add(classifier.predict(point))
     return out
 
 

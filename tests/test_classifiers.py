@@ -15,8 +15,6 @@ from xinflate.classifiers import (
     Rule,
     SetMember,
     TreeEnsemble,
-    is_constant,
-    predict,
     validate_classifier,
 )
 from xinflate.errors import ValidationError
@@ -29,6 +27,7 @@ from xinflate.model import (
     Ordinal,
     interval_union,
 )
+from xinflate.oracle import classifier_is_constant
 
 F = Fraction
 UNIT = Ordinal(F(0), F(10))
@@ -37,15 +36,15 @@ UNIT = Ordinal(F(0), F(10))
 class TestMonotonic:
     def test_scores_and_classes(self):
         clf, space = grade_model()
-        assert predict(clf, (F(3), F(5))) == "B"
-        assert predict(clf, (F(7), F(5))) == "A"
-        assert predict(clf, (F(6), F(6))) == "A"
-        assert predict(clf, (F(6), F("11/2"))) == "B"
+        assert clf.predict((F(3), F(5))) == "B"
+        assert clf.predict((F(7), F(5))) == "A"
+        assert clf.predict((F(6), F(6))) == "A"
+        assert clf.predict((F(6), F("11/2"))) == "B"
 
     def test_boundary_score_takes_upper_class(self):
         clf = MonotonicClassifier((F(1),), (F(5),), ("lo", "hi"))
-        assert predict(clf, (F(5),)) == "hi"
-        assert predict(clf, (F("49/10"),)) == "lo"
+        assert clf.predict((F(5),)) == "hi"
+        assert clf.predict((F("49/10"),)) == "lo"
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValidationError):
@@ -73,22 +72,22 @@ class TestMonotonic:
 class TestDecisionList:
     def test_first_match_wins(self):
         clf, space = risk_list()
-        assert predict(clf, ("Adult", "Silver")) == "0"
-        assert predict(clf, ("Junior", "Silver")) == "0"
-        assert predict(clf, ("Junior", "Red")) == "1"
-        assert predict(clf, ("Senior", "Black")) == "1"
+        assert clf.predict(("Adult", "Silver")) == "0"
+        assert clf.predict(("Junior", "Silver")) == "0"
+        assert clf.predict(("Junior", "Red")) == "1"
+        assert clf.predict(("Senior", "Black")) == "1"
 
     def test_default_fires_when_nothing_matches(self):
         clf, space = risk_list()
-        assert predict(clf, ("Senior", "Green")) == "1"
+        assert clf.predict(("Senior", "Green")) == "1"
 
     def test_interval_literal_matching(self):
         space = FeatureSpace((UNIT,))
         cond = SetMember(1, interval_union(UNIT, [Interval(F(2), F(5), True, False)]))
         clf = DecisionList((Rule((cond,), "in"),), "out", ("in", "out"))
         validate_classifier(clf, space)
-        assert predict(clf, (F(2),)) == "in"
-        assert predict(clf, (F(5),)) == "out"
+        assert clf.predict((F(2),)) == "in"
+        assert clf.predict((F(5),)) == "out"
 
     def test_interval_literal_must_be_threshold_shaped(self):
         space = FeatureSpace((UNIT,))
@@ -121,15 +120,15 @@ def _stump(threshold, lo_class="L", hi_class="H"):
 class TestTrees:
     def test_threshold_routing(self):
         tree = _stump(5)
-        assert predict(tree, (F("49/10"),)) == "L"
-        assert predict(tree, (F(5),)) == "H"
+        assert tree.predict((F("49/10"),)) == "L"
+        assert tree.predict((F(5),)) == "H"
 
     def test_label_split_routing(self):
         colors = Categorical(("red", "green"))
         tree = DecisionTree(LabelSplit(1, "red", Leaf("no"), Leaf("yes")), ("no", "yes"))
         validate_classifier(tree, FeatureSpace((colors,)))
-        assert predict(tree, ("red",)) == "yes"
-        assert predict(tree, ("green",)) == "no"
+        assert tree.predict(("red",)) == "yes"
+        assert tree.predict(("green",)) == "no"
 
     def test_threshold_outside_domain_rejected(self):
         with pytest.raises(ValidationError):
@@ -140,18 +139,18 @@ class TestTrees:
     def test_majority_vote(self):
         trees = (_stump(2), _stump(5), _stump(8))
         ens = TreeEnsemble(trees, ("L", "H"))
-        assert predict(ens, (F(6),)) == "H"
-        assert predict(ens, (F(3),)) == "L"
+        assert ens.predict((F(6),)) == "H"
+        assert ens.predict((F(3),)) == "L"
 
     def test_tie_breaks_to_lowest_class_index(self):
         t1 = DecisionTree(Leaf("a"), ("a", "b"))
         t2 = DecisionTree(Leaf("b"), ("a", "b"))
         ens = TreeEnsemble((t1, t2), ("a", "b"))
-        assert predict(ens, (F(0),)) == "a"
+        assert ens.predict((F(0),)) == "a"
         r1 = DecisionTree(Leaf("a"), ("b", "a"))
         r2 = DecisionTree(Leaf("b"), ("b", "a"))
         ens_rev = TreeEnsemble((r2, r1), ("b", "a"))
-        assert predict(ens_rev, (F(0),)) == "b"
+        assert ens_rev.predict((F(0),)) == "b"
 
     def test_ensemble_needs_shared_class_list(self):
         t1 = DecisionTree(Leaf("a"), ("a", "b"))
@@ -162,15 +161,15 @@ class TestTrees:
 
 class TestIsConstant:
     def test_constant_tree(self):
-        assert is_constant(DecisionTree(Leaf("only"), ("only", "other")), FeatureSpace((UNIT,)))
+        assert classifier_is_constant(DecisionTree(Leaf("only"), ("only", "other")), FeatureSpace((UNIT,)))
 
     def test_stump_is_not_constant(self):
-        assert not is_constant(_stump(5), FeatureSpace((UNIT,)))
+        assert not classifier_is_constant(_stump(5), FeatureSpace((UNIT,)))
 
     def test_vacuous_list_is_constant(self):
         clf = DecisionList((), "d", ("d", "e"))
-        assert is_constant(clf, FeatureSpace((UNIT,)))
+        assert classifier_is_constant(clf, FeatureSpace((UNIT,)))
 
     def test_risk_list_is_not_constant(self):
         clf, space = risk_list()
-        assert not is_constant(clf, space)
+        assert not classifier_is_constant(clf, space)

@@ -7,7 +7,8 @@ import pytest
 
 from bruteforce import bf_forces
 from pools import monotone_pool
-from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit, MonotonicClassifier
+from xinflate.classifiers import DecisionTree, LabelSplit, Leaf, OrdinalSplit, MonotonicClassifier
+from xinflate.duality import enumerate_iaxps, enumerate_icxps
 from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, find_axp, find_cxp
@@ -21,6 +22,7 @@ from xinflate.inflate import (
 )
 from xinflate.model import (
     CatSet,
+    Categorical,
     FeatureSpace,
     Interval,
     IntervalUnion,
@@ -251,3 +253,28 @@ class TestShrinkCxp:
         assert vs_pieces(expl.set_for(1)) == 1
         (iv,) = expl.set_for(1).intervals
         assert F(3) <= iv.lo and iv.hi <= F(6)
+
+
+def _integer_gap_problem():
+    """Thresholds 5/2 and 3 leave the integer feature a cell [5/2, 3) without an integer."""
+    space = FeatureSpace((Ordinal(F(0), F(5), INTEGER), Categorical(("a", "b"))))
+    high = OrdinalSplit(1, F(3), Leaf("B"), LabelSplit(2, "b", Leaf("A"), Leaf("B")))
+    clf = DecisionTree(OrdinalSplit(1, F(5, 2), Leaf("A"), high), ("A", "B"))
+    return ExplanationProblem.from_point(clf, space, (F(0), "b"))
+
+
+class TestIntegerCellWithoutInteger:
+    def test_inflation_skips_the_empty_cell(self):
+        problem = _integer_gap_problem()
+        expl = inflate_axp(problem, (1,), trusted=True)
+        assert problem.oracle.stats.calls == 1
+        assert expl.set_for(1) == interval_union(problem.space.domain(1), [Interval(F(0), F(2))])
+
+    def test_contrastive_and_enumerated_families(self):
+        problem = _integer_gap_problem()
+        domain = problem.space.domain(1)
+        low = interval_union(domain, [Interval(F(0), F(2))])
+        high = interval_union(domain, [Interval(F(3), F(5))])
+        assert shrink_cxp(problem, (1,)).sets == {1: high}
+        assert [e.sets for e in enumerate_icxps(problem, (1,))] == [{1: high}]
+        assert [e.sets for e in enumerate_iaxps(problem, (1,))] == [{1: low}]

@@ -211,11 +211,13 @@ def test_intersection_is_lower_bound(a, b):
             assert vs_contains(a, v) and vs_contains(b, v)
 
 
-@given(_unions(UNIT), _unions(UNIT))
-def test_union_is_upper_bound(a, b):
+@given(_unions(UNIT), _unions(UNIT), _unions(UNIT))
+def test_union_is_upper_bound(a, b, c):
     u = vs_union(UNIT, a, b)
     assert vs_subset(UNIT, a, u)
     assert vs_subset(UNIT, b, u)
+    assert vs_union(UNIT, a, b, c) == vs_union(UNIT, u, c)
+    assert vs_subset(UNIT, c, vs_union(UNIT, a, b, c))
 
 
 @given(_unions(INT_DOM))

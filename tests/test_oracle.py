@@ -21,7 +21,7 @@ from xinflate.model import (
     interval_union,
     singleton_set,
 )
-from xinflate.oracle import Oracle, OracleStats, classifier_is_constant, discretize, monotone_box_check
+from xinflate.oracle import Oracle, OracleStats, classifier_is_constant, discretize
 
 F = Fraction
 
@@ -141,8 +141,6 @@ class TestBruteForceEquivalence:
 class TestCellConstancy:
     def test_same_cell_points_predict_alike(self):
         rng = random.Random(5)
-        from xinflate.classifiers import predict
-
         for clf, space, _ in forest_pool(15, seed=74):
             disc = discretize(clf, space)
             for _ in range(10):
@@ -163,7 +161,7 @@ class TestCellConstancy:
                             b = min(b, cell.hi - width / 7)
                         p.append(a)
                         q.append(b)
-                assert predict(clf, p) == predict(clf, q)
+                assert clf.predict(p) == clf.predict(q)
 
 
 class TestMonotoneBoxCheck:
@@ -179,18 +177,9 @@ class TestMonotoneBoxCheck:
                     lo, hi = min(a, b), max(a, b)
                     assignment[j] = interval_union(domain, [Interval(lo, hi, True, True)])
                 target = rng.choice(clf.classes)
-                assert monotone_box_check(clf, space, assignment, target) == bf_forces(
+                assert Oracle(clf, space).holds_sufficiency(assignment, target) == bf_forces(
                     clf, space, assignment, target
                 )
-
-    def test_rejects_multi_piece_sets(self):
-        clf, space = grade_model()
-        two = interval_union(
-            space.domain(1),
-            [Interval(F(0), F(1), True, True), Interval(F(3), F(4), True, True)],
-        )
-        with pytest.raises(ValidationError):
-            monotone_box_check(clf, space, {1: two, 2: singleton_set(space.domain(2), F(5))}, "B")
 
 
 class TestOracleContract:
@@ -203,18 +192,8 @@ class TestOracleContract:
         assert stats.calls == 1
         oracle.counterexample_in(pin, "1")
         assert stats.calls == 2
-        oracle.exists_counterexample({1: pin[1]}, {2: full_set(space.domain(2))}, "1")
+        oracle.counterexample_in({1: pin[1], 2: full_set(space.domain(2))}, "1")
         assert stats.calls == 3
-
-    def test_exists_counterexample_validates_partition(self):
-        clf, space = risk_list()
-        oracle = Oracle(clf, space)
-        full2 = full_set(space.domain(2))
-        pin1 = cat_set(space.domain(1), ["Junior"])
-        with pytest.raises(ValidationError):
-            oracle.exists_counterexample({1: pin1}, {1: full_set(space.domain(1)), 2: full2}, "1")
-        with pytest.raises(ValidationError):
-            oracle.exists_counterexample({1: pin1}, {}, "1")
 
     def test_unknown_class_rejected(self):
         clf, space = risk_list()

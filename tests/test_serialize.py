@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from pools import dl_pool
-from xinflate.classifiers import predict
 from xinflate.errors import SchemaError, ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, find_axp
@@ -63,7 +62,7 @@ class TestRoundTrip:
         rng = random.Random(22)
         for _ in range(20):
             p = random_point(rng, dataset.space)
-            assert predict(back.classifier, p) == predict(forest, p)
+            assert back.classifier.predict(p) == forest.predict(p)
 
     def test_save_and_load_file(self, tmp_path):
         clf, space = risk_list()

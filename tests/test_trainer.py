@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from xinflate.classifiers import predict, validate_classifier
+from xinflate.classifiers import validate_classifier
 from xinflate.errors import ValidationError
 from xinflate.model import Categorical, Ordinal
 from xinflate.serialize import model_to_dict, ModelFile
@@ -101,5 +101,5 @@ class TestTrainer:
     def test_labels_survive_into_predictions(self):
         ds = load_dataset(DATA / "stump.csv")
         forest = train_forest(ds, n_trees=5, depth=2, seed=3)
-        assert predict(forest, (F(9), F(0))) == "pos"
-        assert predict(forest, (F(1), F(9))) == "neg"
+        assert forest.predict((F(9), F(0))) == "pos"
+        assert forest.predict((F(1), F(9))) == "neg"
