@@ -40,7 +40,6 @@ from .inflate import (
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
-    CatSet,
     InflatedExplanation,
     Interval,
     IntervalUnion,
@@ -314,10 +313,7 @@ def enumerate_icxps(
     for combo in product(*options):
         point = list(problem.instance.values)
         for j, piece in zip(feats, combo):
-            if isinstance(piece, CatSet):
-                (point[j - 1],) = piece.labels
-            else:
-                point[j - 1] = _piece_rep(problem.space.domain(j), piece.intervals[0])
+            point[j - 1] = _piece_rep(problem.space.domain(j), piece)
         if problem.classifier.predict(tuple(point)) != problem.target:
             out.append(InflatedExplanation(CONTRASTIVE, feats, dict(zip(feats, combo)), (), delta))
     return tuple(out)

@@ -47,10 +47,8 @@ from .model import (
     IntervalUnion,
     Ordinal,
     ValueSet,
-    full_set,
     rational,
     vs_contains,
-    vs_intersect,
     vs_is_full,
     vs_subset,
     vs_union,
@@ -121,13 +119,7 @@ def feature_atoms(problem: ExplanationProblem, j: int) -> tuple[list[ValueSet], 
     point of the domain (a cell of an integer domain may hold no integer).
     The prediction cannot tell two points of one atom apart.
     """
-    domain = problem.space.domain(j)
-    if isinstance(domain, Categorical):
-        atoms = [CatSet(frozenset([label])) for label in domain.labels]
-    else:
-        full = full_set(domain)
-        cells = (IntervalUnion((c,)) for c in problem.oracle.discretization.cells_for(j))
-        atoms = [a for a in (vs_intersect(domain, full, c) for c in cells) if a is not None]
+    atoms = [atom for _, atom in problem.oracle.discretization.atoms_for(problem.space, j)]
     v = problem.value_of(j)
     return atoms, next(i for i, atom in enumerate(atoms) if vs_contains(atom, v))
 
@@ -397,24 +389,21 @@ def shrink_cxp(
         j: _contrast_pieces(problem, j, config) for j in feats
     }
     fixed = {j: problem.pin(j) for j in problem.space.features() if j not in feats}
-
-    def merged(current: Mapping[int, list[ValueSet]]) -> dict[int, ValueSet]:
-        return {j: vs_union(problem.space.domain(j), *ps) for j, ps in current.items()}
-
-    def exists(current: Mapping[int, list[ValueSet]]) -> bool:
-        return problem.counterexample_in({**fixed, **merged(current)})
-
-    if not exists(pieces):
+    # each feature's pieces merged once; a probe re-merges only the trimmed feature
+    sets = {j: vs_union(problem.space.domain(j), *ps) for j, ps in pieces.items()}
+    if not problem.counterexample_in({**fixed, **sets}):
         raise ValidationError(
             "no counterexample once the instance values are excluded at this granularity"
         )
     for j in order:
+        domain = problem.space.domain(j)
         for piece in list(pieces[j]):
             if len(pieces[j]) == 1:
                 break
-            trimmed = dict(pieces)
-            trimmed[j] = [p for p in pieces[j] if p != piece]
-            if exists(trimmed):
-                pieces[j] = trimmed[j]
+            rest = [p for p in pieces[j] if p != piece]
+            trial = vs_union(domain, *rest)
+            if problem.counterexample_in({**fixed, **sets, j: trial}):
+                pieces[j] = rest
+                sets[j] = trial
     delta = grid_delta(problem, config)
-    return InflatedExplanation(CONTRASTIVE, feats, merged(pieces), order, delta)
+    return InflatedExplanation(CONTRASTIVE, feats, sets, order, delta)

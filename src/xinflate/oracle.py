@@ -11,11 +11,25 @@ achievable score range of a box decides it directly.  For lists, trees, and
 ensembles the ordinal axes are first discretized into the half-open cells
 induced by the model's own thresholds, [lo, d1), [d1, d2), ..., [dk, hi];
 the prediction is constant on every product of cells, so the box predicate
-is a finite question.  Rather than enumerating the full cell product, the
-search specializes each tree against the box, prunes with reachable leaf
-classes and a worst-case vote bound, and only splits a feature into cells
-when the bound cannot decide.  The outcome equals literal enumeration; only
-the visit order differs.
+is a finite question.
+
+That question is asked over atoms.  An atom of a feature is one of its
+labels, or one of its cells that holds a point of the domain (on an integer
+domain a cell such as [5/2, 3) holds no integer and is no atom).  Bit i of a
+feature's mask stands for its label i or cell i, so every value set becomes
+an `int` whose bits are atoms (a cell that is no atom is never set): a box
+is one mask per feature, an `OrdinalSplit` sends the cells at or above its
+threshold right, a `LabelSplit` sends its label's bit right, and a list
+literal covers a mask of whole cells or labels.  The model is compiled to
+these masks once per `Oracle`, lazily on the first tree or list decision,
+so building an `Oracle` that only ever answers cheap probes stays cheap.
+`ValueSet` and `Fraction` appear only where a box is converted to masks.
+
+Rather than enumerating the full atom product, the search specializes each
+tree against the box, prunes with reachable leaf classes and a worst-case
+vote bound, and only splits a feature into its atoms when the bound cannot
+decide.  The outcome equals literal enumeration; only the visit order
+differs.
 
 Every top-level decision increments `OracleStats.calls` once, which is what
 the per-instance call accounting in the benchmark reports.
@@ -24,8 +38,8 @@ the per-instance call accounting in the benchmark reports.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -35,12 +49,10 @@ from .classifiers import (
     DecisionList,
     DecisionTree,
     LabelEq,
-    LabelSplit,
     Leaf,
     MonotonicClassifier,
     Node,
     OrdinalSplit,
-    Rule,
     SetMember,
     TreeEnsemble,
 )
@@ -48,6 +60,7 @@ from .errors import ValidationError
 from .model import (
     CatSet,
     Categorical,
+    Domain,
     FeatureSpace,
     INTEGER,
     Interval,
@@ -55,8 +68,9 @@ from .model import (
     Ordinal,
     Value,
     ValueSet,
+    _snap_integer,
     full_set,
-    vs_intersect,
+    interval_union,
 )
 
 
@@ -90,6 +104,26 @@ class Discretization:
 
     def cell_index(self, j: int, value: Fraction) -> int:
         return bisect_right(self.splits[j - 1], value)
+
+    def atoms_for(self, space: FeatureSpace, j: int) -> list[tuple[int, ValueSet]]:
+        """Feature j's atoms in domain order, each with its bit index.
+
+        An atom is a single label, or a cell holding at least one point of
+        the domain, as the value set of the points it holds.  A cell of an
+        integer domain that holds no integer is skipped, so its index is
+        missing from the list.
+        """
+        domain = space.domain(j)
+        if isinstance(domain, Categorical):
+            return [(i, CatSet(frozenset([label]))) for i, label in enumerate(domain.labels)]
+        atoms = []
+        for i, cell in enumerate(self.cells_for(j)):
+            if domain.kind == INTEGER:
+                cell = _snap_integer(cell)
+                if cell is None:
+                    continue
+            atoms.append((i, IntervalUnion((cell,))))
+        return atoms
 
 
 def _cells_from_splits(domain: Ordinal, splits: Sequence[Fraction]) -> tuple[Interval, ...]:
@@ -147,23 +181,44 @@ def discretize(classifier: Classifier, space: FeatureSpace) -> Discretization:
     return Discretization(tuple(splits), tuple(cells))
 
 
+def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) -> int:
+    """The cells meeting the part of iv inside the domain (0 when that is empty)."""
+    lo, hi, lo_closed, hi_closed = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+    if lo < domain.lo:
+        lo, lo_closed = domain.lo, True
+    if hi > domain.hi:
+        hi, hi_closed = domain.hi, True
+    if domain.kind == INTEGER:
+        lo = math.ceil(lo) if lo_closed else math.floor(lo) + 1
+        hi = math.floor(hi) if hi_closed else math.ceil(hi) - 1
+        lo_closed = hi_closed = True
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return 0
+    a = bisect_right(splits, lo)
+    b = bisect_right(splits, hi) if hi_closed else bisect_left(splits, hi)
+    return (2 << b) - (1 << a)  # atoms a..b
+
+
+def _literal_set(lit) -> ValueSet:
+    return CatSet(frozenset([lit.label])) if isinstance(lit, LabelEq) else lit.values
+
+
 # ---------------------------------------------------------------------------
 # The oracle
-
-
-class _TreeView:
-    """A tree specialized against a box, with its features and leaf classes."""
-
-    __slots__ = ("node", "feats", "classes")
-
-    def __init__(self, node: Node, feats: frozenset, classes: frozenset):
-        self.node = node
-        self.feats = feats
-        self.classes = classes
+#
+# Compiled tree nodes are either a class index (a leaf) or a tuple
+# (f0, right mask, left node, right node): a point goes right when its atom
+# of feature f0 is in the right mask.  A specialized tree is a "view"
+# (node, feature mask, class mask) recording the features it still tests
+# and the classes its leaves still reach.
 
 
 class Oracle:
-    """Box predicates for one classifier over one feature space."""
+    """Box predicates for one classifier over one feature space.
+
+    A given discretization must hold every threshold the classifier tests,
+    as `discretize` does.
+    """
 
     def __init__(
         self,
@@ -178,6 +233,7 @@ class Oracle:
         self.discretization = discretization or discretize(classifier, space)
         if classifier.classes and len(set(classifier.classes)) != len(classifier.classes):
             raise ValidationError("duplicate class ids")
+        self._valid: Optional[list[int]] = None  # set by _compile
 
     # -- public decisions ---------------------------------------------------
 
@@ -201,13 +257,17 @@ class Oracle:
         if class_id not in self.classifier.classes:
             raise ValidationError(f"unknown class {class_id!r}")
 
-    def _box_from(self, assignment: Mapping[int, ValueSet]) -> list[ValueSet]:
+    def _box_from(self, assignment: Mapping[int, ValueSet]) -> list:
+        """The box as normalized value sets (monotone) or atom masks (the rest)."""
+        monotone = isinstance(self.classifier, MonotonicClassifier)
+        if not monotone and self._valid is None:
+            self._compile()
         box = []
         for j in self.space.features():
             domain = self.space.domain(j)
             s = assignment.get(j)
             if s is None:
-                box.append(full_set(domain))
+                box.append(full_set(domain) if monotone else self._valid[j - 1])
                 continue
             if isinstance(domain, Categorical) != isinstance(s, CatSet):
                 raise ValidationError(
@@ -217,29 +277,101 @@ class Oracle:
                 unknown = s.labels - set(domain.labels)
                 if unknown:
                     raise ValidationError(f"feature {j}: labels {sorted(unknown)} not in domain")
-                box.append(s)
-            else:
+                box.append(s if monotone else self._set_mask(j - 1, s))
+            elif monotone:
                 # renormalize against this domain; clips and snaps as needed
-                from .model import interval_union
-
                 box.append(interval_union(domain, s.intervals))
+            else:
+                mask = self._set_mask(j - 1, s) & self._valid[j - 1]
+                if not mask:
+                    raise ValidationError("interval union is empty within the domain")
+                box.append(mask)
         extra = set(assignment) - set(self.space.features())
         if extra:
             raise ValidationError(f"feature indexes out of range: {sorted(extra)}")
         return box
 
-    def _box_forces(self, box: list[ValueSet], target: str) -> bool:
+    def _box_forces(self, box: list, target: str) -> bool:
         clf = self.classifier
         if isinstance(clf, MonotonicClassifier):
             return self._forces_monotone(clf, box, target)
+        ti = self._class_index[target]
         if isinstance(clf, DecisionList):
-            return self._forces_dl(clf, box, target)
-        if isinstance(clf, DecisionTree):
-            roots = (clf.root,)
+            return self._forces_dl(box, 1 << ti)
+        views = [self._specialize(root, box) for root in self._roots]
+        return self._dfs_trees(views, box, ti)
+
+    # -- compiling to atom masks ----------------------------------------------
+
+    def _compile(self) -> None:
+        """Turn the model's tests into atom masks; runs on the first tree or list decision."""
+        space, clf = self.space, self.classifier
+        self._labels = [
+            {label: 1 << i for i, label in enumerate(d.labels)}
+            if isinstance(d, Categorical)
+            else None
+            for d in space.domains
+        ]
+        self._class_index = {c: i for i, c in enumerate(clf.classes)}
+        if isinstance(clf, DecisionList):
+            self._rules = [
+                (
+                    tuple(
+                        (lit.feature - 1, self._set_mask(lit.feature - 1, _literal_set(lit)))
+                        for lit in rule.condition
+                    ),
+                    1 << self._class_index[rule.class_id],
+                )
+                for rule in clf.rules
+            ]
+            self._default_bit = 1 << self._class_index[clf.default_class]
         else:
-            roots = tuple(t.root for t in clf.trees)
-        views = [self._view(self._specialize(r, box)) for r in roots]
-        return self._dfs_trees(views, clf.classes, box, target)
+            trees = (clf,) if isinstance(clf, DecisionTree) else clf.trees
+            # the right mask of each threshold: the cells at or above it
+            above = [
+                {t: -1 << (k + 1) for k, t in enumerate(splits)}
+                for splits in self.discretization.splits
+            ]
+            self._roots = [self._compile_tree(t.root, above) for t in trees]
+        atoms = (self.discretization.atoms_for(space, j) for j in space.features())
+        self._valid = [sum(1 << i for i, _ in feature_atoms) for feature_atoms in atoms]
+
+    def _set_mask(self, f0: int, s: ValueSet) -> int:
+        if isinstance(s, CatSet):
+            labels = self._labels[f0]
+            return sum(labels.get(label, 0) for label in s.labels)
+        domain = self.space.domains[f0]
+        splits = self.discretization.splits[f0]
+        mask = 0
+        for iv in s.intervals:
+            mask |= _interval_mask(domain, splits, iv)
+        return mask
+
+    def _compile_tree(self, root: Node, above: list[dict[Fraction, int]]):
+        """The compiled form of a tree, built bottom-up without recursion."""
+        done: dict[int, object] = {}
+        stack = [(root, False)]
+        while stack:
+            n, children_done = stack.pop()
+            if id(n) in done:
+                continue
+            if isinstance(n, Leaf):
+                done[id(n)] = self._class_index[n.class_id]
+                continue
+            if not children_done:
+                stack.extend(((n, True), (n.left, False), (n.right, False)))
+                continue
+            f0 = n.feature - 1
+            if isinstance(n, OrdinalSplit):
+                right = above[f0].get(n.threshold)
+                if right is None:
+                    raise ValidationError(
+                        f"feature {n.feature}: threshold {n.threshold} is not in the discretization"
+                    )
+            else:
+                right = self._labels[f0][n.label]
+            done[id(n)] = (f0, right, done[id(n.left)], done[id(n.right)])
+        return done[id(root)]
 
     # -- monotone -----------------------------------------------------------
 
@@ -270,167 +402,120 @@ class Oracle:
 
     # -- decision lists -----------------------------------------------------
 
-    def _forces_dl(self, dl: DecisionList, box, target: str) -> bool:
-        possible, cands = self._dl_scan(dl, box)
-        if possible == {target}:
+    def _forces_dl(self, box: list[int], target_bit: int) -> bool:
+        possible, cands = self._dl_scan(box)
+        if possible == target_bit:
             return True
-        split = None
-        for f0 in cands:
-            if len(self._pieces(f0, box[f0])) > 1:
-                split = f0
-                break
-        if split is None:
+        if not cands:
             # every rule is decided on this box, so `possible` is exact
             return False
-        for piece in self._pieces(split, box[split]):
+        split = cands[0]
+        rest = box[split]
+        while rest:
+            atom = rest & -rest
+            rest ^= atom
             nb = list(box)
-            nb[split] = piece
-            if not self._forces_dl(dl, nb, target):
+            nb[split] = atom
+            if not self._forces_dl(nb, target_bit):
                 return False
         return True
 
-    def _dl_scan(self, dl: DecisionList, box):
-        """Over-approximate the classes reachable in the box.
+    def _dl_scan(self, box: list[int]) -> tuple[int, list[int]]:
+        """Over-approximate the classes reachable in the box, as a class mask.
 
-        Also reports features whose box set straddles a literal boundary of
-        a rule that might fire; those are the useful split candidates.
+        Also reports features whose box straddles a literal of a rule that
+        might fire; each holds atoms on both sides, so it can be split.
         """
-        possible = set()
+        possible = 0
         cands: list[int] = []
-        for rule in dl.rules:
-            sat = True
-            entails = True
-            local: list[int] = []
-            for lit in rule.condition:
-                f0 = lit.feature - 1
-                allowed = box[f0]
-                domain = self.space.domains[f0]
-                litset = (
-                    CatSet(frozenset([lit.label])) if isinstance(lit, LabelEq) else lit.values
-                )
-                inter = vs_intersect(domain, allowed, litset)
-                if inter is None:
-                    sat = False
-                    break
-                if inter != allowed:
-                    entails = False
-                    if f0 not in local:
-                        local.append(f0)
-            if sat:
-                possible.add(rule.class_id)
-                for f0 in local:
-                    if f0 not in cands:
-                        cands.append(f0)
-                if entails:
+        for lits, class_bit in self._rules:
+            straddled = []
+            for f0, m in lits:
+                a = box[f0]
+                if not a & m:
+                    break  # the rule cannot fire
+                if a & ~m and f0 not in straddled:
+                    straddled.append(f0)  # the literal is not entailed
+            else:
+                possible |= class_bit
+                if not straddled:
                     return possible, cands
-        possible.add(dl.default_class)
-        return possible, cands
+                cands.extend(f0 for f0 in straddled if f0 not in cands)
+        return possible | self._default_bit, cands
 
     # -- trees and ensembles --------------------------------------------------
 
-    def _pieces(self, f0: int, allowed: ValueSet) -> list[ValueSet]:
-        """Split a feature's box set into atoms: labels, or cell fragments."""
-        domain = self.space.domains[f0]
-        if isinstance(allowed, CatSet):
-            return [CatSet(frozenset([l])) for l in domain.labels if l in allowed.labels]
-        out = []
-        for cell in self.discretization.cells[f0]:
-            inter = vs_intersect(domain, allowed, IntervalUnion((cell,)))
-            if inter is not None:
-                out.append(inter)
-        return out
+    def _specialize(self, n, box: list[int]) -> tuple:
+        """The view of n under the box: every decided test collapsed, infeasible
+        paths pruned, and splits whose sides are the same leaf merged.
 
-    def _specialize(self, node: Node, box) -> Node:
-        """Collapse every test the box decides; prune infeasible paths."""
-
-        def go(n: Node, refine: dict) -> Node:
-            if isinstance(n, Leaf):
-                return n
-            f0 = n.feature - 1
-            allowed = refine.get(f0, box[f0])
-            domain = self.space.domains[f0]
-            if isinstance(n, OrdinalSplit):
-                below = vs_intersect(
-                    domain, allowed, IntervalUnion((Interval(domain.lo, n.threshold, True, False),))
-                )
-                above = vs_intersect(
-                    domain, allowed, IntervalUnion((Interval(n.threshold, domain.hi, True, True),))
-                )
+        box is narrowed in place along each path and restored on return.
+        """
+        while True:
+            if n.__class__ is int:
+                return n, 0, 1 << n
+            f0, rm, left, right = n
+            a = box[f0]
+            r = a & rm
+            if not r:
+                n = left
+            elif r == a:
+                n = right
             else:
-                above = (
-                    CatSet(frozenset([n.label])) if n.label in allowed.labels else None
-                )
-                rest = allowed.labels - {n.label}
-                below = CatSet(rest) if rest else None
-            if above is None:
-                return go(n.left, {**refine, f0: below})
-            if below is None:
-                return go(n.right, {**refine, f0: above})
-            left = go(n.left, {**refine, f0: below})
-            right = go(n.right, {**refine, f0: above})
-            if isinstance(left, Leaf) and isinstance(right, Leaf) and left.class_id == right.class_id:
-                return left
-            if isinstance(n, OrdinalSplit):
-                return OrdinalSplit(n.feature, n.threshold, left, right)
-            return LabelSplit(n.feature, n.label, left, right)
+                break
+        box[f0] = a ^ r
+        ln, lf, lc = self._specialize(left, box)
+        box[f0] = r
+        rn, rf, rc = self._specialize(right, box)
+        box[f0] = a
+        if ln.__class__ is int and ln == rn:
+            return ln, 0, lc
+        return (f0, rm, ln, rn), lf | rf | (1 << f0), lc | rc
 
-        return go(node, {})
-
-    def _view(self, node: Node) -> _TreeView:
-        feats = set()
-        classes = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, Leaf):
-                classes.add(n.class_id)
-            else:
-                feats.add(n.feature - 1)
-                stack.extend((n.left, n.right))
-        return _TreeView(node, frozenset(feats), frozenset(classes))
-
-    def _dfs_trees(self, views: list[_TreeView], classes, box, target: str) -> bool:
+    def _dfs_trees(self, views: list[tuple], box: list[int], ti: int) -> bool:
         if len(views) == 1:
             # specialization prunes infeasible paths, so leaf classes are exact
-            return views[0].classes == {target}
-        fixed = Counter()
+            return views[0][2] == 1 << ti
+        fixed = [0] * len(self.classifier.classes)
         flex = []
         for v in views:
-            if isinstance(v.node, Leaf):
-                fixed[v.node.class_id] += 1
+            if v[0].__class__ is int:
+                fixed[v[0]] += 1
             else:
                 flex.append(v)
         if not flex:
-            winner = max(classes, key=lambda c: (fixed[c], -classes.index(c)))
-            return winner == target
-        ti = classes.index(target)
-        guaranteed = fixed[target]
-        threatened = False
-        for ci, c in enumerate(classes):
-            if c == target:
+            # ties go to the lowest class index
+            return fixed.index(max(fixed)) == ti
+        guaranteed = fixed[ti]
+        for ci, votes in enumerate(fixed):
+            if ci == ti:
                 continue
-            ceiling = fixed[c] + sum(1 for v in flex if c in v.classes)
+            bit = 1 << ci
+            ceiling = votes + sum(1 for v in flex if v[2] & bit)
             if ceiling > guaranteed or (ceiling == guaranteed and ci < ti):
-                threatened = True
                 break
-        if not threatened:
+        else:
             return True
-        usage = Counter()
+        # split the feature most flexible trees test, ties to the lowest index
+        usage = [0] * self.space.m
         for v in flex:
-            for f0 in v.feats:
-                usage[f0] += 1
-        split = min(usage, key=lambda g: (-usage[g], g))
-        pieces = self._pieces(split, box[split])
-        if len(pieces) <= 1:
-            raise AssertionError("split feature must fragment into multiple cells")
-        for piece in pieces:
+            feats = v[1]
+            while feats:
+                bit = feats & -feats
+                feats ^= bit
+                usage[bit.bit_length() - 1] += 1
+        split = usage.index(max(usage))
+        rest = box[split]
+        if not rest & (rest - 1):
+            raise AssertionError("split feature must fragment into multiple atoms")
+        split_bit = 1 << split
+        while rest:
+            atom = rest & -rest
+            rest ^= atom
             nb = list(box)
-            nb[split] = piece
-            nviews = [
-                v if split not in v.feats else self._view(self._specialize(v.node, nb))
-                for v in views
-            ]
-            if not self._dfs_trees(nviews, classes, nb, target):
+            nb[split] = atom
+            nviews = [v if not v[1] & split_bit else self._specialize(v[0], nb) for v in views]
+            if not self._dfs_trees(nviews, nb, ti):
                 return False
         return True
 
@@ -439,7 +524,12 @@ class Oracle:
 # Constancy
 
 
-def _piece_rep(domain: Ordinal, iv: Interval) -> Fraction:
+def _piece_rep(domain: Domain, piece: ValueSet) -> Value:
+    """A point of a one-label or one-interval piece, such as an atom."""
+    if isinstance(piece, CatSet):
+        (label,) = piece.labels
+        return label
+    iv = piece.intervals[0]
     if domain.kind == INTEGER or iv.lo == iv.hi:
         return iv.lo
     return (iv.lo + iv.hi) / 2
@@ -448,7 +538,8 @@ def _piece_rep(domain: Ordinal, iv: Interval) -> Fraction:
 def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     """Whether the classifier predicts one class everywhere.
 
-    Cheap probe points first; when they all agree, the box engine proves it.
+    Cheap probe points first, one per atom of each feature; when they all
+    agree, the box engine proves it.
     """
     eng = Oracle(classifier, space)
     base = []
@@ -467,13 +558,8 @@ def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
         return False
     for j in space.features():
         domain = space.domain(j)
-        if isinstance(domain, Categorical):
-            options = domain.labels
-        else:
-            options = [_piece_rep(domain, cell) for cell in eng.discretization.cells[j - 1]]
-        for u in options:
-            probe = base[: j - 1] + (u,) + base[j:]
+        for _, atom in eng.discretization.atoms_for(space, j):
+            probe = base[: j - 1] + (_piece_rep(domain, atom),) + base[j:]
             if classifier.predict(probe) != first:
                 return False
-    box = [full_set(space.domain(j)) for j in space.features()]
-    return eng._box_forces(box, first)
+    return eng.holds_sufficiency({}, first)

@@ -11,8 +11,18 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from xinflate.classifiers import DecisionList, LabelEq, Rule, SetMember
 from xinflate.explain import ExplanationProblem
-from xinflate.model import Categorical, Instance, Ordinal
+from xinflate.model import (
+    INTEGER,
+    Categorical,
+    FeatureSpace,
+    Instance,
+    Interval,
+    IntervalUnion,
+    Ordinal,
+)
+from xinflate.oracle import classifier_is_constant
 from xinflate.synthetic import (
     random_decision_list,
     random_forest,
@@ -20,6 +30,7 @@ from xinflate.synthetic import (
     random_point,
     random_problem,
     random_space,
+    random_tree,
 )
 
 
@@ -81,6 +92,63 @@ def categorical_pool(n: int = 50, seed: int = 404):
         return random_decision_list(r, space, max_rules=6), space
 
     return tuple(random_problem(rng, maker) for _ in range(n))
+
+
+def _integer_space(r: random.Random) -> FeatureSpace:
+    domains = [Ordinal(Fraction(0), Fraction(4), INTEGER)]
+    for _ in range(r.randint(1, 2)):
+        if r.random() < 0.5:
+            domains.append(Ordinal(Fraction(0), Fraction(4), INTEGER))
+        else:
+            domains.append(Categorical(("red", "blue", "green")[: r.randint(2, 3)]))
+    r.shuffle(domains)
+    return FeatureSpace(tuple(domains))
+
+
+def _half_step_list(r: random.Random, space: FeatureSpace) -> DecisionList:
+    """Rules whose intervals start and end on half steps, kept unsnapped.
+
+    Interval literals are threshold shaped, [a, b) or [a, 4], so a literal
+    such as [1/2, 1) is a whole cell that holds no integer.
+    """
+    halves = [Fraction(k, 2) for k in range(9)]
+    rules = []
+    for _ in range(r.randint(1, 5)):
+        condition = []
+        for j in sorted(r.sample(list(space.features()), r.randint(1, 2))):
+            domain = space.domain(j)
+            if isinstance(domain, Categorical):
+                condition.append(LabelEq(j, r.choice(domain.labels)))
+                continue
+            a = r.choice(halves[:-1])
+            b = r.choice([h for h in halves if h > a])
+            closed = b == domain.hi and r.random() < 0.5
+            condition.append(SetMember(j, IntervalUnion((Interval(a, b, True, closed),))))
+        rules.append(Rule(tuple(condition), r.choice(("0", "1"))))
+    return DecisionList(tuple(rules), r.choice(("0", "1")), ("0", "1"))
+
+
+@lru_cache(maxsize=None)
+def integer_pool(n: int = 60, seed: int = 505):
+    """Trees, forests and lists over integer [0, 4] domains, half-step thresholds.
+
+    Thresholds such as 1/2 and 1 cut cells that hold no integer.  Models
+    cycle tree, forest, list; points are integral.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        space = _integer_space(rng)
+        kind = len(out) % 3
+        if kind == 0:
+            clf = random_tree(rng, space, depth=3)
+        elif kind == 1:
+            clf = random_forest(rng, space, n_trees=3, depth=3)
+        else:
+            clf = _half_step_list(rng, space)
+        if not classifier_is_constant(clf, space):
+            out.append((clf, space, random_point(rng, space, Fraction(1))))
+    return tuple(out)
 
 
 def soundness_pool():

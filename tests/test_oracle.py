@@ -5,21 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import bf_forces
-from pools import dl_pool, forest_pool, monotone_pool
+from bruteforce import bf_forces, harvested_thresholds
+from pools import dl_pool, forest_pool, integer_pool, monotone_pool
 from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit, TreeEnsemble
 from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
+from xinflate.explain import ExplanationProblem, find_axp
 from xinflate.model import (
     CatSet,
     Categorical,
     FeatureSpace,
+    INTEGER,
     Interval,
+    IntervalUnion,
     Ordinal,
     cat_set,
     full_set,
     interval_union,
     singleton_set,
+    vs_complement,
 )
 from xinflate.oracle import Oracle, OracleStats, classifier_is_constant, discretize
 
@@ -55,6 +59,46 @@ def _random_assignment(rng, space):
         if rng.random() < 0.65:
             out[j] = _random_value_set(rng, space.domain(j))
     return out
+
+
+def _boundary_value_set(rng, clf, space, j):
+    """A set whose endpoints sit on the model's thresholds or half steps.
+
+    Either endpoint may be open; the set is sometimes replaced by its
+    complement (as the duality constructions build them) and sometimes
+    handed over unnormalized, so the oracle sees endpoints exactly on cell
+    boundaries, open lower ends, and pieces holding no domain point.
+    """
+    domain = space.domain(j)
+    if isinstance(domain, Categorical):
+        return _random_value_set(rng, domain)
+    points = sorted(
+        {domain.lo + F(k, 2) for k in range(int(2 * (domain.hi - domain.lo)) + 1)}
+        | harvested_thresholds(clf, j)
+    )
+    pieces = []
+    for _ in range(rng.randint(1, 2)):
+        a = rng.choice(points)
+        b = rng.choice([p for p in points if p >= a])
+        pieces.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+    try:
+        normalized = interval_union(domain, pieces)
+    except ValidationError:
+        return full_set(domain)
+    roll = rng.random()
+    if roll < 0.3:
+        return vs_complement(domain, normalized) or normalized
+    if roll < 0.65:
+        return IntervalUnion(tuple(pieces))
+    return normalized
+
+
+def _boundary_assignment(rng, clf, space):
+    return {
+        j: _boundary_value_set(rng, clf, space, j)
+        for j in space.features()
+        if rng.random() < 0.75
+    }
 
 
 class TestDiscretization:
@@ -104,12 +148,13 @@ class TestDiscretization:
 class TestBruteForceEquivalence:
     """The implementation oracle and the literal scan must always agree."""
 
-    def _check_pool(self, pool, rng, assignments_per_model):
+    def _check_pool(self, pool, rng, assignments_per_model, draw=None):
+        draw = draw or (lambda rng, clf, space: _random_assignment(rng, space))
         disagreements = []
         for clf, space, point in pool:
             oracle = Oracle(clf, space)
             for _ in range(assignments_per_model):
-                assignment = _random_assignment(rng, space)
+                assignment = draw(rng, clf, space)
                 target = rng.choice(clf.classes)
                 got = oracle.holds_sufficiency(assignment, target)
                 want = bf_forces(clf, space, assignment, target)
@@ -125,6 +170,22 @@ class TestBruteForceEquivalence:
 
     def test_monotone_agree(self):
         self._check_pool(monotone_pool(40, seed=73), random.Random(3), 7)
+
+    def test_integer_domains_agree(self):
+        pool = integer_pool()
+        holes = 0
+        for clf, space, _ in pool:
+            disc = discretize(clf, space)
+            for j in space.features():
+                if isinstance(space.domain(j), Ordinal):
+                    holes += len(disc.cells_for(j)) - len(disc.atoms_for(space, j))
+        assert holes > 0, "the pool must have cells that hold no integer"
+        self._check_pool(pool, random.Random(7), 10)
+
+    def test_boundary_boxes_agree(self):
+        pools = (dl_pool(60, seed=71), forest_pool(40, seed=72), integer_pool())
+        for seed, pool in enumerate(pools):
+            self._check_pool(pool, random.Random(20 + seed), 10, _boundary_assignment)
 
     def test_worked_examples_agree(self):
         rng = random.Random(4)
@@ -207,9 +268,51 @@ class TestOracleContract:
                 {1: singleton_set(Ordinal(F(0), F(1)), F(0))}, "1"
             )
 
+    def test_discretization_missing_a_threshold_rejected(self):
+        space = FeatureSpace((Ordinal(F(0), F(10)),))
+        tree = DecisionTree(OrdinalSplit(1, F(5), Leaf("a"), Leaf("b")), ("a", "b"))
+        other = DecisionTree(OrdinalSplit(1, F(3), Leaf("a"), Leaf("b")), ("a", "b"))
+        oracle = Oracle(tree, space, discretization=discretize(other, space))
+        with pytest.raises(ValidationError, match="not in the discretization"):
+            oracle.holds_sufficiency({}, "a")
+
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()
         assert not classifier_is_constant(clf, space)
         stats = OracleStats()
         oracle = Oracle(clf, space, stats=stats)
         assert stats.calls == 0
+
+
+def _chain_tree(depth):
+    """x1 < 1 -> a, else x1 < 2 -> b, else ... alternating; x2 is never tested."""
+    node = Leaf("a")
+    for k in range(depth, 0, -1):
+        node = OrdinalSplit(1, F(k), Leaf("a" if k % 2 else "b"), node)
+    space = FeatureSpace((Ordinal(F(0), F(depth), INTEGER), Ordinal(F(0), F(1))))
+    return DecisionTree(node, ("a", "b")), space
+
+
+class TestDepth:
+    def test_deep_chain_tree_explains(self):
+        clf, space = _chain_tree(900)
+        problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
+        assert find_axp(problem) == (1,)
+
+
+class TestConstancyOnIntegerDomains:
+    """Thresholds 5/2 and 3 cut [5/2, 3), which holds no integer; B lives only there."""
+
+    def _model(self):
+        space = FeatureSpace((Ordinal(F(0), F(5), INTEGER), Categorical(("a", "b"))))
+        root = OrdinalSplit(1, F(5, 2), Leaf("A"), OrdinalSplit(1, F(3), Leaf("B"), Leaf("A")))
+        return DecisionTree(root, ("A", "B")), space
+
+    def test_constant_on_every_integer(self):
+        clf, space = self._model()
+        assert classifier_is_constant(clf, space)
+
+    def test_problem_rejects_the_model(self):
+        clf, space = self._model()
+        with pytest.raises(ValidationError, match="constant classifier"):
+            ExplanationProblem.from_point(clf, space, (F(1), "a"))
