@@ -79,6 +79,30 @@ def _names(mf: ModelFile, features) -> str:
     return ",".join(mf.space.name(j) for j in features)
 
 
+def _emit_explanation(
+    args, mf: ModelFile, problem: ExplanationProblem, schema: str, kind: str, feats, expl,
+    show_calls: bool,
+) -> None:
+    """The document and text of an inflated explanation grown from feats."""
+    rule = render_rule(mf.space, expl, problem.target)
+    doc = {
+        "schema": schema,
+        "model": mf.name,
+        "class": problem.target,
+        kind.lower(): list(feats),
+        "explanation": explanation_to_dict(mf.space, expl),
+        "rule": rule,
+        "oracle_calls": problem.oracle.stats.calls,
+    }
+    lines = [f"class: {problem.target}", f"{kind}: features {','.join(map(str, feats))}"]
+    for j in expl.features:
+        lines.append(f"  {mf.space.name(j)} ∈ {set_text(mf.space.domain(j), expl.set_for(j))}")
+    lines.append(f"rule: {rule}")
+    if show_calls:
+        lines.append(f"oracle calls: {problem.oracle.stats.calls}")
+    _emit(args, doc, lines)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -103,14 +127,12 @@ def _cmd_explain(args) -> int:
     order = _feature_list(args.order) if args.order else None
     doc = {"schema": "xinflate-explain/1", "model": mf.name, "class": problem.target}
     lines = [f"class: {problem.target}"]
-    if args.kind in ("axp", "both"):
-        axp = find_axp(problem, order)
-        doc["axp"] = {"features": list(axp), "names": [mf.space.name(j) for j in axp]}
-        lines.append(f"AXp: features {','.join(map(str, axp))} ({_names(mf, axp)})")
-    if args.kind in ("cxp", "both"):
-        cxp = find_cxp(problem, order)
-        doc["cxp"] = {"features": list(cxp), "names": [mf.space.name(j) for j in cxp]}
-        lines.append(f"CXp: features {','.join(map(str, cxp))} ({_names(mf, cxp)})")
+    for kind, find in (("AXp", find_axp), ("CXp", find_cxp)):
+        if args.kind in (kind.lower(), "both"):
+            feats = find(problem, order)
+            names = [mf.space.name(j) for j in feats]
+            doc[kind.lower()] = {"features": list(feats), "names": names}
+            lines.append(f"{kind}: features {','.join(map(str, feats))} ({','.join(names)})")
     doc["oracle_calls"] = problem.oracle.stats.calls
     lines.append(f"oracle calls: {problem.oracle.stats.calls}")
     _emit(args, doc, lines)
@@ -128,22 +150,7 @@ def _cmd_inflate(args) -> int:
         axp = find_axp(problem, config.order)
         trusted = True
     expl = inflate_axp(problem, axp, config, trusted=trusted)
-    rule = render_rule(mf.space, expl, problem.target)
-    doc = {
-        "schema": "xinflate-inflate/1",
-        "model": mf.name,
-        "class": problem.target,
-        "axp": list(axp),
-        "explanation": explanation_to_dict(mf.space, expl),
-        "rule": rule,
-        "oracle_calls": problem.oracle.stats.calls,
-    }
-    lines = [f"class: {problem.target}", f"AXp: features {','.join(map(str, axp))}"]
-    for j in expl.features:
-        lines.append(f"  {mf.space.name(j)} ∈ {set_text(mf.space.domain(j), expl.set_for(j))}")
-    lines.append(f"rule: {rule}")
-    lines.append(f"oracle calls: {problem.oracle.stats.calls}")
-    _emit(args, doc, lines)
+    _emit_explanation(args, mf, problem, "xinflate-inflate/1", "AXp", axp, expl, show_calls=True)
     return 0
 
 
@@ -178,21 +185,7 @@ def _cmd_shrink_cxp(args) -> int:
     config = _config(args)
     cxp = _feature_list(args.cxp) if args.cxp else find_cxp(problem, config.order)
     expl = shrink_cxp(problem, cxp, config)
-    rule = render_rule(mf.space, expl, problem.target)
-    doc = {
-        "schema": "xinflate-shrink/1",
-        "model": mf.name,
-        "class": problem.target,
-        "cxp": list(cxp),
-        "explanation": explanation_to_dict(mf.space, expl),
-        "rule": rule,
-        "oracle_calls": problem.oracle.stats.calls,
-    }
-    lines = [f"class: {problem.target}", f"CXp: features {','.join(map(str, cxp))}"]
-    for j in expl.features:
-        lines.append(f"  {mf.space.name(j)} ∈ {set_text(mf.space.domain(j), expl.set_for(j))}")
-    lines.append(f"rule: {rule}")
-    _emit(args, doc, lines)
+    _emit_explanation(args, mf, problem, "xinflate-shrink/1", "CXp", cxp, expl, show_calls=False)
     return 0
 
 
@@ -276,6 +269,8 @@ def _read_rows(path: str, m: int):
 
 
 def _cmd_bench(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValidationError(f"--limit must be non-negative, got {args.limit}")
     mf = load_model(args.model)
     rows, labels = _read_rows(args.data, mf.space.m)
     if args.limit is not None:

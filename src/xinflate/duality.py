@@ -26,7 +26,7 @@ from itertools import combinations, product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DualityConstructionError, ValidationError
-from .explain import ExplanationProblem, minimal_hitting_sets
+from .explain import ExplanationProblem, _deletion_pass, minimal_hitting_sets
 from .inflate import (
     InflationConfig,
     _contrast_pieces,
@@ -156,13 +156,8 @@ def icxp_from_iaxps(
             "no counterexample inside the constructed contrastive sets",
             candidate=candidate,
         )
-    for j in feats:
-        if len(sets) == 1:
-            break
-        trimmed = {k: s for k, s in sets.items() if k != j}
-        if exists_with(trimmed):
-            sets = trimmed
-    return InflatedExplanation(CONTRASTIVE, tuple(sorted(sets)), dict(sets))
+    kept = _deletion_pass(feats, lambda rest: exists_with({k: sets[k] for k in rest}), floor=1)
+    return InflatedExplanation(CONTRASTIVE, tuple(kept), {k: sets[k] for k in kept})
 
 
 def iaxp_from_icxps(

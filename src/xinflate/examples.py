@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classifiers import DecisionList, LabelEq, MonotonicClassifier, Rule
-from .model import Categorical, FeatureSpace, Instance, Ordinal
+from .model import Categorical, FeatureSpace, Ordinal
 
 
 def risk_list() -> tuple[DecisionList, FeatureSpace]:
@@ -35,10 +35,6 @@ def risk_list() -> tuple[DecisionList, FeatureSpace]:
     return clf, space
 
 
-def risk_instance() -> Instance:
-    return Instance(("Junior", "Red"), "1")
-
-
 def grade_model() -> tuple[MonotonicClassifier, FeatureSpace]:
     space = FeatureSpace(
         domains=(
@@ -53,7 +49,3 @@ def grade_model() -> tuple[MonotonicClassifier, FeatureSpace]:
         classes=("B", "A"),
     )
     return clf, space
-
-
-def grade_instance() -> Instance:
-    return Instance((Fraction(3), Fraction(5)), "B")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import FrozenSet, Iterable, Mapping, Optional, Sequence
+from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Sequence
 
 from .classifiers import Classifier, validate_classifier
 from .errors import BudgetExceededError, ValidationError
-from .model import FeatureSpace, Instance, Value, ValueSet, full_set, singleton_set
-from .oracle import Oracle, OracleStats, classifier_is_constant
+from .model import FeatureSpace, Instance, Value, ValueSet, singleton_set
+from .oracle import Oracle, classifier_is_constant
 
 DEFAULT_SUBSET_BUDGET = 4096
 
@@ -81,9 +81,9 @@ class ExplanationProblem:
     def wcxp_holds(self, features: Iterable[int]) -> bool:
         """Freeing only these features admits a different prediction."""
         free = set(features)
-        fixed = {j: self.pin(j) for j in self.space.features() if j not in free}
-        roam = {j: full_set(self.space.domain(j)) for j in free}
-        return self.counterexample_in({**fixed, **roam})
+        return self.counterexample_in(
+            {j: self.pin(j) for j in self.space.features() if j not in free}
+        )
 
     def sufficiency_holds(self, assignment: Mapping[int, ValueSet]) -> bool:
         return self.oracle.holds_sufficiency(assignment, self.target)
@@ -103,6 +103,22 @@ def _check_order(order: Optional[Sequence[int]], feats: Sequence[int]) -> tuple[
     return order
 
 
+def _deletion_pass(items: Iterable, holds: Callable[[list], bool], floor: int = 0) -> list:
+    """Try dropping each item in turn, keeping a drop when holds(rest) is true.
+
+    Stops once only floor items are left; the survivors keep their order.
+    """
+    kept = list(items)
+    i = 0
+    while i < len(kept) > floor:
+        rest = kept[:i] + kept[i + 1 :]
+        if holds(rest):
+            kept = rest
+        else:
+            i += 1
+    return kept
+
+
 def find_axp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """One subset-minimal abductive explanation, by a deletion pass.
 
@@ -110,11 +126,7 @@ def find_axp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None)
     costs exactly one oracle call), so the order steers which AXp comes out.
     """
     order = _check_order(order, problem.space.features())
-    kept = set(order)
-    for j in order:
-        if problem.waxp_holds(kept - {j}):
-            kept.discard(j)
-    return tuple(sorted(kept))
+    return tuple(sorted(_deletion_pass(order, problem.waxp_holds)))
 
 
 def find_cxp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None) -> tuple[int, ...]:
@@ -124,11 +136,7 @@ def find_cxp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None)
     from the back, so features early in the order survive when possible.
     """
     order = _check_order(order, problem.space.features())
-    kept = set(order)
-    for j in reversed(order):
-        if problem.wcxp_holds(kept - {j}):
-            kept.discard(j)
-    return tuple(sorted(kept))
+    return tuple(sorted(_deletion_pass(reversed(order), problem.wcxp_holds)))
 
 
 def enumerate_all(

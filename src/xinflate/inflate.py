@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classifiers import MonotonicClassifier
 from .errors import ValidationError
-from .explain import ExplanationProblem, _check_order
+from .explain import ExplanationProblem, _check_order, _deletion_pass
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
@@ -177,31 +177,24 @@ def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> 
             else:
                 hi = mid - 1
         return lo
+
+    def walk(best: int, stop: int, stride: int) -> int:
+        k = best + stride
+        while k <= stop and holds(k):
+            best = k
+            k += stride
+        return best
+
+    # coarse-then-fine with beta; with stride 1 the fine pass probes nothing
+    stride = 1
     if config.beta is not None:
         stride = int(config.beta / step)
         if stride * step != config.beta:
             raise ValidationError(
                 f"beta {config.beta} is not a multiple of the effective step {step}"
             )
-        if stride > 1:
-            coarse = 0
-            k = stride
-            while k <= k_max and holds(k):
-                coarse = k
-                k += stride
-            best = coarse
-            k = coarse + 1
-            ceiling = min(k_max, coarse + stride - 1)
-            while k <= ceiling and holds(k):
-                best = k
-                k += 1
-            return best
-    best = 0
-    k = 1
-    while k <= k_max and holds(k):
-        best = k
-        k += 1
-    return best
+    coarse = walk(0, k_max, stride)
+    return walk(coarse, min(k_max, coarse + stride - 1), 1)
 
 
 def inflate_ordinal(
@@ -397,13 +390,10 @@ def shrink_cxp(
         )
     for j in order:
         domain = problem.space.domain(j)
-        for piece in list(pieces[j]):
-            if len(pieces[j]) == 1:
-                break
-            rest = [p for p in pieces[j] if p != piece]
-            trial = vs_union(domain, *rest)
-            if problem.counterexample_in({**fixed, **sets, j: trial}):
-                pieces[j] = rest
-                sets[j] = trial
+
+        def holds(rest: list[ValueSet]) -> bool:
+            return problem.counterexample_in({**fixed, **sets, j: vs_union(domain, *rest)})
+
+        sets[j] = vs_union(domain, *_deletion_pass(pieces[j], holds, floor=1))
     delta = grid_delta(problem, config)
     return InflatedExplanation(CONTRASTIVE, feats, sets, order, delta)

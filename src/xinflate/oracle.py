@@ -7,11 +7,13 @@ domain).  The two decisions every explanation routine reduces to are
 * counterexample: does some point of the box get a class other than c.
 
 Both are answered exactly.  For the monotone linear-threshold family the
-achievable score range of a box decides it directly.  For lists, trees, and
-ensembles the ordinal axes are first discretized into the half-open cells
-induced by the model's own thresholds, [lo, d1), [d1, d2), ..., [dk, hi];
-the prediction is constant on every product of cells, so the box predicate
-is a finite question.
+box's lowest and highest corners decide it: with non-negative weights the
+lowest score takes every feature's smallest value and the highest score its
+largest, so two sums stand in for every combination of interval pieces.
+For lists, trees, and ensembles the ordinal axes are first discretized into
+the half-open cells induced by the model's own thresholds, [lo, d1),
+[d1, d2), ..., [dk, hi]; the prediction is constant on every product of
+cells, so the box predicate is a finite question.
 
 That question is asked over atoms.  An atom of a feature is one of its
 labels, or one of its cells that holds a point of the domain (on an integer
@@ -37,12 +39,11 @@ the per-instance call accounting in the benchmark reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .classifiers import (
     Classifier,
@@ -96,14 +97,8 @@ class Discretization:
     splits: tuple[tuple[Fraction, ...], ...]
     cells: tuple[tuple[Interval, ...], ...]
 
-    def splits_for(self, j: int) -> tuple[Fraction, ...]:
-        return self.splits[j - 1]
-
     def cells_for(self, j: int) -> tuple[Interval, ...]:
         return self.cells[j - 1]
-
-    def cell_index(self, j: int, value: Fraction) -> int:
-        return bisect_right(self.splits[j - 1], value)
 
     def atoms_for(self, space: FeatureSpace, j: int) -> list[tuple[int, ValueSet]]:
         """Feature j's atoms in domain order, each with its bit index.
@@ -214,23 +209,13 @@ def _literal_set(lit) -> ValueSet:
 
 
 class Oracle:
-    """Box predicates for one classifier over one feature space.
+    """Box predicates for one classifier over one feature space."""
 
-    A given discretization must hold every threshold the classifier tests,
-    as `discretize` does.
-    """
-
-    def __init__(
-        self,
-        classifier: Classifier,
-        space: FeatureSpace,
-        stats: Optional[OracleStats] = None,
-        discretization: Optional[Discretization] = None,
-    ):
+    def __init__(self, classifier: Classifier, space: FeatureSpace):
         self.classifier = classifier
         self.space = space
-        self.stats = stats or OracleStats()
-        self.discretization = discretization or discretize(classifier, space)
+        self.stats = OracleStats()
+        self.discretization = discretize(classifier, space)
         if classifier.classes and len(set(classifier.classes)) != len(classifier.classes):
             raise ValidationError("duplicate class ids")
         self._valid: Optional[list[int]] = None  # set by _compile
@@ -363,11 +348,7 @@ class Oracle:
                 continue
             f0 = n.feature - 1
             if isinstance(n, OrdinalSplit):
-                right = above[f0].get(n.threshold)
-                if right is None:
-                    raise ValidationError(
-                        f"feature {n.feature}: threshold {n.threshold} is not in the discretization"
-                    )
+                right = above[f0][n.threshold]
             else:
                 right = self._labels[f0][n.label]
             done[id(n)] = (f0, right, done[id(n.left)], done[id(n.right)])
@@ -376,29 +357,19 @@ class Oracle:
     # -- monotone -----------------------------------------------------------
 
     def _forces_monotone(self, mc: MonotonicClassifier, box, target: str) -> bool:
-        ti = mc.classes.index(target)
+        if not all(isinstance(s, IntervalUnion) for s in box):
+            raise ValidationError("monotone classifiers need ordinal features")
+        # weights are non-negative and the sets normalized, so the lowest
+        # score comes from every first piece and the highest from every last
+        lo = sum(w * s.intervals[0].lo for w, s in zip(mc.weights, box))
+        hi = sum(w * s.intervals[-1].hi for w, s in zip(mc.weights, box))
+        hi_attained = all(s.intervals[-1].hi_closed for w, s in zip(mc.weights, box) if w)
+        # the class index is right-continuous in the score, so an open
+        # lower end yields the same minimum index as a closed one
         T = mc.thresholds
-        per = []
-        for s in box:
-            if not isinstance(s, IntervalUnion):
-                raise ValidationError("monotone classifiers need ordinal features")
-            per.append(s.intervals)
-        for combo in itertools.product(*per):
-            lo = Fraction(0)
-            hi = Fraction(0)
-            hi_attained = True
-            for w, iv in zip(mc.weights, combo):
-                lo += w * iv.lo
-                hi += w * iv.hi
-                if w != 0 and not iv.hi_closed:
-                    hi_attained = False
-            # the class index is right-continuous in the score, so an open
-            # lower end yields the same minimum index as a closed one
-            i_min = bisect_right(T, lo)
-            i_max = bisect_right(T, hi) if hi_attained else bisect_left(T, hi)
-            if i_min != ti or i_max != ti:
-                return False
-        return True
+        i_min = bisect_right(T, lo)
+        i_max = bisect_right(T, hi) if hi_attained else bisect_left(T, hi)
+        return i_min == mc.classes.index(target) == i_max
 
     # -- decision lists -----------------------------------------------------
 
@@ -409,16 +380,7 @@ class Oracle:
         if not cands:
             # every rule is decided on this box, so `possible` is exact
             return False
-        split = cands[0]
-        rest = box[split]
-        while rest:
-            atom = rest & -rest
-            rest ^= atom
-            nb = list(box)
-            nb[split] = atom
-            if not self._forces_dl(nb, target_bit):
-                return False
-        return True
+        return _every_atom(box, cands[0], lambda nb: self._forces_dl(nb, target_bit))
 
     def _dl_scan(self, box: list[int]) -> tuple[int, list[int]]:
         """Over-approximate the classes reachable in the box, as a class mask.
@@ -505,19 +467,31 @@ class Oracle:
                 feats ^= bit
                 usage[bit.bit_length() - 1] += 1
         split = usage.index(max(usage))
-        rest = box[split]
-        if not rest & (rest - 1):
+        if not box[split] & (box[split] - 1):
             raise AssertionError("split feature must fragment into multiple atoms")
         split_bit = 1 << split
-        while rest:
-            atom = rest & -rest
-            rest ^= atom
-            nb = list(box)
-            nb[split] = atom
+
+        def decide(nb: list[int]) -> bool:
             nviews = [v if not v[1] & split_bit else self._specialize(v[0], nb) for v in views]
-            if not self._dfs_trees(nviews, nb, ti):
-                return False
-        return True
+            return self._dfs_trees(nviews, nb, ti)
+
+        return _every_atom(box, split, decide)
+
+
+def _every_atom(box: list[int], f0: int, decide: Callable[[list[int]], bool]) -> bool:
+    """Whether decide holds on the box narrowed to each atom of feature f0 in turn.
+
+    Atoms are tried from the lowest bit up; the first failure ends the search.
+    """
+    rest = box[f0]
+    while rest:
+        atom = rest & -rest
+        rest ^= atom
+        nb = list(box)
+        nb[f0] = atom
+        if not decide(nb):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,8 @@ def _best_split(rows, labels, space: FeatureSpace):
 
 
 def _grow(rows, labels, space: FeatureSpace, classes, depth: int) -> Node:
+    if depth < 0:
+        raise ValidationError(f"depth must be non-negative, got {depth}")
     counts = _counts(labels)
     if depth == 0 or len(counts) <= 1:
         return Leaf(_majority(labels, classes))

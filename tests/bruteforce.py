@@ -11,6 +11,7 @@ is bounded by harvested thresholds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional, Sequence
@@ -98,6 +99,27 @@ def _grid(classifier, space: FeatureSpace, assignment: Mapping[int, ValueSet]):
     return axes
 
 
+def _extremes(domain: Ordinal, s: IntervalUnion):
+    """Lowest and highest point of s, each with whether s attains it.
+
+    Reads every piece, so the union may be unsorted or overlapping, stick
+    out of the domain, or hold pieces without a point of the domain.
+    """
+    ends = []
+    for iv in s.intervals:
+        lo, lo_in = (iv.lo, iv.lo_closed) if iv.lo >= domain.lo else (domain.lo, True)
+        hi, hi_in = (iv.hi, iv.hi_closed) if iv.hi <= domain.hi else (domain.hi, True)
+        if domain.kind == INTEGER:
+            lo = math.ceil(lo) if lo_in else math.floor(lo) + 1
+            hi = math.floor(hi) if hi_in else math.ceil(hi) - 1
+            lo_in = hi_in = True
+        if lo < hi or (lo == hi and lo_in and hi_in):
+            ends.append((lo, lo_in, hi, hi_in))
+    lo, lo_out = min((lo, not lo_in) for lo, lo_in, _, _ in ends)
+    hi, hi_in = max((hi, hi_in) for _, _, hi, hi_in in ends)
+    return lo, not lo_out, hi, hi_in
+
+
 def _monotone_reachable(clf: MonotonicClassifier, space: FeatureSpace, assignment) -> set:
     """Classes whose score band meets the hull of the box's score image.
 
@@ -112,12 +134,12 @@ def _monotone_reachable(clf: MonotonicClassifier, space: FeatureSpace, assignmen
         w = clf.weights[j - 1]
         if w == 0:
             continue
-        s = assignment.get(j, full_set(space.domain(j)))
-        first, last = s.intervals[0], s.intervals[-1]
-        smin += w * first.lo
-        min_attained = min_attained and first.lo_closed
-        smax += w * last.hi
-        max_attained = max_attained and last.hi_closed
+        domain = space.domain(j)
+        lo, lo_in, hi, hi_in = _extremes(domain, assignment.get(j, full_set(domain)))
+        smin += w * lo
+        min_attained = min_attained and lo_in
+        smax += w * hi
+        max_attained = max_attained and hi_in
     reachable = set()
     bounds = clf.thresholds
     for i, cls in enumerate(clf.classes):

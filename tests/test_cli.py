@@ -179,6 +179,26 @@ class TestTrainAndBench:
         code, _, err = run(capsys, "bench", "--model", RISK, "--data", BENCH_CSV)
         assert code == 2
 
+    def test_bench_negative_limit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--model", FOREST, "--data", BENCH_CSV, "--limit", "-298"
+        )
+        assert code == 2
+        assert "--limit" in err
+        assert out == ""
+
+    def test_train_negative_depth_exits_2(self, capsys, tmp_path):
+        model_path = tmp_path / "rf.json"
+        code, out, err = run(
+            capsys,
+            "train-rf", "--data", STUMP_CSV, "--trees", "2", "--depth", "-3",
+            "--model-out", str(model_path),
+        )
+        assert code == 2
+        assert "depth" in err
+        assert out == ""
+        assert not model_path.exists()
+
 
 class TestParser:
     def test_version_flag(self, capsys):

@@ -25,7 +25,7 @@ from xinflate.model import (
     singleton_set,
     vs_complement,
 )
-from xinflate.oracle import Oracle, OracleStats, classifier_is_constant, discretize
+from xinflate.oracle import Oracle, classifier_is_constant, discretize
 
 F = Fraction
 
@@ -110,7 +110,7 @@ class TestDiscretization:
                 if isinstance(domain, Categorical):
                     continue
                 cells = disc.cells_for(j)
-                splits = disc.splits_for(j)
+                splits = disc.splits[j - 1]
                 assert len(cells) == len(splits) + 1
                 assert cells[0].lo == domain.lo
                 assert cells[-1].hi == domain.hi and cells[-1].hi_closed
@@ -124,7 +124,7 @@ class TestDiscretization:
         clf, space = grade_model()
         disc = discretize(clf, space)
         for j in space.features():
-            assert disc.splits_for(j) == ()
+            assert disc.splits[j - 1] == ()
             assert len(disc.cells_for(j)) == 1
 
     def test_shared_split_deduplicated(self):
@@ -132,17 +132,8 @@ class TestDiscretization:
         t1 = DecisionTree(OrdinalSplit(1, F(5), Leaf("a"), Leaf("b")), ("a", "b"))
         t2 = DecisionTree(OrdinalSplit(1, F(5), Leaf("b"), Leaf("a")), ("a", "b"))
         disc = discretize(TreeEnsemble((t1, t2), ("a", "b")), space)
-        assert disc.splits_for(1) == (F(5),)
+        assert disc.splits[0] == (F(5),)
         assert len(disc.cells_for(1)) == 2
-
-    def test_cell_index_locates_values(self):
-        space = FeatureSpace((Ordinal(F(0), F(10)),))
-        t = DecisionTree(OrdinalSplit(1, F(5), Leaf("a"), Leaf("b")), ("a", "b"))
-        disc = discretize(t, space)
-        assert disc.cell_index(1, F(0)) == 0
-        assert disc.cell_index(1, F("49/10")) == 0
-        assert disc.cell_index(1, F(5)) == 1
-        assert disc.cell_index(1, F(10)) == 1
 
 
 class TestBruteForceEquivalence:
@@ -183,7 +174,12 @@ class TestBruteForceEquivalence:
         self._check_pool(pool, random.Random(7), 10)
 
     def test_boundary_boxes_agree(self):
-        pools = (dl_pool(60, seed=71), forest_pool(40, seed=72), integer_pool())
+        pools = (
+            dl_pool(60, seed=71),
+            forest_pool(40, seed=72),
+            integer_pool(),
+            monotone_pool(40, seed=73),
+        )
         for seed, pool in enumerate(pools):
             self._check_pool(pool, random.Random(20 + seed), 10, _boundary_assignment)
 
@@ -246,8 +242,8 @@ class TestMonotoneBoxCheck:
 class TestOracleContract:
     def test_each_decision_bumps_once(self):
         clf, space = risk_list()
-        stats = OracleStats()
-        oracle = Oracle(clf, space, stats=stats)
+        oracle = Oracle(clf, space)
+        stats = oracle.stats
         pin = {1: cat_set(space.domain(1), ["Junior"]), 2: cat_set(space.domain(2), ["Red"])}
         oracle.holds_sufficiency(pin, "1")
         assert stats.calls == 1
@@ -268,20 +264,11 @@ class TestOracleContract:
                 {1: singleton_set(Ordinal(F(0), F(1)), F(0))}, "1"
             )
 
-    def test_discretization_missing_a_threshold_rejected(self):
-        space = FeatureSpace((Ordinal(F(0), F(10)),))
-        tree = DecisionTree(OrdinalSplit(1, F(5), Leaf("a"), Leaf("b")), ("a", "b"))
-        other = DecisionTree(OrdinalSplit(1, F(3), Leaf("a"), Leaf("b")), ("a", "b"))
-        oracle = Oracle(tree, space, discretization=discretize(other, space))
-        with pytest.raises(ValidationError, match="not in the discretization"):
-            oracle.holds_sufficiency({}, "a")
-
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()
         assert not classifier_is_constant(clf, space)
-        stats = OracleStats()
-        oracle = Oracle(clf, space, stats=stats)
-        assert stats.calls == 0
+        oracle = Oracle(clf, space)
+        assert oracle.stats.calls == 0
 
 
 def _chain_tree(depth):

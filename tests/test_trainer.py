@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from xinflate.classifiers import validate_classifier
+from xinflate.classifiers import Leaf, validate_classifier
 from xinflate.errors import ValidationError
 from xinflate.model import Categorical, Ordinal
 from xinflate.serialize import model_to_dict, ModelFile
@@ -97,6 +97,20 @@ class TestTrainer:
         ds = load_dataset(DATA / "bench.csv")
         forest = train_forest(ds, n_trees=6, depth=4, seed=5)
         validate_classifier(forest, ds.space)
+
+    def test_negative_depth_rejected(self):
+        ds = load_dataset(DATA / "stump.csv")
+        with pytest.raises(ValidationError, match="depth"):
+            train_tree(ds, depth=-1)
+        with pytest.raises(ValidationError, match="depth"):
+            train_forest(ds, n_trees=2, depth=-3)
+
+    def test_depth_zero_is_a_majority_leaf(self):
+        ds = load_dataset(DATA / "stump.csv")
+        tree = train_tree(ds, depth=0)
+        assert isinstance(tree.root, Leaf)
+        forest = train_forest(ds, n_trees=2, depth=0, seed=1)
+        assert all(isinstance(t.root, Leaf) for t in forest.trees)
 
     def test_labels_survive_into_predictions(self):
         ds = load_dataset(DATA / "stump.csv")
