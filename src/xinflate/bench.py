@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .classifiers import Classifier, validate_classifier
 from .errors import ValidationError
 from .explain import ExplanationProblem, find_axp
-from .inflate import InflationConfig, inflate_axp
+from .inflate import InflationConfig, _extract, inflate_axp
 from .model import (
     CatSet,
     FeatureSpace,
@@ -134,7 +134,7 @@ def _explain_one(classifier, space, config, index: int, values) -> BenchRecord:
     t0 = time.perf_counter()
     instance = Instance(tuple(values), classifier.predict(values))
     problem = ExplanationProblem(classifier, space, instance, skip_checks=True)
-    axp = find_axp(problem)
+    axp, config = _extract(problem, find_axp, config)
     expl = inflate_axp(problem, axp, config, trusted=True)
     wall = time.perf_counter() - t0
     added = tuple((j, widening(space, j, instance.values[j - 1], expl)) for j in expl.features)

@@ -27,7 +27,7 @@ from .explain import (
     find_axp,
     find_cxp,
 )
-from .inflate import BINARY, LINEAR, InflationConfig, inflate_axp, shrink_cxp
+from .inflate import BINARY, LINEAR, InflationConfig, _extract, inflate_axp, shrink_cxp
 from .model import Instance, rational, rational_str
 from .serialize import (
     ModelFile,
@@ -143,12 +143,10 @@ def _cmd_inflate(args) -> int:
     mf = load_model(args.model)
     problem = _problem(args, mf)
     config = _config(args)
-    if args.axp:
-        axp = _feature_list(args.axp)
-        trusted = False
-    else:
-        axp = find_axp(problem, config.order)
-        trusted = True
+    trusted = not args.axp
+    axp, config = (
+        _extract(problem, find_axp, config) if trusted else (_feature_list(args.axp), config)
+    )
     expl = inflate_axp(problem, axp, config, trusted=trusted)
     _emit_explanation(args, mf, problem, "xinflate-inflate/1", "AXp", axp, expl, show_calls=True)
     return 0
@@ -183,7 +181,9 @@ def _cmd_shrink_cxp(args) -> int:
     mf = load_model(args.model)
     problem = _problem(args, mf)
     config = _config(args)
-    cxp = _feature_list(args.cxp) if args.cxp else find_cxp(problem, config.order)
+    cxp, config = (
+        (_feature_list(args.cxp), config) if args.cxp else _extract(problem, find_cxp, config)
+    )
     expl = shrink_cxp(problem, cxp, config)
     _emit_explanation(args, mf, problem, "xinflate-shrink/1", "CXp", cxp, expl, show_calls=False)
     return 0
@@ -308,13 +308,17 @@ def _add_common(p: argparse.ArgumentParser, *, instance: bool = True) -> None:
     p.add_argument("--out", help="also write the JSON document to this file")
 
 
-def _add_inflation(p: argparse.ArgumentParser) -> None:
+def _add_inflation(p: argparse.ArgumentParser, *, search: bool, order: bool) -> None:
+    """--delta, plus the grid search options and --order where the subcommand reads them."""
+    p.set_defaults(beta=None, strategy=LINEAR, order=None)  # what _config reads when absent
     p.add_argument("--delta", default="1/5", help="ordinal step size (rational, default 1/5)")
-    p.add_argument("--beta", default=None, help="coarse step for the coarse-then-fine strategy")
-    p.add_argument(
-        "--strategy", choices=(LINEAR, BINARY), default=LINEAR, help="grid search flavor"
-    )
-    p.add_argument("--order", help="comma-separated feature order, e.g. 2,1")
+    if search:
+        p.add_argument("--beta", default=None, help="coarse step for the coarse-then-fine strategy")
+        p.add_argument(
+            "--strategy", choices=(LINEAR, BINARY), default=LINEAR, help="grid search flavor"
+        )
+    if order:
+        p.add_argument("--order", help="comma-separated feature order, e.g. 2,1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inflate", help="grow an abductive explanation to maximal value sets")
     _add_common(p)
-    _add_inflation(p)
+    _add_inflation(p, search=True, order=True)
     p.add_argument("--axp", help="features to inflate (default: extract one first)")
     p.set_defaults(func=_cmd_inflate)
 
@@ -347,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shrink-cxp", help="shrink a contrastive explanation to small value sets")
     _add_common(p)
-    _add_inflation(p)
+    _add_inflation(p, search=False, order=True)
     p.add_argument("--cxp", help="features to shrink (default: extract one first)")
     p.set_defaults(func=_cmd_shrink_cxp)
 
     p = sub.add_parser("dual", help="enumerate inflated families on both sides and cross-check")
     _add_common(p)
-    _add_inflation(p)
+    _add_inflation(p, search=False, order=False)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--max-candidates", type=int, default=4096)
     p.set_defaults(func=_cmd_dual)
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="explain and inflate every row of a CSV")
     p.add_argument("--model", required=True, help="path to a model JSON file")
     p.add_argument("--data", required=True, help="CSV of instances; label column optional")
-    _add_inflation(p)
+    _add_inflation(p, search=True, order=True)
     p.add_argument("--limit", type=int, help="only bench the first N rows")
     p.add_argument("--workers", type=int, default=1, help="process count (default 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")

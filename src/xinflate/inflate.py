@@ -29,7 +29,7 @@ counterexample still exists inside the narrowed sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -89,6 +89,15 @@ class InflationConfig:
                 raise ValidationError("beta must be an integer multiple of delta")
         if self.order is not None:
             object.__setattr__(self, "order", tuple(self.order))
+
+
+def _extract(problem: ExplanationProblem, find, config: InflationConfig):
+    """The explanation find (find_axp or find_cxp) returns in config's order, and
+    config with the order narrowed to its features, as inflate_axp and shrink_cxp take it."""
+    feats = find(problem, config.order)
+    if config.order is not None:
+        config = replace(config, order=tuple(j for j in config.order if j in feats))
+    return feats, config
 
 
 def _step_for(domain: Ordinal, config: InflationConfig) -> Fraction:

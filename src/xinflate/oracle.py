@@ -22,16 +22,20 @@ feature's mask stands for its label i or cell i, so every value set becomes
 an `int` whose bits are atoms (a cell that is no atom is never set): a box
 is one mask per feature, an `OrdinalSplit` sends the cells at or above its
 threshold right, a `LabelSplit` sends its label's bit right, and a list
-literal covers a mask of whole cells or labels.  The model is compiled to
-these masks once per `Oracle`, lazily on the first tree or list decision,
-so building an `Oracle` that only ever answers cheap probes stays cheap.
-`ValueSet` and `Fraction` appear only where a box is converted to masks.
+literal sends the atoms it covers right.  A decision list compiles to the
+same nodes as a tree: a rule's literals chain right to its class, and a
+failed literal goes left to the next rule, ending at the default class.
+The model is compiled to these masks once per `Oracle`, lazily on the
+first tree or list decision, so building an `Oracle` that only ever
+answers cheap probes stays cheap.  `ValueSet` and `Fraction` appear only
+where a box is converted to masks.
 
-Rather than enumerating the full atom product, the search specializes each
-tree against the box, prunes with reachable leaf classes and a worst-case
-vote bound, and only splits a feature into its atoms when the bound cannot
-decide.  The outcome equals literal enumeration; only the visit order
-differs.
+A single tree or list is decided by one walk without recursion over the
+paths the box reaches, stopping at the first leaf of another class.  For
+ensembles the search specializes each tree against the box, prunes with
+reachable leaf classes and a worst-case vote bound, and only splits a
+feature into its atoms when the bound cannot decide.  The outcome equals
+literal enumeration; only the visit order differs.
 
 Every top-level decision increments `OracleStats.calls` once, which is what
 the per-instance call accounting in the benchmark reports.
@@ -43,7 +47,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .classifiers import (
     Classifier,
@@ -194,14 +198,10 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
     return (2 << b) - (1 << a)  # atoms a..b
 
 
-def _literal_set(lit) -> ValueSet:
-    return CatSet(frozenset([lit.label])) if isinstance(lit, LabelEq) else lit.values
-
-
 # ---------------------------------------------------------------------------
 # The oracle
 #
-# Compiled tree nodes are either a class index (a leaf) or a tuple
+# Compiled tree and list nodes are either a class index (a leaf) or a tuple
 # (f0, right mask, left node, right node): a point goes right when its atom
 # of feature f0 is in the right mask.  A specialized tree is a "view"
 # (node, feature mask, class mask) recording the features it still tests
@@ -281,8 +281,8 @@ class Oracle:
         if isinstance(clf, MonotonicClassifier):
             return self._forces_monotone(clf, box, target)
         ti = self._class_index[target]
-        if isinstance(clf, DecisionList):
-            return self._forces_dl(box, 1 << ti)
+        if len(self._roots) == 1:
+            return _forces_tree(self._roots[0], box, ti)
         views = [self._specialize(root, box) for root in self._roots]
         return self._dfs_trees(views, box, ti)
 
@@ -299,17 +299,19 @@ class Oracle:
         ]
         self._class_index = {c: i for i, c in enumerate(clf.classes)}
         if isinstance(clf, DecisionList):
-            self._rules = [
-                (
-                    tuple(
-                        (lit.feature - 1, self._set_mask(lit.feature - 1, _literal_set(lit)))
-                        for lit in rule.condition
-                    ),
-                    1 << self._class_index[rule.class_id],
-                )
-                for rule in clf.rules
-            ]
-            self._default_bit = 1 << self._class_index[clf.default_class]
+            # every literal of a rule fails over to the same next-rule node
+            node = self._class_index[clf.default_class]
+            for rule in reversed(clf.rules):
+                hit = self._class_index[rule.class_id]
+                for lit in reversed(rule.condition):
+                    f0 = lit.feature - 1
+                    if isinstance(lit, LabelEq):
+                        m = self._labels[f0].get(lit.label, 0)
+                    else:
+                        m = self._set_mask(f0, lit.values)
+                    hit = (f0, m, node, hit)
+                node = hit
+            self._roots = [node]
         else:
             trees = (clf,) if isinstance(clf, DecisionTree) else clf.trees
             # the right mask of each threshold: the cells at or above it
@@ -371,40 +373,6 @@ class Oracle:
         i_max = bisect_right(T, hi) if hi_attained else bisect_left(T, hi)
         return i_min == mc.classes.index(target) == i_max
 
-    # -- decision lists -----------------------------------------------------
-
-    def _forces_dl(self, box: list[int], target_bit: int) -> bool:
-        possible, cands = self._dl_scan(box)
-        if possible == target_bit:
-            return True
-        if not cands:
-            # every rule is decided on this box, so `possible` is exact
-            return False
-        return _every_atom(box, cands[0], lambda nb: self._forces_dl(nb, target_bit))
-
-    def _dl_scan(self, box: list[int]) -> tuple[int, list[int]]:
-        """Over-approximate the classes reachable in the box, as a class mask.
-
-        Also reports features whose box straddles a literal of a rule that
-        might fire; each holds atoms on both sides, so it can be split.
-        """
-        possible = 0
-        cands: list[int] = []
-        for lits, class_bit in self._rules:
-            straddled = []
-            for f0, m in lits:
-                a = box[f0]
-                if not a & m:
-                    break  # the rule cannot fire
-                if a & ~m and f0 not in straddled:
-                    straddled.append(f0)  # the literal is not entailed
-            else:
-                possible |= class_bit
-                if not straddled:
-                    return possible, cands
-                cands.extend(f0 for f0 in straddled if f0 not in cands)
-        return possible | self._default_bit, cands
-
     # -- trees and ensembles --------------------------------------------------
 
     def _specialize(self, n, box: list[int]) -> tuple:
@@ -435,9 +403,6 @@ class Oracle:
         return (f0, rm, ln, rn), lf | rf | (1 << f0), lc | rc
 
     def _dfs_trees(self, views: list[tuple], box: list[int], ti: int) -> bool:
-        if len(views) == 1:
-            # specialization prunes infeasible paths, so leaf classes are exact
-            return views[0][2] == 1 << ti
         fixed = [0] * len(self.classifier.classes)
         flex = []
         for v in views:
@@ -470,26 +435,45 @@ class Oracle:
         if not box[split] & (box[split] - 1):
             raise AssertionError("split feature must fragment into multiple atoms")
         split_bit = 1 << split
-
-        def decide(nb: list[int]) -> bool:
+        # every atom of the split feature in turn, from the lowest bit up
+        rest = box[split]
+        while rest:
+            atom = rest & -rest
+            rest ^= atom
+            nb = list(box)
+            nb[split] = atom
             nviews = [v if not v[1] & split_bit else self._specialize(v[0], nb) for v in views]
-            return self._dfs_trees(nviews, nb, ti)
+            if not self._dfs_trees(nviews, nb, ti):
+                return False
+        return True
 
-        return _every_atom(box, split, decide)
 
+def _forces_tree(node, box: list[int], ti: int) -> bool:
+    """Whether every leaf of one compiled tree or list that the box reaches is class ti.
 
-def _every_atom(box: list[int], f0: int, decide: Callable[[list[int]], bool]) -> bool:
-    """Whether decide holds on the box narrowed to each atom of feature f0 in turn.
-
-    Atoms are tried from the lowest bit up; the first failure ends the search.
+    A walk without recursion: a straddled test queues its right side on a
+    copy of the box narrowed to the test's atoms and goes on left, so each
+    leaf reached is a distinct non-empty region of the box.  The caller's
+    box is never changed.
     """
-    rest = box[f0]
-    while rest:
-        atom = rest & -rest
-        rest ^= atom
-        nb = list(box)
-        nb[f0] = atom
-        if not decide(nb):
+    stack = [(node, list(box))]
+    while stack:
+        n, b = stack.pop()
+        while n.__class__ is not int:
+            f0, rm, left, right = n
+            a = b[f0]
+            r = a & rm
+            if not r:
+                n = left
+            elif r == a:
+                n = right
+            else:
+                nb = list(b)
+                nb[f0] = r
+                stack.append((right, nb))
+                b[f0] = a ^ r
+                n = left
+        if n != ti:
             return False
     return True
 

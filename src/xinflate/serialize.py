@@ -292,18 +292,20 @@ def model_from_dict(doc: dict) -> ModelFile:
 
 
 def load_model(source: Union[str, Path, dict]) -> ModelFile:
-    if isinstance(source, dict):
-        return model_from_dict(source)
-    path = Path(source)
     try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"model file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "expected a JSON object")
-    return model_from_dict(doc)
+        if isinstance(source, dict):
+            return model_from_dict(source)
+        try:
+            doc = json.loads(Path(source).read_text())
+        except FileNotFoundError:
+            raise ValidationError(f"model file not found: {source}")
+        except json.JSONDecodeError as exc:
+            raise SchemaError("$", f"invalid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise SchemaError("$", "expected a JSON object")
+        return model_from_dict(doc)
+    except RecursionError:  # decoding or parsing a document nested past the limit
+        raise SchemaError("$", "the document is nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------

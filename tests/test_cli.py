@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from xinflate.cli import main
+from xinflate.explain import ExplanationProblem, find_axp
+from xinflate.serialize import load_model, parse_point
 
 ROOT = Path(__file__).resolve().parent.parent
 RISK = str(ROOT / "models" / "risk_list.json")
@@ -19,6 +21,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _chain_tree_text(depth: int) -> str:
+    """A model file holding a depth-deep chain tree, written as text.
+
+    json.dumps of the nested document would itself hit the recursion limit.
+    """
+    node = '{"class": "a"}'
+    for k in range(depth, 0, -1):
+        leaf = "a" if k % 2 else "b"
+        node = f'{{"feature": 1, "threshold": "{k}", "left": {{"class": "{leaf}"}}, "right": {node}}}'
+    features = (
+        f'[{{"name": "x", "domain": {{"type": "ordinal", "lo": "0", "hi": "{depth}", '
+        '"kind": "integer"}}, {"name": "y", "domain": {"type": "ordinal", "lo": "0", "hi": "1"}}]'
+    )
+    return (
+        f'{{"schema": "xinflate-model/1", "name": "chain", "features": {features}, '
+        f'"classes": ["a", "b"], "classifier": {{"type": "decision_tree", "root": {node}}}}}'
+    )
 
 
 class TestPredict:
@@ -44,6 +65,22 @@ class TestPredict:
     def test_missing_model_exits_2(self, capsys):
         code, _, err = run(capsys, "predict", "--model", "/nope.json", "--instance", "a")
         assert code == 2
+
+    def test_too_deep_model_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(_chain_tree_text(1200))
+        for command in ("predict", "explain"):
+            code, out, err = run(capsys, command, "--model", str(path), "--instance", "0,0")
+            assert code == 2
+            assert "$: the document is nested too deeply" in err
+            assert out == ""
+
+    def test_deep_model_within_the_limit_loads(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(_chain_tree_text(400))
+        code, out, _ = run(capsys, "explain", "--model", str(path), "--instance", "0,0")
+        assert code == 0
+        assert "AXp: features 1 (x)" in out
 
 
 class TestExplain:
@@ -95,6 +132,24 @@ class TestInflate:
         )
         assert code == 2
 
+    def test_order_steers_extraction_and_inflation(self, capsys):
+        order = "8,7,6,5,4,3,2,1"
+        code, out, err = run(
+            capsys,
+            "inflate", "--model", FOREST, "--instance", "7,7,7,8,3,2.5,high,green",
+            "--order", order, "--format", "json",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        mf = load_model(FOREST)
+        problem = ExplanationProblem.from_point(
+            mf.classifier, mf.space, parse_point(mf.space, "7,7,7,8,3,2.5,high,green")
+        )
+        axp = find_axp(problem, (8, 7, 6, 5, 4, 3, 2, 1))
+        assert axp != find_axp(problem)
+        assert doc["axp"] == list(axp)
+        assert doc["explanation"]["probe_order"] == sorted(axp, reverse=True)
+
     def test_out_writes_document(self, capsys, tmp_path):
         target = tmp_path / "doc.json"
         code, _, _ = run(
@@ -137,6 +192,32 @@ class TestEnumerateAndDual:
         assert doc["explanation"]["sets"]["2"] == {"labels": ["White"]}
 
 
+    def test_shrink_cxp_extracts_in_order(self, capsys):
+        code, out, err = run(
+            capsys,
+            "shrink-cxp", "--model", RISK, "--instance", "Junior,Red",
+            "--order", "2,1", "--format", "json",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["cxp"] == [2]
+        assert doc["explanation"]["sets"]["2"] == {"labels": ["White"]}
+        assert doc["explanation"]["probe_order"] == [2]
+
+    def test_unread_options_are_not_accepted(self, capsys):
+        for argv in (
+            ("dual", "--order", "2,1"),
+            ("dual", "--beta", "1/2"),
+            ("dual", "--strategy", "binary"),
+            ("shrink-cxp", "--beta", "1/2"),
+            ("shrink-cxp", "--strategy", "binary"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--model", RISK, "--instance", "Junior,Red"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestTrainAndBench:
     def test_train_then_bench_round_trip(self, capsys, tmp_path):
         model_path = tmp_path / "rf.json"
@@ -174,6 +255,27 @@ class TestTrainAndBench:
         )
         assert code == 0
         assert "instances: 3" in out
+
+    def test_bench_order_steers_extraction(self, capsys):
+        order = (8, 7, 6, 5, 4, 3, 2, 1)
+        code, out, err = run(
+            capsys,
+            "bench", "--model", FOREST, "--data", BENCH_CSV, "--limit", "3",
+            "--order", ",".join(map(str, order)), "--format", "json",
+        )
+        assert code == 0, err
+        records = json.loads(out)["records"]
+        mf = load_model(FOREST)
+        with open(BENCH_CSV) as fh:
+            rows = [line.strip().split(",")[:-1] for line in fh.readlines()[1:4]]
+        moved = 0
+        for record, row in zip(records, rows):
+            point = parse_point(mf.space, ",".join(row))
+            problem = ExplanationProblem.from_point(mf.classifier, mf.space, point)
+            axp = find_axp(problem, order)
+            assert record["axp"] == list(axp)
+            moved += axp != find_axp(problem)
+        assert moved, "the order must change some row's AXp"
 
     def test_bench_column_mismatch_exits_2(self, capsys):
         code, _, err = run(capsys, "bench", "--model", RISK, "--data", BENCH_CSV)

@@ -7,10 +7,19 @@ import pytest
 
 from bruteforce import bf_forces, harvested_thresholds
 from pools import dl_pool, forest_pool, integer_pool, monotone_pool
-from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit, TreeEnsemble
+from xinflate.classifiers import (
+    DecisionList,
+    DecisionTree,
+    LabelEq,
+    Leaf,
+    OrdinalSplit,
+    Rule,
+    SetMember,
+    TreeEnsemble,
+)
 from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
-from xinflate.explain import ExplanationProblem, find_axp
+from xinflate.explain import ExplanationProblem, find_axp, find_cxp
 from xinflate.model import (
     CatSet,
     Categorical,
@@ -280,11 +289,71 @@ def _chain_tree(depth):
     return DecisionTree(node, ("a", "b")), space
 
 
+def _ival(lo, hi, closed=False):
+    """The literal x1 in [lo, hi), or [lo, hi] when closed."""
+    return SetMember(1, IntervalUnion((Interval(F(lo), F(hi), True, closed),)))
+
+
 class TestDepth:
     def test_deep_chain_tree_explains(self):
-        clf, space = _chain_tree(900)
+        for depth in (900, 1200):  # below and past the default recursion limit
+            clf, space = _chain_tree(depth)
+            problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
+            assert find_axp(problem) == (1,)
+
+    def test_long_single_literal_list_explains(self):
+        n = 1500
+        space = FeatureSpace((Ordinal(F(0), F(n), INTEGER), Ordinal(F(0), F(1))))
+        rules = tuple(Rule((_ival(k, k + 1),), "ab"[k % 2]) for k in range(n))
+        clf = DecisionList(rules, "a", ("a", "b"))
         problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
         assert find_axp(problem) == (1,)
+        assert find_cxp(problem) == (1,)
+
+
+class TestListShapes:
+    """Lists the random pools rarely draw, against the brute-force scan."""
+
+    SPACE = FeatureSpace((Ordinal(F(0), F(4)), Categorical(("red", "blue", "green"))))
+
+    def _agree(self, clf, seed):
+        rng = random.Random(seed)
+        oracle = Oracle(clf, self.SPACE)
+        for _ in range(150):
+            if rng.random() < 0.5:
+                assignment = _random_assignment(rng, self.SPACE)
+            else:
+                assignment = _boundary_assignment(rng, clf, self.SPACE)
+            for target in clf.classes:
+                want = bf_forces(clf, self.SPACE, assignment, target)
+                assert oracle.holds_sufficiency(assignment, target) == want, (assignment, target)
+
+    def test_two_literals_on_one_feature(self):
+        rules = (
+            Rule((_ival(0, 2), _ival(2, 4, True)), "1"),  # never fires
+            Rule((_ival(1, 3), _ival(2, 4, True)), "1"),  # fires on [2, 3)
+            Rule((SetMember(2, CatSet(frozenset({"red", "blue"}))), _ival(0, 2)), "1"),
+        )
+        self._agree(DecisionList(rules, "0", ("0", "1")), 1)
+
+    def test_empty_condition_before_the_last_rule(self):
+        rules = (
+            Rule((_ival(0, 2),), "0"),
+            Rule((), "1"),
+            Rule((LabelEq(2, "red"),), "0"),
+        )
+        self._agree(DecisionList(rules, "0", ("0", "1")), 2)
+
+    def test_label_and_label_set_on_one_feature(self):
+        rules = (
+            Rule((LabelEq(2, "red"), SetMember(2, CatSet(frozenset({"blue", "green"})))), "1"),
+            Rule((SetMember(2, CatSet(frozenset({"red", "blue"}))), LabelEq(2, "blue")), "1"),
+            Rule((_ival(1, 3), LabelEq(2, "green")), "1"),
+        )
+        self._agree(DecisionList(rules, "0", ("0", "1")), 3)
+
+    def test_default_class_only(self):
+        self._agree(DecisionList((), "1", ("0", "1")), 4)
 
 
 class TestConstancyOnIntegerDomains:
