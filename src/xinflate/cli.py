@@ -152,27 +152,29 @@ def _cmd_inflate(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    mf = load_model(args.model)
-    problem = _problem(args, mf)
+def _families(args, mf: ModelFile, problem: ExplanationProblem, schema: str):
+    """Every AXp and CXp, and the head of their document with the duality check."""
     sets = ExplanationSets(*enumerate_all(problem, max_subsets=args.budget))
-    dual = sets.mhs_dual()
     doc = {
-        "schema": "xinflate-enumerate/1",
+        "schema": schema,
         "model": mf.name,
         "class": problem.target,
         "axps": [list(x) for x in sets.axps],
         "cxps": [list(y) for y in sets.cxps],
-        "duality_holds": dual,
+        "duality_holds": sets.mhs_dual(),
     }
+    return sets, doc
+
+
+def _cmd_enumerate(args) -> int:
+    mf = load_model(args.model)
+    problem = _problem(args, mf)
+    sets, doc = _families(args, mf, problem, "xinflate-enumerate/1")
     lines = [f"class: {problem.target}"]
-    lines.append(f"AXps ({len(sets.axps)}):")
-    for x in sets.axps:
-        lines.append(f"  {{{','.join(map(str, x))}}} ({_names(mf, x)})")
-    lines.append(f"CXps ({len(sets.cxps)}):")
-    for y in sets.cxps:
-        lines.append(f"  {{{','.join(map(str, y))}}} ({_names(mf, y)})")
-    lines.append(f"hitting-set duality: {'holds' if dual else 'VIOLATED'}")
+    for kind, family in (("AXps", sets.axps), ("CXps", sets.cxps)):
+        lines.append(f"{kind} ({len(family)}):")
+        lines += [f"  {{{','.join(map(str, x))}}} ({_names(mf, x)})" for x in family]
+    lines.append(f"hitting-set duality: {'holds' if doc['duality_holds'] else 'VIOLATED'}")
     _emit(args, doc, lines)
     return 0
 
@@ -193,7 +195,7 @@ def _cmd_dual(args) -> int:
     mf = load_model(args.model)
     problem = _problem(args, mf)
     config = _config(args)
-    sets = ExplanationSets(*enumerate_all(problem, max_subsets=args.budget))
+    sets, doc = _families(args, mf, problem, "xinflate-dual/1")
     iaxps = []
     for x in sets.axps:
         iaxps.extend(enumerate_iaxps(problem, x, config, max_candidates=args.max_candidates))
@@ -201,25 +203,14 @@ def _cmd_dual(args) -> int:
     for y in sets.cxps:
         icxps.extend(enumerate_icxps(problem, y, config, max_candidates=args.max_candidates))
     hits = [[check_hits(problem, ia, ic) for ic in icxps] for ia in iaxps]
-    doc = {
-        "schema": "xinflate-dual/1",
-        "model": mf.name,
-        "class": problem.target,
-        "axps": [list(x) for x in sets.axps],
-        "cxps": [list(y) for y in sets.cxps],
-        "duality_holds": sets.mhs_dual(),
-        "iaxps": [explanation_to_dict(mf.space, e) for e in iaxps],
-        "icxps": [explanation_to_dict(mf.space, e) for e in icxps],
-        "hits": hits,
-    }
+    doc["iaxps"] = [explanation_to_dict(mf.space, e) for e in iaxps]
+    doc["icxps"] = [explanation_to_dict(mf.space, e) for e in icxps]
+    doc["hits"] = hits
     lines = [f"class: {problem.target}"]
     lines.append(f"plain duality: {'holds' if doc['duality_holds'] else 'VIOLATED'}")
-    lines.append(f"inflated abductive families ({len(iaxps)}):")
-    for e in iaxps:
-        lines.append(f"  {render_rule(mf.space, e, problem.target)}")
-    lines.append(f"inflated contrastive families ({len(icxps)}):")
-    for e in icxps:
-        lines.append(f"  {render_rule(mf.space, e, problem.target)}")
+    for kind, family in (("abductive", iaxps), ("contrastive", icxps)):
+        lines.append(f"inflated {kind} families ({len(family)}):")
+        lines += [f"  {render_rule(mf.space, e, problem.target)}" for e in family]
     broken = sum(1 for row in hits for h in row if h is None)
     lines.append(f"pairs without a blocking feature: {broken}")
     _emit(args, doc, lines)

@@ -139,47 +139,52 @@ def find_cxp(problem: ExplanationProblem, order: Optional[Sequence[int]] = None)
     return tuple(sorted(_deletion_pass(reversed(order), problem.wcxp_holds)))
 
 
+def _sorted_sets(family: Iterable[FrozenSet[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(s)) for s in family)
+
+
+def _minimal_subsets(universe: Sequence[int], holds, found: list, budget: list[int]) -> bool:
+    """Extend found by every subset-minimal subset of universe on which holds is true.
+
+    Subsets are visited in ascending size with supersets of found ones
+    skipped, so anything that tests positive is minimal.  Each test spends
+    one unit of budget[0]; returns False, testing no further, once it is out.
+    """
+    for size in range(1, len(universe) + 1):
+        for combo in combinations(universe, size):
+            cset = frozenset(combo)
+            if any(cset >= f for f in found):
+                continue
+            if budget[0] == 0:
+                return False
+            budget[0] -= 1
+            if holds(cset):
+                found.append(cset)
+    return True
+
+
 def enumerate_all(
     problem: ExplanationProblem, max_subsets: int = DEFAULT_SUBSET_BUDGET
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Every AXp and every CXp, by exhaustive subset search.
 
-    Subsets are visited in ascending size with supersets of found
-    explanations skipped, so anything that tests positive is minimal.  The
-    number of predicate tests is capped by max_subsets; running past the
-    cap raises BudgetExceededError with the partial families attached.
+    The AXps, then the CXps, come from `_minimal_subsets`.  The number of
+    predicate tests is capped by max_subsets; running past the cap raises
+    BudgetExceededError with the partial families attached.
     """
     feats = tuple(problem.space.features())
-    spent = 0
-    partial_box: dict = {"axps": (), "cxps": (), "complete": False}
-
-    def scan(holds, key: str) -> list[FrozenSet[int]]:
-        nonlocal spent
-        found: list[FrozenSet[int]] = []
-        for size in range(1, len(feats) + 1):
-            for combo in combinations(feats, size):
-                cset = frozenset(combo)
-                if any(cset >= f for f in found):
-                    continue
-                spent += 1
-                if spent > max_subsets:
-                    partial_box[key] = tuple(tuple(sorted(s)) for s in found)
-                    raise BudgetExceededError(
-                        f"enumeration exceeded {max_subsets} subset tests",
-                        partial=partial_box,
-                    )
-                if holds(cset):
-                    found.append(cset)
-        partial_box[key] = tuple(tuple(sorted(s)) for s in found)
-        return found
-
-    axps = scan(problem.waxp_holds, "axps")
-    cxps = scan(problem.wcxp_holds, "cxps")
-    partial_box["complete"] = True
-    return (
-        tuple(tuple(sorted(s)) for s in axps),
-        tuple(tuple(sorted(s)) for s in cxps),
-    )
+    axps: list[FrozenSet[int]] = []
+    cxps: list[FrozenSet[int]] = []
+    budget = [max_subsets]
+    if not (
+        _minimal_subsets(feats, problem.waxp_holds, axps, budget)
+        and _minimal_subsets(feats, problem.wcxp_holds, cxps, budget)
+    ):
+        partial = {"axps": _sorted_sets(axps), "cxps": _sorted_sets(cxps), "complete": False}
+        raise BudgetExceededError(
+            f"enumeration exceeded {max_subsets} subset tests", partial=partial
+        )
+    return _sorted_sets(axps), _sorted_sets(cxps)
 
 
 def minimal_hitting_sets(
@@ -199,15 +204,6 @@ def minimal_hitting_sets(
         return ((),)
     universe = sorted(frozenset().union(*sets))
     found: list[FrozenSet[int]] = []
-    spent = 0
-    for size in range(1, len(universe) + 1):
-        for combo in combinations(universe, size):
-            cset = frozenset(combo)
-            if any(cset >= f for f in found):
-                continue
-            spent += 1
-            if spent > max_subsets:
-                raise BudgetExceededError(f"hitting set search exceeded {max_subsets} tests")
-            if all(cset & s for s in sets):
-                found.append(cset)
-    return tuple(tuple(sorted(s)) for s in found)
+    if not _minimal_subsets(universe, lambda c: all(c & s for s in sets), found, [max_subsets]):
+        raise BudgetExceededError(f"hitting set search exceeded {max_subsets} tests")
+    return _sorted_sets(found)

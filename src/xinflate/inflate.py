@@ -93,7 +93,8 @@ class InflationConfig:
 
 def _extract(problem: ExplanationProblem, find, config: InflationConfig):
     """The explanation find (find_axp or find_cxp) returns in config's order, and
-    config with the order narrowed to its features, as inflate_axp and shrink_cxp take it."""
+    config with the order narrowed to its features, as inflate_axp and shrink_cxp take it;
+    `cli` (inflate, shrink-cxp) and `bench` extract with it."""
     feats = find(problem, config.order)
     if config.order is not None:
         config = replace(config, order=tuple(j for j in config.order if j in feats))

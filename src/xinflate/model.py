@@ -203,19 +203,11 @@ def cat_set(domain: Categorical, labels: Iterable[str]) -> CatSet:
 
 def _snap_integer(iv: Interval) -> Optional[Interval]:
     """Snap an interval to closed integral endpoints; None when no integer fits."""
-    lo = iv.lo
-    if lo.denominator == 1:
-        lo_int = lo.numerator + (0 if iv.lo_closed else 1)
-    else:
-        lo_int = math.ceil(lo)
-    hi = iv.hi
-    if hi.denominator == 1:
-        hi_int = hi.numerator - (0 if iv.hi_closed else 1)
-    else:
-        hi_int = math.floor(hi)
-    if lo_int > hi_int:
+    lo = math.ceil(iv.lo) if iv.lo_closed else math.floor(iv.lo) + 1
+    hi = math.floor(iv.hi) if iv.hi_closed else math.ceil(iv.hi) - 1
+    if lo > hi:
         return None
-    return Interval(Fraction(lo_int), Fraction(hi_int), True, True)
+    return Interval(Fraction(lo), Fraction(hi), True, True)
 
 
 def _clip(iv: Interval, domain: Ordinal) -> Interval:

@@ -31,8 +31,10 @@ answers cheap probes stays cheap.  `ValueSet` and `Fraction` appear only
 where a box is converted to masks.
 
 A single tree or list is decided by one walk without recursion over the
-paths the box reaches, stopping at the first leaf of another class.  For
-ensembles the search specializes each tree against the box, prunes with
+paths the box reaches, stopping at the first leaf of another class.  Where
+a list's paths meet again at a next rule, the walk first bounds the classes
+reachable from there and skips the region when the target is the only one.
+For ensembles the search specializes each tree against the box, prunes with
 reachable leaf classes and a worst-case vote bound, and only splits a
 feature into its atoms when the bound cannot decide.  The outcome equals
 literal enumeration; only the visit order differs.
@@ -60,6 +62,7 @@ from .classifiers import (
     OrdinalSplit,
     SetMember,
     TreeEnsemble,
+    _iter_nodes,
 )
 from .errors import ValidationError
 from .model import (
@@ -137,17 +140,6 @@ def _cells_from_splits(domain: Ordinal, splits: Sequence[Fraction]) -> tuple[Int
     return tuple(cells)
 
 
-def _tree_thresholds(node: Node, vals: dict[int, set]) -> None:
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Leaf):
-            continue
-        if isinstance(n, OrdinalSplit):
-            vals.setdefault(n.feature, set()).add(n.threshold)
-        stack.extend((n.left, n.right))
-
-
 def discretize(classifier: Classifier, space: FeatureSpace) -> Discretization:
     """Collect every ordinal threshold the classifier tests, per feature."""
     vals: dict[int, set] = {}
@@ -161,11 +153,12 @@ def discretize(classifier: Classifier, space: FeatureSpace) -> Discretization:
                             vals.setdefault(lit.feature, set()).add(iv.lo)
                         if not iv.hi_closed:
                             vals.setdefault(lit.feature, set()).add(iv.hi)
-    elif isinstance(classifier, DecisionTree):
-        _tree_thresholds(classifier.root, vals)
-    elif isinstance(classifier, TreeEnsemble):
-        for tree in classifier.trees:
-            _tree_thresholds(tree.root, vals)
+    elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
+        trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
+        for tree in trees:
+            for n in _iter_nodes(tree.root):
+                if isinstance(n, OrdinalSplit):
+                    vals.setdefault(n.feature, set()).add(n.threshold)
     splits = []
     cells = []
     for j in space.features():
@@ -282,7 +275,7 @@ class Oracle:
             return self._forces_monotone(clf, box, target)
         ti = self._class_index[target]
         if len(self._roots) == 1:
-            return _forces_tree(self._roots[0], box, ti)
+            return _forces_tree(self._roots[0], box, ti, self._shared)
         views = [self._specialize(root, box) for root in self._roots]
         return self._dfs_trees(views, box, ti)
 
@@ -298,10 +291,13 @@ class Oracle:
             for d in space.domains
         ]
         self._class_index = {c: i for i, c in enumerate(clf.classes)}
+        self._shared: set[int] = set()  # ids of nodes that several tests lead to
         if isinstance(clf, DecisionList):
             # every literal of a rule fails over to the same next-rule node
             node = self._class_index[clf.default_class]
             for rule in reversed(clf.rules):
+                if len(rule.condition) > 1:
+                    self._shared.add(id(node))
                 hit = self._class_index[rule.class_id]
                 for lit in reversed(rule.condition):
                     f0 = lit.feature - 1
@@ -448,17 +444,21 @@ class Oracle:
         return True
 
 
-def _forces_tree(node, box: list[int], ti: int) -> bool:
+def _forces_tree(node, box: list[int], ti: int, shared: set[int]) -> bool:
     """Whether every leaf of one compiled tree or list that the box reaches is class ti.
 
-    A walk without recursion: a straddled test queues its right side on a
-    copy of the box narrowed to the test's atoms and goes on left, so each
-    leaf reached is a distinct non-empty region of the box.  The caller's
-    box is never changed.
+    A walk without recursion over regions of the box: a region follows its
+    decided tests, and a straddled test splits it in two, narrowed to the
+    test's atoms and to the rest; the caller's box is never changed.  Paths
+    multiply only at nodes that several tests lead to (a list's next rule),
+    so a region starting at one of these shared nodes is dropped at once
+    when `_reaches_only` shows that it reaches no class but ti.
     """
     stack = [(node, list(box))]
     while stack:
         n, b = stack.pop()
+        if id(n) in shared and _reaches_only(n, b, ti):
+            continue
         while n.__class__ is not int:
             f0, rm, left, right = n
             a = b[f0]
@@ -470,11 +470,39 @@ def _forces_tree(node, box: list[int], ti: int) -> bool:
             else:
                 nb = list(b)
                 nb[f0] = r
-                stack.append((right, nb))
                 b[f0] = a ^ r
-                n = left
-        if n != ti:
-            return False
+                stack += ((right, nb), (left, b))
+                break
+        else:
+            if n != ti:
+                return False
+    return True
+
+
+def _reaches_only(node, box: list[int], ti: int) -> bool:
+    """Whether ti is the only class below node when each test reads the whole
+    box, without narrowing: the leaves this reaches include every leaf the
+    box reaches, so True is exact.  Each node is visited once; on a list this
+    scans the rules that can fire, up to the first one the box entails.
+    """
+    seen = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n.__class__ is int:
+            if n != ti:
+                return False
+            continue
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        f0, rm, left, right = n
+        a = box[f0]
+        r = a & rm
+        if r:
+            stack.append(right)
+        if r != a:
+            stack.append(left)
     return True
 
 

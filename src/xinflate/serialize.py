@@ -327,29 +327,27 @@ def _node_to_dict(node: Node) -> dict:
     if isinstance(node, Leaf):
         return {"class": node.class_id}
     if isinstance(node, OrdinalSplit):
-        return {
-            "feature": node.feature,
-            "threshold": rational_str(node.threshold),
-            "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right),
-        }
+        test = {"threshold": rational_str(node.threshold)}
+    else:
+        test = {"label": node.label}
     return {
         "feature": node.feature,
-        "label": node.label,
+        **test,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
 
 
+def _interval_list(s: IntervalUnion) -> list:
+    return [
+        [rational_str(iv.lo), rational_str(iv.hi), iv.lo_closed, iv.hi_closed] for iv in s.intervals
+    ]
+
+
 def valueset_to_dict(domain: Domain, s: ValueSet) -> dict:
     if isinstance(s, CatSet):
         return {"labels": [l for l in domain.labels if l in s.labels]}
-    return {
-        "intervals": [
-            [rational_str(iv.lo), rational_str(iv.hi), iv.lo_closed, iv.hi_closed]
-            for iv in s.intervals
-        ]
-    }
+    return {"intervals": _interval_list(s)}
 
 
 def _classifier_to_dict(classifier: Classifier) -> dict:
@@ -365,22 +363,12 @@ def _classifier_to_dict(classifier: Classifier) -> dict:
             lits = []
             for lit in rule.condition:
                 if isinstance(lit, LabelEq):
-                    lits.append({"feature": lit.feature, "op": "eq", "label": lit.label})
+                    test = {"op": "eq", "label": lit.label}
                 elif isinstance(lit.values, CatSet):
-                    lits.append(
-                        {"feature": lit.feature, "op": "in", "labels": sorted(lit.values.labels)}
-                    )
+                    test = {"op": "in", "labels": sorted(lit.values.labels)}
                 else:
-                    lits.append(
-                        {
-                            "feature": lit.feature,
-                            "op": "in",
-                            "intervals": [
-                                [rational_str(iv.lo), rational_str(iv.hi), iv.lo_closed, iv.hi_closed]
-                                for iv in lit.values.intervals
-                            ],
-                        }
-                    )
+                    test = {"op": "in", "intervals": _interval_list(lit.values)}
+                lits.append({"feature": lit.feature, **test})
             rules.append({"if": lits, "then": rule.class_id})
         return {"type": "decision_list", "rules": rules, "default": classifier.default_class}
     if isinstance(classifier, DecisionTree):

@@ -1,6 +1,8 @@
 """Entailment engine against an independent brute-force scan."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -294,6 +296,32 @@ def _ival(lo, hi, closed=False):
     return SetMember(1, IntervalUnion((Interval(F(lo), F(hi), True, closed),)))
 
 
+@contextmanager
+def _within_seconds(seconds):
+    """Fail instead of hanging when the body runs past the deadline."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"not decided within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _two_literal_rules(n, first_feature):
+    """n rules `x_k = p and x_(k+1) = p -> 1` on distinct binary features from
+    first_feature on.  Each rule's two failed literals lead to the next rule,
+    so the box reaches the rest of the list along 2^n different paths."""
+    return [
+        Rule((LabelEq(j, "p"), LabelEq(j + 1, "p")), "1")
+        for j in range(first_feature, first_feature + 2 * n, 2)
+    ]
+
+
 class TestDepth:
     def test_deep_chain_tree_explains(self):
         for depth in (900, 1200):  # below and past the default recursion limit
@@ -309,6 +337,32 @@ class TestDepth:
         problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
         assert find_axp(problem) == (1,)
         assert find_cxp(problem) == (1,)
+
+    def test_paths_through_shared_rules_do_not_multiply(self):
+        # ... then x1 < 1/2 -> 1, default 0; the box fixes x1 = 0, so every
+        # path ends in class 1, which the rules that can fire already show
+        n = 40
+        binary = Categorical(("p", "q"))
+        space = FeatureSpace((Ordinal(F(0), F(1)),) + (binary,) * (2 * n))
+        rules = _two_literal_rules(n, 2) + [Rule((_ival(0, F(1, 2)),), "1")]
+        clf = DecisionList(tuple(rules), "0", ("0", "1"))
+        problem = ExplanationProblem.from_point(clf, space, (F(0),) + ("q",) * (2 * n))
+        with _within_seconds(10):
+            assert find_axp(problem) == (1,)
+            assert problem.oracle.holds_sufficiency({1: singleton_set(space.domain(1), F(0))}, "1")
+
+    def test_shared_rules_are_bounded_inside_the_walk(self):
+        # y = a -> 1 first, so the closing y = a -> 0 never fires: only the
+        # region with y = b, narrowed by the walk, shows that class 0 is out
+        n = 40
+        binary = Categorical(("p", "q"))
+        y = 2 * n + 1
+        space = FeatureSpace((binary,) * (2 * n) + (Categorical(("a", "b")),))
+        rules = [Rule((LabelEq(y, "a"),), "1")] + _two_literal_rules(n, 1)
+        clf = DecisionList(tuple(rules + [Rule((LabelEq(y, "a"),), "0")]), "1", ("0", "1"))
+        with _within_seconds(10):
+            assert Oracle(clf, space).holds_sufficiency({}, "1")
+            assert classifier_is_constant(clf, space)
 
 
 class TestListShapes:
