@@ -1,0 +1,88 @@
+"""Digest of every answer and oracle decision over the test pools.
+
+Run from the repository root:
+
+    PYTHONHASHSEED=0 python3 scripts/decision_digest.py
+
+Each problem of the `tests/pools.py` pools (lists, forests, monotone,
+categorical and integer-domain) runs `find_axp` + `inflate_axp`,
+`find_cxp` + `shrink_cxp`, and `enumerate_all` when it has at most six
+features.  Every decision of the problem's oracle is logged as (box,
+class, answer); the constancy checks made while building a problem are
+not.  The script prints one JSON line: the problem count, the decision
+count, and a sha256 over the outputs, each problem's `oracle.stats.calls`
+and the ordered decision log.  An engine change that keeps answers and
+decisions identical keeps the digest.
+
+Label sets are frozensets whose printed order follows string hashing, so
+the script refuses to run unless PYTHONHASHSEED=0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from pools import categorical_pool, dl_pool, forest_pool, integer_pool, make_problem, monotone_pool
+from xinflate.errors import XInflateError
+from xinflate.explain import enumerate_all, find_axp, find_cxp
+from xinflate.inflate import inflate_axp, shrink_cxp
+from xinflate.serialize import explanation_to_dict
+
+ENUMERATE_MAX_FEATURES = 6
+
+
+def _logged(log: list, decide):
+    def logged(assignment, class_id):
+        answer = decide(assignment, class_id)
+        log.append((sorted(assignment.items()), class_id, answer))
+        return answer
+
+    return logged
+
+
+def _run(problem) -> list:
+    """The outputs of the listed calls; an error counts as its message."""
+    out = []
+    for find, finish in ((find_axp, inflate_axp), (find_cxp, shrink_cxp)):
+        try:
+            feats = find(problem)
+            out.append((feats, explanation_to_dict(problem.space, finish(problem, feats))))
+        except XInflateError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    if problem.space.m <= ENUMERATE_MAX_FEATURES:
+        try:
+            out.append(enumerate_all(problem))
+        except XInflateError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def main() -> int:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        print("set PYTHONHASHSEED=0: label-set order follows string hashing", file=sys.stderr)
+        return 2
+    pools = dl_pool() + forest_pool() + monotone_pool() + categorical_pool() + integer_pool()
+    sha = hashlib.sha256()
+    decisions = 0
+    for clf, space, point in pools:
+        problem = make_problem(clf, space, point)
+        log: list = []
+        for method in ("holds_sufficiency", "counterexample_in"):
+            setattr(problem.oracle, method, _logged(log, getattr(problem.oracle, method)))
+        out = _run(problem)
+        sha.update(repr((out, problem.oracle.stats.calls, log)).encode())
+        decisions += len(log)
+    print(json.dumps({"problems": len(pools), "decisions": decisions, "sha256": sha.hexdigest()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,7 +48,7 @@ from .classifiers import (
     TreeEnsemble,
     validate_classifier,
 )
-from .oracle import Discretization, Oracle, OracleStats, classifier_is_constant, discretize
+from .oracle import CompiledModel, Oracle, OracleStats, classifier_is_constant, discretize
 from .explain import (
     ExplanationProblem,
     enumerate_all,

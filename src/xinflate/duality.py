@@ -148,8 +148,7 @@ def icxp_from_iaxps(
     candidate = InflatedExplanation(CONTRASTIVE, feats, dict(sets))
 
     def exists_with(live: dict[int, ValueSet]) -> bool:
-        fixed = {j: problem.pin(j) for j in problem.space.features() if j not in live}
-        return problem.counterexample_in({**fixed, **live})
+        return problem.counterexample_in({**problem.pinned_except(live), **live})
 
     if not exists_with(sets):
         raise DualityConstructionError(

@@ -78,12 +78,14 @@ class ExplanationProblem:
         assignment = {j: self.pin(j) for j in features}
         return self.oracle.holds_sufficiency(assignment, self.target)
 
+    def pinned_except(self, features: Iterable[int]) -> dict[int, ValueSet]:
+        """Every other feature pinned at its instance value."""
+        free = set(features)
+        return {j: self.pin(j) for j in self.space.features() if j not in free}
+
     def wcxp_holds(self, features: Iterable[int]) -> bool:
         """Freeing only these features admits a different prediction."""
-        free = set(features)
-        return self.counterexample_in(
-            {j: self.pin(j) for j in self.space.features() if j not in free}
-        )
+        return self.counterexample_in(self.pinned_except(features))
 
     def sufficiency_holds(self, assignment: Mapping[int, ValueSet]) -> bool:
         return self.oracle.holds_sufficiency(assignment, self.target)

@@ -129,7 +129,8 @@ def feature_atoms(problem: ExplanationProblem, j: int) -> tuple[list[ValueSet], 
     point of the domain (a cell of an integer domain may hold no integer).
     The prediction cannot tell two points of one atom apart.
     """
-    atoms = [atom for _, atom in problem.oracle.discretization.atoms_for(problem.space, j)]
+    problem.space.domain(j)  # rejects an index out of range
+    atoms = list(problem.oracle.model.atoms[j - 1])  # a copy: the model is shared
     v = problem.value_of(j)
     return atoms, next(i for i, atom in enumerate(atoms) if vs_contains(atom, v))
 
@@ -391,7 +392,7 @@ def shrink_cxp(
     pieces: dict[int, list[ValueSet]] = {
         j: _contrast_pieces(problem, j, config) for j in feats
     }
-    fixed = {j: problem.pin(j) for j in problem.space.features() if j not in feats}
+    fixed = problem.pinned_except(feats)
     # each feature's pieces merged once; a probe re-merges only the trimmed feature
     sets = {j: vs_union(problem.space.domain(j), *ps) for j, ps in pieces.items()}
     if not problem.counterexample_in({**fixed, **sets}):

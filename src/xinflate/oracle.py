@@ -25,10 +25,11 @@ threshold right, a `LabelSplit` sends its label's bit right, and a list
 literal sends the atoms it covers right.  A decision list compiles to the
 same nodes as a tree: a rule's literals chain right to its class, and a
 failed literal goes left to the next rule, ending at the default class.
-The model is compiled to these masks once per `Oracle`, lazily on the
-first tree or list decision, so building an `Oracle` that only ever
-answers cheap probes stays cheap.  `ValueSet` and `Fraction` appear only
-where a box is converted to masks.
+All of this depends only on the classifier and the space, so it lives in a
+`CompiledModel`, built eagerly by `discretize`, which keeps the last one it
+built and returns it again while the same two objects come back; every
+`Oracle` over them shares it and adds only its own decision count.
+`ValueSet` and `Fraction` appear only where a box is converted to masks.
 
 A single tree or list is decided by one walk without recursion over the
 paths the box reaches, stopping at the first leaf of another class.  Where
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -92,56 +92,8 @@ class OracleStats:
         self.calls += 1
 
 
-@dataclass(frozen=True)
-class Discretization:
-    """Per-feature thresholds and the half-open cells they induce.
-
-    Positionally indexed like the feature space; categorical features carry
-    empty tuples.  Cells cover the ordinal domain: every cell is closed
-    below and open above except the last, which closes at the domain top.
-    """
-
-    splits: tuple[tuple[Fraction, ...], ...]
-    cells: tuple[tuple[Interval, ...], ...]
-
-    def cells_for(self, j: int) -> tuple[Interval, ...]:
-        return self.cells[j - 1]
-
-    def atoms_for(self, space: FeatureSpace, j: int) -> list[tuple[int, ValueSet]]:
-        """Feature j's atoms in domain order, each with its bit index.
-
-        An atom is a single label, or a cell holding at least one point of
-        the domain, as the value set of the points it holds.  A cell of an
-        integer domain that holds no integer is skipped, so its index is
-        missing from the list.
-        """
-        domain = space.domain(j)
-        if isinstance(domain, Categorical):
-            return [(i, CatSet(frozenset([label]))) for i, label in enumerate(domain.labels)]
-        atoms = []
-        for i, cell in enumerate(self.cells_for(j)):
-            if domain.kind == INTEGER:
-                cell = _snap_integer(cell)
-                if cell is None:
-                    continue
-            atoms.append((i, IntervalUnion((cell,))))
-        return atoms
-
-
-def _cells_from_splits(domain: Ordinal, splits: Sequence[Fraction]) -> tuple[Interval, ...]:
-    if not splits:
-        return (Interval(domain.lo, domain.hi, True, True),)
-    cells = []
-    cursor = domain.lo
-    for d in splits:
-        cells.append(Interval(cursor, d, True, False))
-        cursor = d
-    cells.append(Interval(cursor, domain.hi, True, True))
-    return tuple(cells)
-
-
-def discretize(classifier: Classifier, space: FeatureSpace) -> Discretization:
-    """Collect every ordinal threshold the classifier tests, per feature."""
+def _thresholds(classifier: Classifier, space: FeatureSpace) -> tuple[tuple[Fraction, ...], ...]:
+    """Every ordinal threshold the classifier tests, per feature, sorted."""
     vals: dict[int, set] = {}
     if isinstance(classifier, DecisionList):
         for rule in classifier.rules:
@@ -159,18 +111,31 @@ def discretize(classifier: Classifier, space: FeatureSpace) -> Discretization:
             for n in _iter_nodes(tree.root):
                 if isinstance(n, OrdinalSplit):
                     vals.setdefault(n.feature, set()).add(n.threshold)
-    splits = []
-    cells = []
-    for j in space.features():
-        domain = space.domain(j)
-        if isinstance(domain, Categorical):
-            splits.append(())
-            cells.append(())
-        else:
-            sj = tuple(sorted(vals.get(j, ())))
-            splits.append(sj)
-            cells.append(_cells_from_splits(domain, sj))
-    return Discretization(tuple(splits), tuple(cells))
+    return tuple(
+        () if isinstance(space.domain(j), Categorical) else tuple(sorted(vals.get(j, ())))
+        for j in space.features()
+    )
+
+
+def _cells(domain: Domain, splits: Sequence[Fraction]) -> tuple[Interval, ...]:
+    """The cells the splits induce on an ordinal domain, none on a categorical
+    one: each closed below and open above, the last closed at the top."""
+    if isinstance(domain, Categorical):
+        return ()
+    bounds = (domain.lo, *splits)
+    last = Interval(bounds[-1], domain.hi, True, True)
+    return tuple(Interval(lo, hi, True, False) for lo, hi in zip(bounds, splits)) + (last,)
+
+
+def _atoms(domain: Domain, cells: Sequence[Interval]) -> dict[int, ValueSet]:
+    """A feature's atoms in domain order, keyed by bit index: its labels, or
+    the cells that hold a point of the domain, as value sets of those points
+    (a cell of an integer domain that holds no integer has no entry)."""
+    if isinstance(domain, Categorical):
+        return {i: CatSet(frozenset([label])) for i, label in enumerate(domain.labels)}
+    if domain.kind == INTEGER:
+        cells = [_snap_integer(cell) for cell in cells]
+    return {i: IntervalUnion((cell,)) for i, cell in enumerate(cells) if cell is not None}
 
 
 def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) -> int:
@@ -192,7 +157,7 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 
 
 # ---------------------------------------------------------------------------
-# The oracle
+# The compiled model
 #
 # Compiled tree and list nodes are either a class index (a leaf) or a tuple
 # (f0, right mask, left node, right node): a point goes right when its atom
@@ -201,51 +166,62 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 # and the classes its leaves still reach.
 
 
-class Oracle:
-    """Box predicates for one classifier over one feature space."""
+class CompiledModel:
+    """Everything the box decisions need that depends only on (classifier,
+    space); `discretize` builds it and shares it between problems."""
 
     def __init__(self, classifier: Classifier, space: FeatureSpace):
-        self.classifier = classifier
-        self.space = space
-        self.stats = OracleStats()
-        self.discretization = discretize(classifier, space)
         if classifier.classes and len(set(classifier.classes)) != len(classifier.classes):
             raise ValidationError("duplicate class ids")
-        self._valid: Optional[list[int]] = None  # set by _compile
+        self.classifier = classifier
+        self.space = space
+        self.monotone = isinstance(classifier, MonotonicClassifier)
+        self.splits = _thresholds(classifier, space)
+        self.cells = tuple(_cells(d, sj) for d, sj in zip(space.domains, self.splits))
+        atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
+        self.atoms = [tuple(feature_atoms.values()) for feature_atoms in atoms]  # domain order
+        self.valid = [sum(1 << i for i in feature_atoms) for feature_atoms in atoms]
+        # what an absent feature contributes to a box: its whole domain
+        self.absent = [full_set(d) for d in space.domains] if self.monotone else self.valid
+        labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)
+        self.labels = [{label: 1 << i for i, label in enumerate(ls)} for ls in labels]
+        self.class_index = {c: i for i, c in enumerate(classifier.classes)}
+        self.shared: set[int] = set()  # ids of nodes that several tests lead to
+        self.roots = []
+        if isinstance(classifier, DecisionList):
+            # every literal of a rule fails over to the same next-rule node
+            node = self.class_index[classifier.default_class]
+            for rule in reversed(classifier.rules):
+                if len(rule.condition) > 1:
+                    self.shared.add(id(node))
+                hit = self.class_index[rule.class_id]
+                for lit in reversed(rule.condition):
+                    f0 = lit.feature - 1
+                    if isinstance(lit, LabelEq):
+                        m = self.labels[f0].get(lit.label, 0)
+                    else:
+                        m = self._set_mask(f0, lit.values)
+                    hit = (f0, m, node, hit)
+                node = hit
+            self.roots = [node]
+        elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
+            trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
+            # the right mask of each threshold: the cells at or above it
+            above = [{t: -1 << (k + 1) for k, t in enumerate(sj)} for sj in self.splits]
+            self.roots = [self._compile_tree(t.root, above) for t in trees]
 
-    # -- public decisions ---------------------------------------------------
+    def cells_for(self, j: int) -> tuple[Interval, ...]:
+        return self.cells[j - 1]
 
-    def holds_sufficiency(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
-        """True iff every point of the box predicts class_id."""
-        self._check_class(class_id)
-        box = self._box_from(assignment)
-        self.stats.bump()
-        return self._box_forces(box, class_id)
-
-    def counterexample_in(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
-        """True iff some point of the box predicts a class other than class_id."""
-        self._check_class(class_id)
-        box = self._box_from(assignment)
-        self.stats.bump()
-        return not self._box_forces(box, class_id)
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _check_class(self, class_id: str) -> None:
-        if class_id not in self.classifier.classes:
-            raise ValidationError(f"unknown class {class_id!r}")
-
-    def _box_from(self, assignment: Mapping[int, ValueSet]) -> list:
+    def box(self, assignment: Mapping[int, ValueSet]) -> list:
         """The box as normalized value sets (monotone) or atom masks (the rest)."""
-        monotone = isinstance(self.classifier, MonotonicClassifier)
-        if not monotone and self._valid is None:
-            self._compile()
+        monotone = self.monotone
         box = []
         for j in self.space.features():
             domain = self.space.domain(j)
             s = assignment.get(j)
             if s is None:
-                box.append(full_set(domain) if monotone else self._valid[j - 1])
+                box.append(self.absent[j - 1])
                 continue
             if isinstance(domain, Categorical) != isinstance(s, CatSet):
                 raise ValidationError(
@@ -260,7 +236,7 @@ class Oracle:
                 # renormalize against this domain; clips and snaps as needed
                 box.append(interval_union(domain, s.intervals))
             else:
-                mask = self._set_mask(j - 1, s) & self._valid[j - 1]
+                mask = self._set_mask(j - 1, s) & self.valid[j - 1]
                 if not mask:
                     raise ValidationError("interval union is empty within the domain")
                 box.append(mask)
@@ -269,65 +245,28 @@ class Oracle:
             raise ValidationError(f"feature indexes out of range: {sorted(extra)}")
         return box
 
-    def _box_forces(self, box: list, target: str) -> bool:
-        clf = self.classifier
-        if isinstance(clf, MonotonicClassifier):
-            return self._forces_monotone(clf, box, target)
-        ti = self._class_index[target]
-        if len(self._roots) == 1:
-            return _forces_tree(self._roots[0], box, ti, self._shared)
-        views = [self._specialize(root, box) for root in self._roots]
-        return self._dfs_trees(views, box, ti)
+    def forces(self, box: list, target: str) -> bool:
+        """Whether every point of the box (as built by `box`) predicts target."""
+        ti = self.class_index[target]
+        if self.monotone:
+            return _forces_monotone(self.classifier, box, ti)
+        if len(self.roots) == 1:
+            return _forces_tree(self.roots[0], box, ti, self.shared)
+        try:
+            views = [_specialize(root, box) for root in self.roots]
+            return self._dfs_trees(views, box, ti)
+        except RecursionError:  # _specialize recurses on tree depth
+            raise ValidationError("the trees are too deep for the vote search") from None
 
     # -- compiling to atom masks ----------------------------------------------
 
-    def _compile(self) -> None:
-        """Turn the model's tests into atom masks; runs on the first tree or list decision."""
-        space, clf = self.space, self.classifier
-        self._labels = [
-            {label: 1 << i for i, label in enumerate(d.labels)}
-            if isinstance(d, Categorical)
-            else None
-            for d in space.domains
-        ]
-        self._class_index = {c: i for i, c in enumerate(clf.classes)}
-        self._shared: set[int] = set()  # ids of nodes that several tests lead to
-        if isinstance(clf, DecisionList):
-            # every literal of a rule fails over to the same next-rule node
-            node = self._class_index[clf.default_class]
-            for rule in reversed(clf.rules):
-                if len(rule.condition) > 1:
-                    self._shared.add(id(node))
-                hit = self._class_index[rule.class_id]
-                for lit in reversed(rule.condition):
-                    f0 = lit.feature - 1
-                    if isinstance(lit, LabelEq):
-                        m = self._labels[f0].get(lit.label, 0)
-                    else:
-                        m = self._set_mask(f0, lit.values)
-                    hit = (f0, m, node, hit)
-                node = hit
-            self._roots = [node]
-        else:
-            trees = (clf,) if isinstance(clf, DecisionTree) else clf.trees
-            # the right mask of each threshold: the cells at or above it
-            above = [
-                {t: -1 << (k + 1) for k, t in enumerate(splits)}
-                for splits in self.discretization.splits
-            ]
-            self._roots = [self._compile_tree(t.root, above) for t in trees]
-        atoms = (self.discretization.atoms_for(space, j) for j in space.features())
-        self._valid = [sum(1 << i for i, _ in feature_atoms) for feature_atoms in atoms]
-
     def _set_mask(self, f0: int, s: ValueSet) -> int:
         if isinstance(s, CatSet):
-            labels = self._labels[f0]
+            labels = self.labels[f0]
             return sum(labels.get(label, 0) for label in s.labels)
-        domain = self.space.domains[f0]
-        splits = self.discretization.splits[f0]
         mask = 0
         for iv in s.intervals:
-            mask |= _interval_mask(domain, splits, iv)
+            mask |= _interval_mask(self.space.domains[f0], self.splits[f0], iv)
         return mask
 
     def _compile_tree(self, root: Node, above: list[dict[Fraction, int]]):
@@ -339,7 +278,7 @@ class Oracle:
             if id(n) in done:
                 continue
             if isinstance(n, Leaf):
-                done[id(n)] = self._class_index[n.class_id]
+                done[id(n)] = self.class_index[n.class_id]
                 continue
             if not children_done:
                 stack.extend(((n, True), (n.left, False), (n.right, False)))
@@ -348,55 +287,11 @@ class Oracle:
             if isinstance(n, OrdinalSplit):
                 right = above[f0][n.threshold]
             else:
-                right = self._labels[f0][n.label]
+                right = self.labels[f0][n.label]
             done[id(n)] = (f0, right, done[id(n.left)], done[id(n.right)])
         return done[id(root)]
 
-    # -- monotone -----------------------------------------------------------
-
-    def _forces_monotone(self, mc: MonotonicClassifier, box, target: str) -> bool:
-        if not all(isinstance(s, IntervalUnion) for s in box):
-            raise ValidationError("monotone classifiers need ordinal features")
-        # weights are non-negative and the sets normalized, so the lowest
-        # score comes from every first piece and the highest from every last
-        lo = sum(w * s.intervals[0].lo for w, s in zip(mc.weights, box))
-        hi = sum(w * s.intervals[-1].hi for w, s in zip(mc.weights, box))
-        hi_attained = all(s.intervals[-1].hi_closed for w, s in zip(mc.weights, box) if w)
-        # the class index is right-continuous in the score, so an open
-        # lower end yields the same minimum index as a closed one
-        T = mc.thresholds
-        i_min = bisect_right(T, lo)
-        i_max = bisect_right(T, hi) if hi_attained else bisect_left(T, hi)
-        return i_min == mc.classes.index(target) == i_max
-
-    # -- trees and ensembles --------------------------------------------------
-
-    def _specialize(self, n, box: list[int]) -> tuple:
-        """The view of n under the box: every decided test collapsed, infeasible
-        paths pruned, and splits whose sides are the same leaf merged.
-
-        box is narrowed in place along each path and restored on return.
-        """
-        while True:
-            if n.__class__ is int:
-                return n, 0, 1 << n
-            f0, rm, left, right = n
-            a = box[f0]
-            r = a & rm
-            if not r:
-                n = left
-            elif r == a:
-                n = right
-            else:
-                break
-        box[f0] = a ^ r
-        ln, lf, lc = self._specialize(left, box)
-        box[f0] = r
-        rn, rf, rc = self._specialize(right, box)
-        box[f0] = a
-        if ln.__class__ is int and ln == rn:
-            return ln, 0, lc
-        return (f0, rm, ln, rn), lf | rf | (1 << f0), lc | rc
+    # -- ensembles ------------------------------------------------------------
 
     def _dfs_trees(self, views: list[tuple], box: list[int], ti: int) -> bool:
         fixed = [0] * len(self.classifier.classes)
@@ -438,10 +333,93 @@ class Oracle:
             rest ^= atom
             nb = list(box)
             nb[split] = atom
-            nviews = [v if not v[1] & split_bit else self._specialize(v[0], nb) for v in views]
+            nviews = [v if not v[1] & split_bit else _specialize(v[0], nb) for v in views]
             if not self._dfs_trees(nviews, nb, ti):
                 return False
         return True
+
+
+_last: Optional[CompiledModel] = None
+
+
+def discretize(classifier: Classifier, space: FeatureSpace) -> CompiledModel:
+    """The compiled model of (classifier, space); the last one built is returned
+    again while the same two objects come back.  They are compared by identity:
+    equality or hashing of these frozen objects would walk every tree node.
+    Threads racing here at worst build the same model twice."""
+    global _last
+    model = _last
+    if model is None or model.classifier is not classifier or model.space is not space:
+        model = _last = CompiledModel(classifier, space)
+    return model
+
+
+class Oracle:
+    """One problem's session over the shared compiled model: its decisions and their count."""
+
+    def __init__(self, classifier: Classifier, space: FeatureSpace):
+        self.model = discretize(classifier, space)
+        self.stats = OracleStats()
+
+    def holds_sufficiency(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
+        """True iff every point of the box predicts class_id."""
+        return self._forces(assignment, class_id)
+
+    def counterexample_in(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
+        """True iff some point of the box predicts a class other than class_id."""
+        return not self._forces(assignment, class_id)
+
+    def _forces(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
+        model = self.model
+        if class_id not in model.class_index:
+            raise ValidationError(f"unknown class {class_id!r}")
+        box = model.box(assignment)
+        self.stats.bump()
+        return model.forces(box, class_id)
+
+
+def _forces_monotone(mc: MonotonicClassifier, box, ti: int) -> bool:
+    if not all(isinstance(s, IntervalUnion) for s in box):
+        raise ValidationError("monotone classifiers need ordinal features")
+    # weights are non-negative and the sets normalized, so the lowest
+    # score comes from every first piece and the highest from every last
+    lo = sum(w * s.intervals[0].lo for w, s in zip(mc.weights, box))
+    hi = sum(w * s.intervals[-1].hi for w, s in zip(mc.weights, box))
+    hi_attained = all(s.intervals[-1].hi_closed for w, s in zip(mc.weights, box) if w)
+    # the class index is right-continuous in the score, so an open
+    # lower end yields the same minimum index as a closed one
+    T = mc.thresholds
+    i_min = bisect_right(T, lo)
+    i_max = bisect_right(T, hi) if hi_attained else bisect_left(T, hi)
+    return i_min == ti == i_max
+
+
+def _specialize(n, box: list[int]) -> tuple:
+    """The view of n under the box: every decided test collapsed, infeasible
+    paths pruned, and splits whose sides are the same leaf merged.
+
+    box is narrowed in place along each path and restored on return.
+    """
+    while True:
+        if n.__class__ is int:
+            return n, 0, 1 << n
+        f0, rm, left, right = n
+        a = box[f0]
+        r = a & rm
+        if not r:
+            n = left
+        elif r == a:
+            n = right
+        else:
+            break
+    box[f0] = a ^ r
+    ln, lf, lc = _specialize(left, box)
+    box[f0] = r
+    rn, rf, rc = _specialize(right, box)
+    box[f0] = a
+    if ln.__class__ is int and ln == rn:
+        return ln, 0, lc
+    return (f0, rm, ln, rn), lf | rf | (1 << f0), lc | rc
 
 
 def _forces_tree(node, box: list[int], ti: int, shared: set[int]) -> bool:
@@ -524,14 +502,13 @@ def _piece_rep(domain: Domain, piece: ValueSet) -> Value:
 def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     """Whether the classifier predicts one class everywhere.
 
-    Cheap probe points first, one per atom of each feature; when they all
-    agree, the box engine proves it.
+    Cheap probe points first, the lowest and highest corners and then one
+    per atom of each feature; only when they all agree is the model
+    compiled, and the box engine proves it.
     """
-    eng = Oracle(classifier, space)
     base = []
     tops = []
-    for j in space.features():
-        domain = space.domain(j)
+    for domain in space.domains:
         if isinstance(domain, Categorical):
             base.append(domain.labels[0])
             tops.append(domain.labels[-1])
@@ -542,10 +519,11 @@ def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     first = classifier.predict(base)
     if classifier.predict(tuple(tops)) != first:
         return False
-    for j in space.features():
-        domain = space.domain(j)
-        for _, atom in eng.discretization.atoms_for(space, j):
+    splits = _thresholds(classifier, space)
+    for j, domain in enumerate(space.domains, 1):
+        for atom in _atoms(domain, _cells(domain, splits[j - 1])).values():
             probe = base[: j - 1] + (_piece_rep(domain, atom),) + base[j:]
             if classifier.predict(probe) != first:
                 return False
-    return eng.holds_sufficiency({}, first)
+    model = discretize(classifier, space)
+    return model.forces(model.box({}), first)

@@ -376,21 +376,32 @@ def _classifier_to_dict(classifier: Classifier) -> dict:
     return {"type": "tree_ensemble", "trees": [_node_to_dict(t.root) for t in classifier.trees]}
 
 
+_TOO_DEEP_TO_WRITE = "the model is nested too deeply to write"
+
+
 def model_to_dict(mf: ModelFile) -> dict:
-    return {
-        "schema": MODEL_SCHEMA,
-        "name": mf.name,
-        "features": [
-            {"name": mf.space.name(j), "domain": _domain_to_dict(mf.space.domain(j))}
-            for j in mf.space.features()
-        ],
-        "classes": list(mf.classifier.classes),
-        "classifier": _classifier_to_dict(mf.classifier),
-    }
+    try:
+        return {
+            "schema": MODEL_SCHEMA,
+            "name": mf.name,
+            "features": [
+                {"name": mf.space.name(j), "domain": _domain_to_dict(mf.space.domain(j))}
+                for j in mf.space.features()
+            ],
+            "classes": list(mf.classifier.classes),
+            "classifier": _classifier_to_dict(mf.classifier),
+        }
+    except RecursionError:  # the tree writer recurses on depth
+        raise ValidationError(_TOO_DEEP_TO_WRITE) from None
 
 
 def save_model(mf: ModelFile, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(mf), indent=2, ensure_ascii=False) + "\n")
+    """Write the model document; nothing is written when it cannot be encoded."""
+    try:
+        text = json.dumps(model_to_dict(mf), indent=2, ensure_ascii=False) + "\n"
+    except RecursionError:  # the encoder recurses on depth too
+        raise ValidationError(_TOO_DEEP_TO_WRITE) from None
+    Path(path).write_text(text)
 
 
 # ---------------------------------------------------------------------------

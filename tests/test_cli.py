@@ -1,6 +1,9 @@
 """Command-line behavior: documents, text lines, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,6 +303,25 @@ class TestTrainAndBench:
         assert "depth" in err
         assert out == ""
         assert not model_path.exists()
+
+
+class TestClosedStdout:
+    def test_closed_stdout_exits_0_quietly(self):
+        # the read end is closed before the CLI writes, so every write fails
+        r, w = os.pipe()
+        os.close(r)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = ["inflate", "--model", GRADE, "--instance", "3,5", "--delta", "1/10000", "--format", "json"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "xinflate.cli", *argv],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
 
 class TestParser:

@@ -16,6 +16,7 @@ from xinflate.inflate import (
     BINARY,
     LINEAR,
     InflationConfig,
+    feature_atoms,
     inflate_axp,
     inflate_from_full,
     shrink_cxp,
@@ -92,6 +93,14 @@ class TestCategoricalInflation:
         problem = _risk_problem()
         with pytest.raises(ValidationError):
             inflate_axp(problem, (1,))
+
+    def test_feature_atoms_reject_an_index_out_of_range(self):
+        problem = _risk_problem()
+        atoms, seed = feature_atoms(problem, 1)
+        assert atoms[seed] == CatSet(frozenset({"Junior"}))
+        for j in (0, 3):
+            with pytest.raises(ValidationError):
+                feature_atoms(problem, j)
 
     def test_explicit_order_is_recorded(self):
         problem = _risk_problem()

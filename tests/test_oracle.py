@@ -4,6 +4,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,9 @@ from xinflate.model import (
     singleton_set,
     vs_complement,
 )
+from xinflate import oracle as oracle_module
 from xinflate.oracle import Oracle, classifier_is_constant, discretize
+from xinflate.serialize import load_model
 
 F = Fraction
 
@@ -180,7 +183,7 @@ class TestBruteForceEquivalence:
             disc = discretize(clf, space)
             for j in space.features():
                 if isinstance(space.domain(j), Ordinal):
-                    holes += len(disc.cells_for(j)) - len(disc.atoms_for(space, j))
+                    holes += len(disc.cells_for(j)) - len(disc.atoms[j - 1])
         assert holes > 0, "the pool must have cells that hold no integer"
         self._check_pool(pool, random.Random(7), 10)
 
@@ -282,6 +285,41 @@ class TestOracleContract:
         assert oracle.stats.calls == 0
 
 
+class TestSharedModel:
+    def test_problems_over_one_pair_share_the_model(self):
+        clf, space = risk_list()
+        p = ExplanationProblem.from_point(clf, space, ("Junior", "Red"))
+        q = ExplanationProblem.from_point(clf, space, ("Adult", "Red"))
+        assert p.oracle.model is q.oracle.model
+        assert p.oracle.stats is not q.oracle.stats
+        find_axp(p)
+        assert p.oracle.stats.calls > 0 and q.oracle.stats.calls == 0
+
+    def test_another_classifier_object_gets_its_own_model(self):
+        clf, space = risk_list()
+        other, _ = risk_list()
+        assert other == clf and other is not clf
+        first = Oracle(clf, space).model
+        assert Oracle(other, space).model is not first
+        assert Oracle(other, space).model.classifier is other
+
+    def test_constancy_check_compiles_nothing_when_a_probe_differs(self, monkeypatch):
+        built = []
+
+        class Counting(oracle_module.CompiledModel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(oracle_module, "CompiledModel", Counting)
+        monkeypatch.setattr(oracle_module, "_last", None)
+        mf = load_model(Path(__file__).resolve().parent.parent / "models" / "bench_forest.json")
+        assert not classifier_is_constant(mf.classifier, mf.space)
+        assert built == []
+        discretize(mf.classifier, mf.space)  # the counter does see a build
+        assert len(built) == 1
+
+
 def _chain_tree(depth):
     """x1 < 1 -> a, else x1 < 2 -> b, else ... alternating; x2 is never tested."""
     node = Leaf("a")
@@ -328,6 +366,13 @@ class TestDepth:
             clf, space = _chain_tree(depth)
             problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
             assert find_axp(problem) == (1,)
+
+    def test_deep_ensemble_is_refused(self):
+        tree, space = _chain_tree(1200)
+        clf = TreeEnsemble((tree, tree, tree), ("a", "b"))
+        problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
+        with pytest.raises(ValidationError, match="too deep for the vote search"):
+            find_axp(problem)
 
     def test_long_single_literal_list_explains(self):
         n = 1500

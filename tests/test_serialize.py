@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 from pools import dl_pool
+from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit
 from xinflate.errors import SchemaError, ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, find_axp
 from xinflate.inflate import InflationConfig, inflate_axp
-from xinflate.model import CatSet, Interval, interval_union
+from xinflate.model import INTEGER, CatSet, FeatureSpace, Interval, Ordinal, interval_union
 from xinflate.serialize import (
     MODEL_SCHEMA,
     ModelFile,
@@ -71,6 +72,21 @@ class TestRoundTrip:
         mf = load_model(target)
         assert mf.name == "risk"
         assert mf.classifier == clf
+
+
+class TestDeepModels:
+    def test_too_deep_tree_is_refused_and_not_written(self, tmp_path):
+        node = Leaf("a")
+        for k in range(1200, 0, -1):
+            node = OrdinalSplit(1, F(k), Leaf("a" if k % 2 else "b"), node)
+        space = FeatureSpace((Ordinal(F(0), F(1200), INTEGER),))
+        mf = ModelFile("chain", space, DecisionTree(node, ("a", "b")))
+        with pytest.raises(ValidationError, match="too deeply to write"):
+            model_to_dict(mf)
+        target = tmp_path / "chain.json"
+        with pytest.raises(ValidationError, match="too deeply to write"):
+            save_model(mf, target)
+        assert not target.exists()
 
 
 class TestBundledModels:
