@@ -164,6 +164,8 @@ def run_bench(
     """Explain and inflate every row; return records plus aggregates."""
     if not rows:
         raise ValidationError("no instances to bench")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     config = config or InflationConfig()
     validate_classifier(classifier, space)
     if classifier_is_constant(classifier, space):

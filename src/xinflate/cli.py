@@ -20,7 +20,7 @@ from typing import Optional
 from . import __version__
 from .bench import run_bench
 from .duality import ExplanationSets, enumerate_iaxps, enumerate_icxps, check_hits
-from .errors import BudgetExceededError, ValidationError, XInflateError
+from .errors import ValidationError, XInflateError
 from .explain import (
     DEFAULT_SUBSET_BUDGET,
     ExplanationProblem,
@@ -390,7 +390,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # at interpreter exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValidationError, BudgetExceededError, XInflateError) as exc:
+    except (OSError, XInflateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -251,6 +251,14 @@ def _is_locally_maximal(
     )
 
 
+def _check_cap(options: list, max_candidates: int, what: str) -> None:
+    if max_candidates < 0:
+        raise ValidationError(f"max_candidates must be non-negative, got {max_candidates}")
+    total = math.prod(len(opts) for opts in options)
+    if total > max_candidates:
+        raise BudgetExceededError(f"{total} {what} exceed the cap of {max_candidates}")
+
+
 def enumerate_iaxps(
     problem: ExplanationProblem,
     axp: Sequence[int],
@@ -267,11 +275,7 @@ def enumerate_iaxps(
     config = config or InflationConfig()
     feats = tuple(sorted(set(axp)))
     options = [_axp_feature_options(problem, j, config) for j in feats]
-    total = math.prod(len(opts) for opts in options)
-    if total > max_candidates:
-        raise BudgetExceededError(
-            f"{total} candidate set families exceed the cap of {max_candidates}"
-        )
+    _check_cap(options, max_candidates, "candidate set families")
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):
@@ -297,11 +301,7 @@ def enumerate_icxps(
     config = config or InflationConfig()
     feats = tuple(sorted(set(cxp)))
     options = [_contrast_pieces(problem, j, config) for j in feats]
-    total = math.prod(len(opts) for opts in options)
-    if total > max_candidates:
-        raise BudgetExceededError(
-            f"{total} witness combinations exceed the cap of {max_candidates}"
-        )
+    _check_cap(options, max_candidates, "witness combinations")
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):

@@ -152,6 +152,8 @@ def _minimal_subsets(universe: Sequence[int], holds, found: list, budget: list[i
     skipped, so anything that tests positive is minimal.  Each test spends
     one unit of budget[0]; returns False, testing no further, once it is out.
     """
+    if budget[0] < 0:
+        raise ValidationError(f"the subset budget must be non-negative, got {budget[0]}")
     for size in range(1, len(universe) + 1):
         for combo in combinations(universe, size):
             cset = frozenset(combo)
@@ -199,13 +201,10 @@ def minimal_hitting_sets(
     the empty set alone.
     """
     sets = [frozenset(s) for s in family]
-    for s in sets:
-        if not s:
-            raise ValidationError("family contains an empty set; it cannot be hit")
-    if not sets:
-        return ((),)
+    if not all(sets):
+        raise ValidationError("family contains an empty set; it cannot be hit")
     universe = sorted(frozenset().union(*sets))
     found: list[FrozenSet[int]] = []
     if not _minimal_subsets(universe, lambda c: all(c & s for s in sets), found, [max_subsets]):
         raise BudgetExceededError(f"hitting set search exceeded {max_subsets} tests")
-    return _sorted_sets(found)
+    return _sorted_sets(found) if sets else ((),)

@@ -17,6 +17,8 @@ Subsets of a domain are represented by `ValueSet`:
 
 Construct interval unions with `interval_union` (and label sets with
 `cat_set`); the constructors normalize, and normalization is idempotent.
+Which points of an interval a domain holds is decided in one place,
+`clip_snap`, which the oracle reads too.
 """
 
 from __future__ import annotations
@@ -152,11 +154,6 @@ class Interval:
         object.__setattr__(self, "lo", rational(self.lo))
         object.__setattr__(self, "hi", rational(self.hi))
 
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
     def contains(self, u: Fraction) -> bool:
         if u < self.lo or u > self.hi:
             return False
@@ -201,38 +198,29 @@ def cat_set(domain: Categorical, labels: Iterable[str]) -> CatSet:
     return CatSet(labs)
 
 
-def _snap_integer(iv: Interval) -> Optional[Interval]:
-    """Snap an interval to closed integral endpoints; None when no integer fits."""
-    lo = math.ceil(iv.lo) if iv.lo_closed else math.floor(iv.lo) + 1
-    hi = math.floor(iv.hi) if iv.hi_closed else math.ceil(iv.hi) - 1
-    if lo > hi:
-        return None
-    return Interval(Fraction(lo), Fraction(hi), True, True)
-
-
-def _clip(iv: Interval, domain: Ordinal) -> Interval:
-    lo, lo_closed = iv.lo, iv.lo_closed
-    hi, hi_closed = iv.hi, iv.hi_closed
+def clip_snap(domain: Ordinal, iv: Interval) -> Optional[Interval]:
+    """The points of iv that the domain holds: iv clipped to the domain and,
+    on an integer domain, snapped to closed integer ends (iv itself when
+    that changes nothing); None when no point is left."""
+    lo, hi, lo_closed, hi_closed = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
     if lo < domain.lo:
         lo, lo_closed = domain.lo, True
     if hi > domain.hi:
         hi, hi_closed = domain.hi, True
+    if domain.kind == INTEGER:
+        lo = math.ceil(lo) if lo_closed else math.floor(lo) + 1
+        hi = math.floor(hi) if hi_closed else math.ceil(hi) - 1
+        lo_closed = hi_closed = True
+    if not (lo < hi or (lo == hi and lo_closed and hi_closed)):
+        return None
+    if (lo, hi, lo_closed, hi_closed) == (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed):
+        return iv
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def interval_union(domain: Ordinal, intervals: Iterable[Interval]) -> IntervalUnion:
     """Normalize intervals into the canonical union representation."""
-    pieces = []
-    for iv in intervals:
-        iv = _clip(iv, domain)
-        if iv.is_empty():
-            continue
-        if domain.kind == INTEGER:
-            snapped = _snap_integer(iv)
-            if snapped is None:
-                continue
-            iv = snapped
-        pieces.append(iv)
+    pieces = [p for iv in intervals if (p := clip_snap(domain, iv))]
     if not pieces:
         raise ValidationError("interval union is empty within the domain")
     pieces.sort(key=lambda p: (p.lo, not p.lo_closed))
@@ -310,15 +298,10 @@ def vs_complement(domain: Domain, s: ValueSet) -> Optional[ValueSet]:
 
 
 def _intersect_intervals(a: Interval, b: Interval) -> Interval:
-    if a.lo > b.lo or (a.lo == b.lo and not a.lo_closed):
-        lo, lo_closed = a.lo, a.lo_closed
-    else:
-        lo, lo_closed = b.lo, b.lo_closed
-    if a.hi < b.hi or (a.hi == b.hi and not a.hi_closed):
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        hi, hi_closed = b.hi, b.hi_closed
-    return Interval(lo, hi, lo_closed, hi_closed)
+    # the higher lower end and the lower upper end, the open one on a tie
+    lo, lo_open = max((a.lo, not a.lo_closed), (b.lo, not b.lo_closed))
+    hi, hi_closed = min((a.hi, a.hi_closed), (b.hi, b.hi_closed))
+    return Interval(lo, hi, not lo_open, hi_closed)
 
 
 def vs_intersect(domain: Domain, a: ValueSet, b: ValueSet) -> Optional[ValueSet]:
@@ -328,18 +311,10 @@ def vs_intersect(domain: Domain, a: ValueSet, b: ValueSet) -> Optional[ValueSet]
     if isinstance(a, CatSet):
         common = a.labels & b.labels
         return CatSet(common) if common else None
-    pieces = []
-    for x in a.intervals:
-        for y in b.intervals:
-            z = _intersect_intervals(x, y)
-            if not z.is_empty():
-                pieces.append(z)
-    if not pieces:
-        return None
+    pieces = [_intersect_intervals(x, y) for x in a.intervals for y in b.intervals]
     try:
         return interval_union(domain, pieces)
     except ValidationError:
-        # integer snapping can empty a piece that is non-empty on the reals
         return None
 
 

@@ -6,10 +6,12 @@ domain).  The two decisions every explanation routine reduces to are
 * sufficiency: does every point of the box get class c, and
 * counterexample: does some point of the box get a class other than c.
 
-Both are answered exactly.  For the monotone linear-threshold family the
-box's lowest and highest corners decide it: with non-negative weights the
-lowest score takes every feature's smallest value and the highest score its
-largest, so two sums stand in for every combination of interval pieces.
+Both are answered exactly.  For the monotone linear-threshold family a box
+is kept as each feature's extremes: its lowest point, its highest point and
+whether that is attained, read from the set's pieces through
+`model.clip_snap`.  With non-negative weights the lowest score takes every
+feature's lowest point and the highest score its highest, so two sums stand
+in for every combination of interval pieces.
 For lists, trees, and ensembles the ordinal axes are first discretized into
 the half-open cells induced by the model's own thresholds, [lo, d1),
 [d1, d2), ..., [dk, hi]; the prediction is constant on every product of
@@ -46,7 +48,6 @@ the per-instance call accounting in the benchmark reports.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -76,9 +77,7 @@ from .model import (
     Ordinal,
     Value,
     ValueSet,
-    _snap_integer,
-    full_set,
-    interval_union,
+    clip_snap,
 )
 
 
@@ -133,26 +132,17 @@ def _atoms(domain: Domain, cells: Sequence[Interval]) -> dict[int, ValueSet]:
     (a cell of an integer domain that holds no integer has no entry)."""
     if isinstance(domain, Categorical):
         return {i: CatSet(frozenset([label])) for i, label in enumerate(domain.labels)}
-    if domain.kind == INTEGER:
-        cells = [_snap_integer(cell) for cell in cells]
-    return {i: IntervalUnion((cell,)) for i, cell in enumerate(cells) if cell is not None}
+    atoms = ((i, clip_snap(domain, cell)) for i, cell in enumerate(cells))
+    return {i: IntervalUnion((atom,)) for i, atom in atoms if atom}
 
 
 def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) -> int:
     """The cells meeting the part of iv inside the domain (0 when that is empty)."""
-    lo, hi, lo_closed, hi_closed = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
-    if lo < domain.lo:
-        lo, lo_closed = domain.lo, True
-    if hi > domain.hi:
-        hi, hi_closed = domain.hi, True
-    if domain.kind == INTEGER:
-        lo = math.ceil(lo) if lo_closed else math.floor(lo) + 1
-        hi = math.floor(hi) if hi_closed else math.ceil(hi) - 1
-        lo_closed = hi_closed = True
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+    iv = clip_snap(domain, iv)
+    if iv is None:
         return 0
-    a = bisect_right(splits, lo)
-    b = bisect_right(splits, hi) if hi_closed else bisect_left(splits, hi)
+    a = bisect_right(splits, iv.lo)
+    b = bisect_right(splits, iv.hi) if iv.hi_closed else bisect_left(splits, iv.hi)
     return (2 << b) - (1 << a)  # atoms a..b
 
 
@@ -176,13 +166,15 @@ class CompiledModel:
         self.classifier = classifier
         self.space = space
         self.monotone = isinstance(classifier, MonotonicClassifier)
+        if self.monotone and not all(isinstance(d, Ordinal) for d in space.domains):
+            raise ValidationError("monotone classifiers need ordinal features")
         self.splits = _thresholds(classifier, space)
         self.cells = tuple(_cells(d, sj) for d, sj in zip(space.domains, self.splits))
         atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
         self.atoms = [tuple(feature_atoms.values()) for feature_atoms in atoms]  # domain order
         self.valid = [sum(1 << i for i in feature_atoms) for feature_atoms in atoms]
         # what an absent feature contributes to a box: its whole domain
-        self.absent = [full_set(d) for d in space.domains] if self.monotone else self.valid
+        self.absent = [(d.lo, d.hi, True) for d in space.domains] if self.monotone else self.valid
         labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)
         self.labels = [{label: 1 << i for i, label in enumerate(ls)} for ls in labels]
         self.class_index = {c: i for i, c in enumerate(classifier.classes)}
@@ -214,8 +206,8 @@ class CompiledModel:
         return self.cells[j - 1]
 
     def box(self, assignment: Mapping[int, ValueSet]) -> list:
-        """The box as normalized value sets (monotone) or atom masks (the rest)."""
-        monotone = self.monotone
+        """The box as each feature's (lowest point, highest point, whether the
+        highest is attained) for a monotone model, or as atom masks."""
         box = []
         for j in self.space.features():
             domain = self.space.domain(j)
@@ -231,10 +223,9 @@ class CompiledModel:
                 unknown = s.labels - set(domain.labels)
                 if unknown:
                     raise ValidationError(f"feature {j}: labels {sorted(unknown)} not in domain")
-                box.append(s if monotone else self._set_mask(j - 1, s))
-            elif monotone:
-                # renormalize against this domain; clips and snaps as needed
-                box.append(interval_union(domain, s.intervals))
+                box.append(self._set_mask(j - 1, s))
+            elif self.monotone:
+                box.append(_extremes(domain, s))
             else:
                 mask = self._set_mask(j - 1, s) & self.valid[j - 1]
                 if not mask:
@@ -378,14 +369,22 @@ class Oracle:
         return model.forces(box, class_id)
 
 
-def _forces_monotone(mc: MonotonicClassifier, box, ti: int) -> bool:
-    if not all(isinstance(s, IntervalUnion) for s in box):
-        raise ValidationError("monotone classifiers need ordinal features")
-    # weights are non-negative and the sets normalized, so the lowest
-    # score comes from every first piece and the highest from every last
-    lo = sum(w * s.intervals[0].lo for w, s in zip(mc.weights, box))
-    hi = sum(w * s.intervals[-1].hi for w, s in zip(mc.weights, box))
-    hi_attained = all(s.intervals[-1].hi_closed for w, s in zip(mc.weights, box) if w)
+def _extremes(domain: Ordinal, s: IntervalUnion) -> tuple:
+    """(lowest point, highest point, whether the highest is attained) of the
+    points of s the domain holds, read from every piece of s."""
+    pieces = [p for iv in s.intervals if (p := clip_snap(domain, iv))]
+    if not pieces:
+        raise ValidationError("interval union is empty within the domain")
+    hi, hi_closed = max((p.hi, p.hi_closed) for p in pieces)
+    return min(p.lo for p in pieces), hi, hi_closed
+
+
+def _forces_monotone(mc: MonotonicClassifier, box: list[tuple], ti: int) -> bool:
+    # weights are non-negative, so the lowest score takes every feature's
+    # lowest point and the highest score its highest
+    lo = sum(w * e[0] for w, e in zip(mc.weights, box))
+    hi = sum(w * e[1] for w, e in zip(mc.weights, box))
+    hi_attained = all(e[2] for w, e in zip(mc.weights, box) if w)
     # the class index is right-continuous in the score, so an open
     # lower end yields the same minimum index as a closed one
     T = mc.thresholds

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from xinflate.classifiers import DecisionList, LabelEq, Rule, SetMember
+from xinflate.classifiers import DecisionList, LabelEq, MonotonicClassifier, Rule, SetMember
 from xinflate.explain import ExplanationProblem
 from xinflate.model import (
     INTEGER,
@@ -146,6 +146,32 @@ def integer_pool(n: int = 60, seed: int = 505):
             clf = random_forest(rng, space, n_trees=3, depth=3)
         else:
             clf = _half_step_list(rng, space)
+        if not classifier_is_constant(clf, space):
+            out.append((clf, space, random_point(rng, space, Fraction(1))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def integer_monotone_pool(n: int = 40, seed: int = 606):
+    """Linear threshold models over 2-3 integer [0, 4] features, half-step thresholds.
+
+    The score of an integral point is an integer, so a threshold such as
+    5/2 falls strictly between the scores of neighbouring points: only the
+    integers of a box, not its raw ends, decide its classes.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        m = rng.randint(2, 3)
+        space = FeatureSpace(tuple(Ordinal(Fraction(0), Fraction(4), INTEGER) for _ in range(m)))
+        weights = tuple(Fraction(rng.randint(0, 3)) for _ in range(m))
+        top = 4 * sum(weights)
+        n_classes = rng.choice((2, 2, 3))
+        if top < n_classes:
+            continue
+        halves = [Fraction(k, 2) for k in range(1, 2 * int(top))]
+        thresholds = tuple(sorted(rng.sample(halves, n_classes - 1)))
+        clf = MonotonicClassifier(weights, thresholds, tuple(f"c{i}" for i in range(n_classes)))
         if not classifier_is_constant(clf, space):
             out.append((clf, space, random_point(rng, space, Fraction(1))))
     return tuple(out)

@@ -86,6 +86,12 @@ class TestRunBench:
         with pytest.raises(ValidationError):
             run_bench(clf, space, [(F(0),)])
 
+    def test_workers_below_one_rejected(self):
+        clf, space = risk_list()
+        for workers in (0, -3):
+            with pytest.raises(ValidationError, match="workers"):
+                run_bench(clf, space, [("Junior", "Red")], workers=workers)
+
     def test_empty_rows_rejected(self):
         clf, space = risk_list()
         with pytest.raises(ValidationError):

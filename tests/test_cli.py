@@ -305,6 +305,46 @@ class TestTrainAndBench:
         assert not model_path.exists()
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--model", str(ROOT / "models"), "--instance", "3,5"),
+            ("bench", "--model", FOREST, "--data", "{tmp}/missing.csv"),
+            ("bench", "--model", FOREST, "--data", str(ROOT / "data")),
+            ("train-rf", "--data", "{tmp}/missing.csv", "--model-out", "{tmp}/x.json"),
+            ("train-rf", "--data", BENCH_CSV, "--model-out", "{tmp}/no/such/dir/x.json"),
+            ("predict", "--model", GRADE, "--instance", "3,5", "--out", "{tmp}/no/such/dir/o.json"),
+        ],
+        ids=["model-dir", "data-missing", "data-dir", "train-data-missing", "model-out-dir", "out-dir"],
+    )
+    def test_unusable_path_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (("enumerate", "--model", RISK, "--instance", "Junior,Red", "--budget", "-1"), "budget"),
+            (("dual", "--model", RISK, "--instance", "Junior,Red", "--budget", "-1"), "budget"),
+            (
+                ("dual", "--model", RISK, "--instance", "Junior,Red", "--max-candidates", "-1"),
+                "non-negative",
+            ),
+            (("bench", "--model", FOREST, "--data", BENCH_CSV, "--limit", "2", "--workers", "-3"), "workers"),
+        ],
+        ids=["enumerate-budget", "dual-budget", "dual-max-candidates", "bench-workers"],
+    )
+    def test_negative_budget_or_count_exits_2(self, capsys, argv, word):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert word in err
+        assert out == ""
+
+
 class TestClosedStdout:
     def test_closed_stdout_exits_0_quietly(self):
         # the read end is closed before the CLI writes, so every write fails

@@ -81,6 +81,12 @@ class TestEnumerateInflatedFamilies:
                     greedy == {j: fam.set_for(j) for j in axp} for fam in families
                 ), "greedy result must be one of the locally maximal families"
 
+    def test_negative_cap_rejected(self):
+        problem = _risk_problem()
+        for enumerate_family, feats in ((enumerate_iaxps, (1, 2)), (enumerate_icxps, (1,))):
+            with pytest.raises(ValidationError, match="non-negative"):
+                enumerate_family(problem, feats, max_candidates=-1)
+
 
 class TestCheckHits:
     def test_worked_pairs_expose_a_blocking_feature(self):

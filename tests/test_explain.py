@@ -164,6 +164,10 @@ class TestEnumerateAll:
         assert set(partial) == {"axps", "cxps", "complete"}
         assert partial["complete"] is False
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            enumerate_all(_risk_problem(), max_subsets=-1)
+
 
 class TestMinimalHittingSets:
     def test_textbook_family(self):
@@ -175,6 +179,11 @@ class TestMinimalHittingSets:
 
     def test_empty_family_is_hit_by_empty_set(self):
         assert minimal_hitting_sets([]) == ((),)
+
+    def test_negative_budget_rejected(self):
+        for family in ([(1, 2), (2, 3)], []):
+            with pytest.raises(ValidationError, match="non-negative"):
+                minimal_hitting_sets(family, max_subsets=-1)
 
     def test_empty_member_rejected(self):
         with pytest.raises(ValidationError):

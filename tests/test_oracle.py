@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from bruteforce import bf_forces, harvested_thresholds
-from pools import dl_pool, forest_pool, integer_pool, monotone_pool
+from pools import dl_pool, forest_pool, integer_monotone_pool, integer_pool, monotone_pool
 from xinflate.classifiers import (
     DecisionList,
     DecisionTree,
     LabelEq,
     Leaf,
+    MonotonicClassifier,
     OrdinalSplit,
     Rule,
     SetMember,
@@ -197,6 +198,10 @@ class TestBruteForceEquivalence:
         for seed, pool in enumerate(pools):
             self._check_pool(pool, random.Random(20 + seed), 10, _boundary_assignment)
 
+    def test_integer_monotone_boundary_boxes_agree(self):
+        # half-step box ends and thresholds: the extremes must be snapped
+        self._check_pool(integer_monotone_pool(), random.Random(30), 25, _boundary_assignment)
+
     def test_worked_examples_agree(self):
         rng = random.Random(4)
         for clf, space in (risk_list(), grade_model()):
@@ -265,6 +270,12 @@ class TestOracleContract:
         assert stats.calls == 2
         oracle.counterexample_in({1: pin[1], 2: full_set(space.domain(2))}, "1")
         assert stats.calls == 3
+
+    def test_monotone_over_a_categorical_feature_is_refused_when_built(self):
+        clf = MonotonicClassifier((F(1), F(1)), (F(1),), ("lo", "hi"))
+        space = FeatureSpace((Ordinal(F(0), F(2)), Categorical(("a", "b"))))
+        with pytest.raises(ValidationError, match="ordinal features"):
+            Oracle(clf, space)
 
     def test_unknown_class_rejected(self):
         clf, space = risk_list()
