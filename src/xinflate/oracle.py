@@ -11,7 +11,10 @@ is kept as each feature's extremes: its lowest point, its highest point and
 whether that is attained, read from the set's pieces through
 `model.clip_snap`.  With non-negative weights the lowest score takes every
 feature's lowest point and the highest score its highest, so two sums stand
-in for every combination of interval pieces.
+in for every combination of interval pieces.  The weights and thresholds
+are scaled once per model to integers over one common denominator, and the
+extremes are kept as integer numerators and denominators, so both sums are
+integer fractions compared with the thresholds by cross-multiplication.
 For lists, trees, and ensembles the ordinal axes are first discretized into
 the half-open cells induced by the model's own thresholds, [lo, d1),
 [d1, d2), ..., [dk, hi]; the prediction is constant on every product of
@@ -31,7 +34,8 @@ All of this depends only on the classifier and the space, so it lives in a
 `CompiledModel`, built eagerly by `discretize`, which keeps the last one it
 built and returns it again while the same two objects come back; every
 `Oracle` over them shares it and adds only its own decision count.
-`ValueSet` and `Fraction` appear only where a box is converted to masks.
+`ValueSet` and `Fraction` appear only where a box is converted, to masks
+or to monotone extremes; every decision after that is integer arithmetic.
 
 A single tree or list is decided by one walk without recursion over the
 paths the box reaches, stopping at the first leaf of another class.  Where
@@ -48,6 +52,7 @@ the per-instance call accounting in the benchmark reports.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -64,6 +69,7 @@ from .classifiers import (
     SetMember,
     TreeEnsemble,
     _iter_nodes,
+    validate_classifier,
 )
 from .errors import ValidationError
 from .model import (
@@ -166,15 +172,22 @@ class CompiledModel:
         self.classifier = classifier
         self.space = space
         self.monotone = isinstance(classifier, MonotonicClassifier)
-        if self.monotone and not all(isinstance(d, Ordinal) for d in space.domains):
-            raise ValidationError("monotone classifiers need ordinal features")
+        if self.monotone:
+            # one weight per feature, every feature ordinal
+            validate_classifier(classifier, space)
+            # the score and thresholds over one common denominator, as integers;
+            # a zero weight has no say in the score
+            rationals = (*classifier.weights, *classifier.thresholds)
+            scale = math.lcm(*(q.denominator for q in rationals))
+            self.weights = [(f0, int(w * scale)) for f0, w in enumerate(classifier.weights) if w]
+            self.thresholds = [int(t * scale) for t in classifier.thresholds]
         self.splits = _thresholds(classifier, space)
         self.cells = tuple(_cells(d, sj) for d, sj in zip(space.domains, self.splits))
         atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
         self.atoms = [tuple(feature_atoms.values()) for feature_atoms in atoms]  # domain order
         self.valid = [sum(1 << i for i in feature_atoms) for feature_atoms in atoms]
         # what an absent feature contributes to a box: its whole domain
-        self.absent = [(d.lo, d.hi, True) for d in space.domains] if self.monotone else self.valid
+        self.absent = [_ends(d.lo, d.hi, True) for d in space.domains] if self.monotone else self.valid
         labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)
         self.labels = [{label: 1 << i for i, label in enumerate(ls)} for ls in labels]
         self.class_index = {c: i for i, c in enumerate(classifier.classes)}
@@ -206,8 +219,8 @@ class CompiledModel:
         return self.cells[j - 1]
 
     def box(self, assignment: Mapping[int, ValueSet]) -> list:
-        """The box as each feature's (lowest point, highest point, whether the
-        highest is attained) for a monotone model, or as atom masks."""
+        """The box as each feature's extremes for a monotone model (see
+        `_ends`), or as atom masks."""
         box = []
         for j in self.space.features():
             domain = self.space.domain(j)
@@ -240,7 +253,7 @@ class CompiledModel:
         """Whether every point of the box (as built by `box`) predicts target."""
         ti = self.class_index[target]
         if self.monotone:
-            return _forces_monotone(self.classifier, box, ti)
+            return _forces_monotone(self.weights, self.thresholds, box, ti)
         if len(self.roots) == 1:
             return _forces_tree(self.roots[0], box, ti, self.shared)
         try:
@@ -369,28 +382,57 @@ class Oracle:
         return model.forces(box, class_id)
 
 
+def _ends(lo: Fraction, hi: Fraction, hi_closed: bool) -> tuple:
+    """A feature's extremes as integers: the numerator and denominator of its
+    lowest point, those of its highest, and whether the highest is attained."""
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator, hi_closed
+
+
 def _extremes(domain: Ordinal, s: IntervalUnion) -> tuple:
-    """(lowest point, highest point, whether the highest is attained) of the
-    points of s the domain holds, read from every piece of s."""
+    """The extremes (see `_ends`) of the points of s the domain holds, read
+    from every piece of s."""
     pieces = [p for iv in s.intervals if (p := clip_snap(domain, iv))]
     if not pieces:
         raise ValidationError("interval union is empty within the domain")
     hi, hi_closed = max((p.hi, p.hi_closed) for p in pieces)
-    return min(p.lo for p in pieces), hi, hi_closed
+    return _ends(min(p.lo for p in pieces), hi, hi_closed)
 
 
-def _forces_monotone(mc: MonotonicClassifier, box: list[tuple], ti: int) -> bool:
-    # weights are non-negative, so the lowest score takes every feature's
-    # lowest point and the highest score its highest
-    lo = sum(w * e[0] for w, e in zip(mc.weights, box))
-    hi = sum(w * e[1] for w, e in zip(mc.weights, box))
-    hi_attained = all(e[2] for w, e in zip(mc.weights, box) if w)
-    # the class index is right-continuous in the score, so an open
-    # lower end yields the same minimum index as a closed one
-    T = mc.thresholds
-    i_min = bisect_right(T, lo)
-    i_max = bisect_right(T, hi) if hi_attained else bisect_left(T, hi)
-    return i_min == ti == i_max
+def _forces_monotone(
+    weights: list[tuple[int, int]], thresholds: list[int], box: list[tuple], ti: int
+) -> bool:
+    """Whether both corner scores of the box fall in class ti's band.
+
+    weights (nonzero ones, with their feature) and thresholds are scaled to
+    integers by `CompiledModel`; each corner score is summed as num/den
+    (den > 0) and compared to a threshold t as t*den against num.
+    """
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 0, 1
+    hi_attained = True
+    for f0, w in weights:
+        ln, ld, hn, hd, closed = box[f0]
+        if ld == lo_den:
+            lo_num += w * ln
+        else:
+            lo_num = lo_num * ld + w * ln * lo_den
+            lo_den *= ld
+        if hd == hi_den:
+            hi_num += w * hn
+        else:
+            hi_num = hi_num * hd + w * hn * hi_den
+            hi_den *= hd
+        hi_attained = hi_attained and closed
+    # the class index counts the thresholds at or below the score, so an
+    # open lower end yields the same lowest index as a closed one, and an
+    # unattained highest score stays below a threshold it equals; the lowest
+    # index is at most the highest, so both are ti when neither passes it
+    if ti and thresholds[ti - 1] * lo_den > lo_num:
+        return False
+    if ti < len(thresholds):
+        t = thresholds[ti] * hi_den
+        if t < hi_num or (t == hi_num and hi_attained):
+            return False
+    return True
 
 
 def _specialize(n, box: list[int]) -> tuple:

@@ -177,6 +177,42 @@ def integer_monotone_pool(n: int = 40, seed: int = 606):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def fractional_monotone_pool(n: int = 40, seed: int = 707):
+    """Linear threshold models over 2-3 continuous features, nothing integral.
+
+    Weights have unlike denominators (3/7, 5/2, 2/3) and some are zero,
+    domains such as [1/3, 22/7] have non-integral ends, and most thresholds
+    are the score of a point whose coordinates are domain ends or half steps
+    above the lower end.  Those are the box ends the boundary draws of
+    test_oracle pick, so corner scores often equal a threshold exactly; the
+    other thresholds have denominator 11.
+    """
+    rng = random.Random(seed)
+    ends = (
+        (Fraction(1, 3), Fraction(22, 7)),
+        (Fraction(-5, 4), Fraction(3, 2)),
+        (Fraction(2, 9), Fraction(7, 5)),
+    )
+    weight_choices = (Fraction(0), Fraction(3, 7), Fraction(5, 2), Fraction(2, 3), Fraction(1))
+    out = []
+    while len(out) < n:
+        space = FeatureSpace(tuple(Ordinal(*rng.choice(ends)) for _ in range(rng.randint(2, 3))))
+        weights = tuple(rng.choice(weight_choices) for _ in space.domains)
+        n_classes = rng.choice((2, 2, 3))
+        grids = [
+            [d.lo + Fraction(k, 2) for k in range(int(2 * (d.hi - d.lo)) + 1)] + [d.hi]
+            for d in space.domains
+        ]
+        candidates = {sum(w * rng.choice(g) for w, g in zip(weights, grids)) for _ in range(6)}
+        candidates |= {Fraction(rng.randint(-11, 66), 11) for _ in range(2)}
+        thresholds = tuple(sorted(rng.sample(sorted(candidates), n_classes - 1)))
+        clf = MonotonicClassifier(weights, thresholds, tuple(f"c{i}" for i in range(n_classes)))
+        if not classifier_is_constant(clf, space):
+            out.append((clf, space, random_point(rng, space)))
+    return tuple(out)
+
+
 def soundness_pool():
     """The criterion-wide mixed pool: 500 problems."""
     return dl_pool() + forest_pool() + monotone_pool()

@@ -2,14 +2,22 @@
 
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bruteforce import bf_forces, harvested_thresholds
-from pools import dl_pool, forest_pool, integer_monotone_pool, integer_pool, monotone_pool
+from bruteforce import _extremes as bf_extremes, bf_forces, harvested_thresholds
+from pools import (
+    dl_pool,
+    forest_pool,
+    fractional_monotone_pool,
+    integer_monotone_pool,
+    integer_pool,
+    monotone_pool,
+)
 from xinflate.classifiers import (
     DecisionList,
     DecisionTree,
@@ -202,6 +210,30 @@ class TestBruteForceEquivalence:
         # half-step box ends and thresholds: the extremes must be snapped
         self._check_pool(integer_monotone_pool(), random.Random(30), 25, _boundary_assignment)
 
+    def test_fractional_monotone_boundary_boxes_agree(self):
+        # weights, thresholds and domain ends over unlike denominators, with
+        # corner scores landing exactly on thresholds, attained or not
+        ties = Counter()
+
+        def draw(rng, clf, space):
+            assignment = _boundary_assignment(rng, clf, space)
+            lo = hi = F(0)
+            hi_attained = True
+            for j, w in enumerate(clf.weights, 1):
+                domain = space.domain(j)
+                a, _, b, b_in = bf_extremes(domain, assignment.get(j, full_set(domain)))
+                lo += w * a
+                hi += w * b
+                hi_attained = hi_attained and (b_in or not w)
+            ties["lowest"] += lo in clf.thresholds
+            ties["highest attained" if hi_attained else "highest open"] += hi in clf.thresholds
+            return assignment
+
+        pool = fractional_monotone_pool()
+        assert any(0 in clf.weights for clf, _, _ in pool)
+        self._check_pool(pool, random.Random(31), 25, draw)
+        assert min(ties["lowest"], ties["highest attained"], ties["highest open"]) > 0, ties
+
     def test_worked_examples_agree(self):
         rng = random.Random(4)
         for clf, space in (risk_list(), grade_model()):
@@ -275,6 +307,13 @@ class TestOracleContract:
         clf = MonotonicClassifier((F(1), F(1)), (F(1),), ("lo", "hi"))
         space = FeatureSpace((Ordinal(F(0), F(2)), Categorical(("a", "b"))))
         with pytest.raises(ValidationError, match="ordinal features"):
+            Oracle(clf, space)
+
+    @pytest.mark.parametrize("n_weights", [2, 4])
+    def test_monotone_weight_count_must_match_the_space(self, n_weights):
+        space = FeatureSpace(tuple(Ordinal(F(0), F(2)) for _ in range(3)))
+        clf = MonotonicClassifier((F(1),) * n_weights, (F(1),), ("lo", "hi"))
+        with pytest.raises(ValidationError, match=f"{n_weights} weights for 3 features"):
             Oracle(clf, space)
 
     def test_unknown_class_rejected(self):
