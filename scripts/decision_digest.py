@@ -5,17 +5,18 @@ Run from the repository root:
     python3 scripts/decision_digest.py
 
 Each problem of the `tests/pools.py` pools (lists, forests, monotone,
-categorical and integer-domain) runs `find_axp` + `inflate_axp`,
-`find_cxp` + `shrink_cxp`, and `enumerate_all` when it has at most six
-features.  Every decision of the problem's oracle is logged as (box,
-class, answer); the constancy checks made while building a problem are
-not.  The script prints one JSON line: the problem count, the decision
-count, and a sha256 over the outputs, each problem's `oracle.stats.calls`
-and the ordered decision log.  An engine change that keeps answers and
-decisions identical keeps the digest.  Label sets are logged sorted, so
-the digest does not depend on string hashing or on the Python version.
-`scripts/decision_digest.json` holds the expected line; CI fails when the
-output differs from it.
+categorical, integer-domain, and monotone over integer and over
+non-integral domains, whose boxes end on clip and snap boundaries) runs
+`find_axp` + `inflate_axp`, `find_cxp` + `shrink_cxp`, and `enumerate_all`
+when it has at most six features.  Every decision of the problem's oracle
+is logged as (box, class, answer); the constancy checks made while
+building a problem are not.  The script prints one JSON line: the problem
+count, the decision count, and a sha256 over the outputs, each problem's
+`oracle.stats.calls` and the ordered decision log.  An engine change that
+keeps answers and decisions identical keeps the digest.  Label sets are
+logged sorted, so the digest does not depend on string hashing or on the
+Python version.  `scripts/decision_digest.json` holds the expected line;
+CI fails when the output differs from it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from pools import categorical_pool, dl_pool, forest_pool, integer_pool, make_problem, monotone_pool
+from pools import (
+    categorical_pool,
+    dl_pool,
+    forest_pool,
+    fractional_monotone_pool,
+    integer_monotone_pool,
+    integer_pool,
+    make_problem,
+    monotone_pool,
+)
 from xinflate.errors import XInflateError
 from xinflate.explain import enumerate_all, find_axp, find_cxp
 from xinflate.inflate import inflate_axp, shrink_cxp
@@ -71,7 +81,15 @@ def _run(problem) -> list:
 
 
 def main() -> int:
-    pools = dl_pool() + forest_pool() + monotone_pool() + categorical_pool() + integer_pool()
+    pools = (
+        dl_pool()
+        + forest_pool()
+        + monotone_pool()
+        + categorical_pool()
+        + integer_pool()
+        + integer_monotone_pool()
+        + fractional_monotone_pool()
+    )
     sha = hashlib.sha256()
     decisions = 0
     for clf, space, point in pools:

@@ -40,6 +40,7 @@ class ExplanationProblem:
     instance: Instance
     skip_checks: bool = False
     oracle: Oracle = field(init=False)
+    _pins: tuple[ValueSet, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         values = self.space.validate_point(self.instance.values)
@@ -54,6 +55,8 @@ class ExplanationProblem:
             if classifier_is_constant(self.classifier, self.space):
                 raise ValidationError("constant classifier: nothing to explain")
         self.oracle = Oracle(self.classifier, self.space)
+        # built once, so every box that pins feature j passes the same object
+        self._pins = tuple(map(singleton_set, self.space.domains, values))
 
     @classmethod
     def from_point(
@@ -71,7 +74,8 @@ class ExplanationProblem:
 
     def pin(self, j: int) -> ValueSet:
         """The singleton value set holding the instance value of feature j."""
-        return singleton_set(self.space.domain(j), self.value_of(j))
+        self.space.domain(j)  # rejects an index out of range
+        return self._pins[j - 1]
 
     def waxp_holds(self, features: Iterable[int]) -> bool:
         """Fixing these features at the instance forces the prediction."""

@@ -33,9 +33,13 @@ failed literal goes left to the next rule, ending at the default class.
 All of this depends only on the classifier and the space, so it lives in a
 `CompiledModel`, built eagerly by `discretize`, which keeps the last one it
 built and returns it again while the same two objects come back; every
-`Oracle` over them shares it and adds only its own decision count.
-`ValueSet` and `Fraction` appear only where a box is converted, to masks
-or to monotone extremes; every decision after that is integer arithmetic.
+`Oracle` over them shares it and adds its own decision count and one slot
+per feature.  `ValueSet` and `Fraction` appear only where a box is
+converted, to masks or to monotone extremes, and a session converts a
+feature's set only when it is not the object the feature's slot holds
+from the previous conversion; every decision after that is integer
+arithmetic.  Explanation searches change one feature per probe and pass
+the same set objects for the others, so most decisions convert one set.
 
 A single tree or list is decided by one walk without recursion over the
 paths the box reaches, stopping at the first leaf of another class.  Where
@@ -218,15 +222,22 @@ class CompiledModel:
     def cells_for(self, j: int) -> tuple[Interval, ...]:
         return self.cells[j - 1]
 
-    def box(self, assignment: Mapping[int, ValueSet]) -> list:
+    def box(self, assignment: Mapping[int, ValueSet], last: list) -> list:
         """The box as each feature's extremes for a monotone model (see
-        `_ends`), or as atom masks."""
+        `_ends`), or as atom masks.  last[j - 1] holds (set, entry) from
+        feature j's last conversion; a set that `is` that one (value sets
+        are frozen) is not converted again."""
         box = []
-        for j in self.space.features():
-            domain = self.space.domain(j)
+        assigned = 0
+        for j, domain in enumerate(self.space.domains, 1):
             s = assignment.get(j)
             if s is None:
                 box.append(self.absent[j - 1])
+                continue
+            assigned += 1
+            slot = last[j - 1]
+            if slot is not None and slot[0] is s:
+                box.append(slot[1])
                 continue
             if isinstance(domain, Categorical) != isinstance(s, CatSet):
                 raise ValidationError(
@@ -236,17 +247,19 @@ class CompiledModel:
                 unknown = s.labels - set(domain.labels)
                 if unknown:
                     raise ValidationError(f"feature {j}: labels {sorted(unknown)} not in domain")
-                box.append(self._set_mask(j - 1, s))
+                entry = self._set_mask(j - 1, s)
             elif self.monotone:
-                box.append(_extremes(domain, s))
+                entry = _extremes(domain, s)
             else:
-                mask = self._set_mask(j - 1, s) & self.valid[j - 1]
-                if not mask:
+                entry = self._set_mask(j - 1, s) & self.valid[j - 1]
+                if not entry:
                     raise ValidationError("interval union is empty within the domain")
-                box.append(mask)
-        extra = set(assignment) - set(self.space.features())
-        if extra:
-            raise ValidationError(f"feature indexes out of range: {sorted(extra)}")
+            last[j - 1] = (s, entry)  # one tuple: a reader never pairs one set with another's entry
+            box.append(entry)
+        if assigned != len(assignment):
+            extra = set(assignment) - set(self.space.features())
+            if extra:
+                raise ValidationError(f"feature indexes out of range: {sorted(extra)}")
         return box
 
     def forces(self, box: list, target: str) -> bool:
@@ -359,11 +372,13 @@ def discretize(classifier: Classifier, space: FeatureSpace) -> CompiledModel:
 
 
 class Oracle:
-    """One problem's session over the shared compiled model: its decisions and their count."""
+    """One problem's session over the shared compiled model: its decisions,
+    their count, and each feature's last converted set (see `CompiledModel.box`)."""
 
     def __init__(self, classifier: Classifier, space: FeatureSpace):
         self.model = discretize(classifier, space)
         self.stats = OracleStats()
+        self._converted: list = [None] * space.m
 
     def holds_sufficiency(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
         """True iff every point of the box predicts class_id."""
@@ -377,7 +392,7 @@ class Oracle:
         model = self.model
         if class_id not in model.class_index:
             raise ValidationError(f"unknown class {class_id!r}")
-        box = model.box(assignment)
+        box = model.box(assignment, self._converted)
         self.stats.bump()
         return model.forces(box, class_id)
 
@@ -567,4 +582,4 @@ def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
             if classifier.predict(probe) != first:
                 return False
     model = discretize(classifier, space)
-    return model.forces(model.box({}), first)
+    return model.forces(model.box({}, [None] * space.m), first)

@@ -54,6 +54,16 @@ class TestProblemSetup:
         with pytest.raises(ValidationError):
             ExplanationProblem.from_point(clf, space, ("Junior", "Mauve"))
 
+    def test_pins_are_built_once_and_checked(self):
+        for problem in (_risk_problem(), _grade_problem()):
+            m = problem.space.m
+            for j in (0, m + 1):
+                with pytest.raises(ValidationError, match="out of range"):
+                    problem.pin(j)
+            for j in problem.space.features():
+                assert problem.pin(j) == singleton_set(problem.space.domain(j), problem.value_of(j))
+                assert problem.pin(j) is problem.pin(j)
+
 
 class TestFindAxp:
     def test_risk_axp_needs_both_features(self):

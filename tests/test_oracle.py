@@ -328,11 +328,78 @@ class TestOracleContract:
                 {1: singleton_set(Ordinal(F(0), F(1)), F(0))}, "1"
             )
 
+    def test_feature_index_out_of_range_rejected(self):
+        clf, space = risk_list()
+        oracle = Oracle(clf, space)
+        junior = cat_set(space.domain(1), ["Junior"])
+        for _ in range(2):  # the second time, feature 1's set is the slot's
+            with pytest.raises(ValidationError, match=r"feature indexes out of range: \[0, 3\]"):
+                oracle.holds_sufficiency({3: junior, 1: junior, 0: junior}, "1")
+        assert oracle.stats.calls == 0
+
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()
         assert not classifier_is_constant(clf, space)
         oracle = Oracle(clf, space)
         assert oracle.stats.calls == 0
+
+
+class TestSessionSlots:
+    """An `Oracle` keeps each feature's last converted set; reusing it must
+    never change an answer, an error or a count."""
+
+    def test_one_object_for_two_features_converts_for_each(self):
+        # [1/2, 7/2] clips to [1/2, 1] on feature 1 and snaps to [1, 3] on
+        # feature 2: an entry reused across features would decide the wrong box
+        space = FeatureSpace((Ordinal(F(0), F(1)), Ordinal(F(0), F(4), INTEGER)))
+        shared = IntervalUnion((Interval(F(1, 2), F(7, 2)),))
+        pin1, pin2 = singleton_set(space.domain(1), F(1)), singleton_set(space.domain(2), F(1))
+        boxes = [
+            {1: shared},
+            {2: shared},
+            {1: shared, 2: shared},
+            {1: pin1, 2: shared},
+            {1: shared, 2: pin2},
+            {2: shared},
+            {1: shared},
+        ]
+        for thresholds in ((F(2),), (F(3, 2), F(4)), (F(3, 2),)):
+            classes = ("lo", "mid", "hi")[: len(thresholds) + 1]
+            clf = MonotonicClassifier((F(1), F(1)), thresholds, classes)
+            oracle = Oracle(clf, space)
+            for assignment in boxes:
+                for target in classes:
+                    got = oracle.holds_sufficiency(assignment, target)
+                    want = bf_forces(clf, space, assignment, target)
+                    assert got == want, (thresholds, assignment, target)
+
+    def test_a_set_that_does_not_fit_raises_every_time(self):
+        clf, space = grade_model()
+        oracle = Oracle(clf, space)
+        wrong = CatSet(frozenset(["x"]))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="does not fit the domain"):
+                oracle.holds_sufficiency({1: wrong}, "B")
+        assert oracle.stats.calls == 0
+
+    def test_alternating_sets_match_a_fresh_session_per_decision(self):
+        rng = random.Random(41)
+        pools = (dl_pool(20, seed=42), forest_pool(20, seed=43), monotone_pool(20, seed=44))
+        for clf, space, _ in (problem for pool in pools for problem in pool):
+            session = Oracle(clf, space)
+            fixed = _boundary_assignment(rng, clf, space)
+            j = rng.choice(space.features())
+            sets = [_boundary_value_set(rng, clf, space, j) for _ in range(2)]
+            fresh_calls = 0
+            for k in range(6):
+                assignment = {**fixed, j: sets[k % 2]}
+                target = rng.choice(clf.classes)
+                fresh = Oracle(clf, space)
+                assert session.counterexample_in(assignment, target) == fresh.counterexample_in(
+                    assignment, target
+                )
+                fresh_calls += fresh.stats.calls
+            assert session.stats.calls == fresh_calls == 6
 
 
 class TestSharedModel:
