@@ -145,17 +145,20 @@ def grow(
     """Add to kept, in order, each atom not already in it that keeps sufficiency.
 
     current holds the value sets of the other features (an entry for j is
-    ignored); each probed atom costs one oracle call.  The result is
-    maximal over the atoms: any atom left out was probed against a subset
-    of the final sets, and sufficiency can only get harder as sets grow.
+    ignored); each probed atom costs one oracle call.  The caller must know
+    that current with j = kept is sufficient.  A box is sufficient exactly
+    when both halves of a split of it are, so kept ∪ atom keeps sufficiency
+    exactly when atom alone does, and the probe gives j the atom alone.  The
+    result is maximal over the atoms: any atom left out was probed against
+    a subset of the final sets, and sufficiency can only get harder as sets
+    grow.
     """
     domain = problem.space.domain(j)
     for atom in atoms:
         if vs_subset(domain, atom, kept):
             continue
-        trial = vs_union(domain, kept, atom)
-        if problem.sufficiency_holds({**current, j: trial}):
-            kept = trial
+        if problem.sufficiency_holds({**current, j: atom}):
+            kept = vs_union(domain, kept, atom)
     return kept
 
 
@@ -309,7 +312,8 @@ def inflate_axp(
 
     axp must be a sufficient feature set; that precondition costs one
     oracle call to check unless trusted is set (set it when the set comes
-    straight out of find_axp on the same problem).
+    straight out of find_axp on the same problem).  Growth relies on it, so
+    a false trusted claim gives undefined sets.
     """
     config = config or InflationConfig()
     feats = tuple(sorted(set(axp)))

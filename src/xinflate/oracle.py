@@ -45,13 +45,24 @@ A single tree or list is decided by one walk without recursion over the
 paths the box reaches, stopping at the first leaf of another class.  Where
 a list's paths meet again at a next rule, the walk first bounds the classes
 reachable from there and skips the region when the target is the only one.
-For ensembles the search specializes each tree against the box, prunes with
-reachable leaf classes and a worst-case vote bound, and only splits a
-feature into its atoms when the bound cannot decide.  The outcome equals
-literal enumeration; only the visit order differs.
+
+An ensemble decides every tree at once, on its leaves: the root-to-leaf
+paths some atom follows.  Tree t's leaves are bits t*W .. t*W + W - 1 of
+one `int` (W a power of two), and the leaves a box reaches are one AND,
+over its features, of the OR of the sets of leaves each of its atoms gets
+through.  A search node folds each class's reached leaves to one bit per
+tree: bit counts give each class's ceiling (the trees that can vote for
+it) and sure votes (the trees that can vote for nothing else), ties going
+to the lowest class index.  The node holds when no class can catch the
+target's sure votes and fails when some class's sure votes beat the
+target's ceiling.  Otherwise it splits the feature on which most reached
+leaves of two-way trees shut out an atom of the box, into the lower and
+the upper half of its atoms.  The halves partition the box, so the outcome
+equals literal enumeration; only the visit order differs.
 
 Every top-level decision increments `OracleStats.calls` once, which is what
-the per-instance call accounting in the benchmark reports.
+the per-instance call accounting in the benchmark reports; `OracleStats.nodes`
+counts the nodes of the ensemble search.
 """
 
 from __future__ import annotations
@@ -92,10 +103,11 @@ from .model import (
 
 
 class OracleStats:
-    """Counter of top-level oracle decisions."""
+    """A session's top-level decisions and the ensemble search nodes behind them."""
 
     def __init__(self):
         self.calls = 0
+        self.nodes = 0
 
     def bump(self) -> None:
         self.calls += 1
@@ -161,9 +173,8 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 #
 # Compiled tree and list nodes are either a class index (a leaf) or a tuple
 # (f0, right mask, left node, right node): a point goes right when its atom
-# of feature f0 is in the right mask.  A specialized tree is a "view"
-# (node, feature mask, class mask) recording the features it still tests
-# and the classes its leaves still reach.
+# of feature f0 is in the right mask.  An ensemble's trees are also kept
+# as leaf bitsets (see `_compile_votes`).
 
 
 class CompiledModel:
@@ -218,6 +229,8 @@ class CompiledModel:
             # the right mask of each threshold: the cells at or above it
             above = [{t: -1 << (k + 1) for k, t in enumerate(sj)} for sj in self.splits]
             self.roots = [self._compile_tree(t.root, above) for t in trees]
+            if len(self.roots) > 1:
+                self._compile_votes()
 
     def cells_for(self, j: int) -> tuple[Interval, ...]:
         return self.cells[j - 1]
@@ -262,18 +275,15 @@ class CompiledModel:
                 raise ValidationError(f"feature indexes out of range: {sorted(extra)}")
         return box
 
-    def forces(self, box: list, target: str) -> bool:
-        """Whether every point of the box (as built by `box`) predicts target."""
+    def forces(self, box: list, target: str, stats: Optional[OracleStats] = None) -> bool:
+        """Whether every point of the box (as built by `box`) predicts target;
+        an ensemble's search nodes are counted in stats."""
         ti = self.class_index[target]
         if self.monotone:
             return _forces_monotone(self.weights, self.thresholds, box, ti)
         if len(self.roots) == 1:
             return _forces_tree(self.roots[0], box, ti, self.shared)
-        try:
-            views = [_specialize(root, box) for root in self.roots]
-            return self._dfs_trees(views, box, ti)
-        except RecursionError:  # _specialize recurses on tree depth
-            raise ValidationError("the trees are too deep for the vote search") from None
+        return self._votes(box, ti, stats or OracleStats())
 
     # -- compiling to atom masks ----------------------------------------------
 
@@ -310,50 +320,109 @@ class CompiledModel:
 
     # -- ensembles ------------------------------------------------------------
 
-    def _dfs_trees(self, views: list[tuple], box: list[int], ti: int) -> bool:
-        fixed = [0] * len(self.classifier.classes)
-        flex = []
-        for v in views:
-            if v[0].__class__ is int:
-                fixed[v[0]] += 1
-            else:
-                flex.append(v)
-        if not flex:
-            # ties go to the lowest class index
-            return fixed.index(max(fixed)) == ti
-        guaranteed = fixed[ti]
-        for ci, votes in enumerate(fixed):
-            if ci == ti:
-                continue
-            bit = 1 << ci
-            ceiling = votes + sum(1 for v in flex if v[2] & bit)
-            if ceiling > guaranteed or (ceiling == guaranteed and ci < ti):
-                break
-        else:
-            return True
-        # split the feature most flexible trees test, ties to the lowest index
-        usage = [0] * self.space.m
-        for v in flex:
-            feats = v[1]
-            while feats:
-                bit = feats & -feats
-                feats ^= bit
-                usage[bit.bit_length() - 1] += 1
-        split = usage.index(max(usage))
-        if not box[split] & (box[split] - 1):
-            raise AssertionError("split feature must fragment into multiple atoms")
-        split_bit = 1 << split
-        # every atom of the split feature in turn, from the lowest bit up
-        rest = box[split]
-        while rest:
-            atom = rest & -rest
-            rest ^= atom
-            nb = list(box)
-            nb[split] = atom
-            nviews = [v if not v[1] & split_bit else _specialize(v[0], nb) for v in views]
-            if not self._dfs_trees(nviews, nb, ti):
+    def _compile_votes(self) -> None:
+        """Every tree's leaves as bits of one int (see the module docstring):
+        the leaves of each class, and per feature and atom, the leaves whose
+        path lets that atom through."""
+        trees = []
+        for root in self.roots:
+            leaves = []  # (class, atom mask per feature) of each path some atom follows
+            stack = [(root, tuple(self.valid))]
+            while stack:
+                n, masks = stack.pop()
+                if n.__class__ is int:
+                    leaves.append((n, masks))
+                    continue
+                f0, rm, left, right = n
+                for side, part in ((right, masks[f0] & rm), (left, masks[f0] & ~rm)):
+                    if part:
+                        stack.append((side, masks[:f0] + (part,) + masks[f0 + 1 :]))
+            trees.append(leaves)
+        width = 1 << (max(map(len, trees)) - 1).bit_length()
+        self.class_bits = [0] * len(self.classifier.classes)
+        self.admits = [[0] * v.bit_length() for v in self.valid]
+        groups: dict[tuple[int, int], int] = {}  # (f0, path mask) -> leaves
+        for t, leaves in enumerate(trees):
+            for i, (ci, masks) in enumerate(leaves):
+                bit = 1 << (t * width + i)
+                self.class_bits[ci] |= bit
+                for key in enumerate(masks):
+                    groups[key] = groups.get(key, 0) | bit
+        for (f0, mask), bits in groups.items():
+            while mask:
+                atom = mask & -mask
+                mask ^= atom
+                self.admits[f0][atom.bit_length() - 1] |= bits
+        self.leaves = sum(self.class_bits)
+        # per feature and atom, the leaves that shut the atom out; per feature,
+        # the leaves that test it
+        self.shuts = [[self.leaves & ~bits for bits in row] for row in self.admits]
+        self.tests = [_union(row, v) for row, v in zip(self.shuts, self.valid)]
+        self.low = sum(1 << (t * width) for t in range(len(trees)))  # each slot's first bit
+        self.fill = (1 << width) - 1
+        self.folds = [1 << k for k in range(width.bit_length() - 1)]
+
+    def _votes(self, box: list[int], ti: int, stats: OracleStats) -> bool:
+        """Whether class ti wins the vote at every point of the box."""
+        admits, valid = self.admits, self.valid
+        reached = self.leaves
+        for f0, a in enumerate(box):
+            if a != valid[f0]:
+                reached &= _union(admits[f0], a)
+        stack = [(reached, box)]
+        while stack:
+            reached, box = stack.pop()
+            stats.nodes += 1
+            votes = []  # per class, the first bit of each tree that can vote for it
+            for bits in self.class_bits:
+                x = reached & bits
+                for shift in self.folds:
+                    x |= x >> shift
+                votes.append(x & self.low)
+            seen = two_way = 0
+            for x in votes:
+                two_way |= seen & x
+                seen |= x
+            ceilings = [x.bit_count() for x in votes]
+            sure = [(x & ~two_way).bit_count() for x in votes]
+            top = ceilings[ti]
+            if any(v > top or (v == top and ci < ti) for ci, v in enumerate(sure)):
                 return False
+            floor = sure[ti]
+            if all(
+                v < floor or (v == floor and ci > ti) for ci, v in enumerate(ceilings) if ci != ti
+            ):
+                continue
+            # some two-way tree reaches a leaf that shuts out an atom of the box
+            live = reached & two_way * self.fill
+            split, most = 0, 0
+            for f0, a in enumerate(box):
+                if a & (a - 1):
+                    shut = self.tests[f0] if a == valid[f0] else _union(self.shuts[f0], a)
+                    n = (live & shut).bit_count()
+                    if n > most:
+                        split, most = f0, n
+            if not most:  # never: two reached leaves of one tree cannot both cover the box
+                raise AssertionError("an undecided node has no feature to split")
+            a = box[split]
+            upper = a
+            for _ in range(a.bit_count() // 2):
+                upper &= upper - 1  # drop the lowest atom
+            for half in (upper, a ^ upper):  # the lower half is searched first
+                child = list(box)
+                child[split] = half
+                stack.append((reached & _union(admits[split], half), child))
         return True
+
+
+def _union(rows: list[int], mask: int) -> int:
+    """The OR of rows[i] over the bits i of mask."""
+    out = 0
+    while mask:
+        atom = mask & -mask
+        mask ^= atom
+        out |= rows[atom.bit_length() - 1]
+    return out
 
 
 _last: Optional[CompiledModel] = None
@@ -394,7 +463,7 @@ class Oracle:
             raise ValidationError(f"unknown class {class_id!r}")
         box = model.box(assignment, self._converted)
         self.stats.bump()
-        return model.forces(box, class_id)
+        return model.forces(box, class_id, self.stats)
 
 
 def _ends(lo: Fraction, hi: Fraction, hi_closed: bool) -> tuple:
@@ -448,34 +517,6 @@ def _forces_monotone(
         if t < hi_num or (t == hi_num and hi_attained):
             return False
     return True
-
-
-def _specialize(n, box: list[int]) -> tuple:
-    """The view of n under the box: every decided test collapsed, infeasible
-    paths pruned, and splits whose sides are the same leaf merged.
-
-    box is narrowed in place along each path and restored on return.
-    """
-    while True:
-        if n.__class__ is int:
-            return n, 0, 1 << n
-        f0, rm, left, right = n
-        a = box[f0]
-        r = a & rm
-        if not r:
-            n = left
-        elif r == a:
-            n = right
-        else:
-            break
-    box[f0] = a ^ r
-    ln, lf, lc = _specialize(left, box)
-    box[f0] = r
-    rn, rf, rc = _specialize(right, box)
-    box[f0] = a
-    if ln.__class__ is int and ln == rn:
-        return ln, 0, lc
-    return (f0, rm, ln, rn), lf | rf | (1 << f0), lc | rc
 
 
 def _forces_tree(node, box: list[int], ti: int, shared: set[int]) -> bool:
@@ -558,28 +599,19 @@ def _piece_rep(domain: Domain, piece: ValueSet) -> Value:
 def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     """Whether the classifier predicts one class everywhere.
 
-    Cheap probe points first, the lowest and highest corners and then one
-    per atom of each feature; only when they all agree is the model
-    compiled, and the box engine proves it.
+    Cheap probe points first: the lowest and highest corners, and when
+    they agree, one point per atom of each feature, read off the compiled
+    model; only when they all agree does the box engine prove it.
     """
-    base = []
-    tops = []
-    for domain in space.domains:
-        if isinstance(domain, Categorical):
-            base.append(domain.labels[0])
-            tops.append(domain.labels[-1])
-        else:
-            base.append(domain.lo)
-            tops.append(domain.hi)
-    base = tuple(base)
+    base = tuple(d.labels[0] if isinstance(d, Categorical) else d.lo for d in space.domains)
+    tops = tuple(d.labels[-1] if isinstance(d, Categorical) else d.hi for d in space.domains)
     first = classifier.predict(base)
-    if classifier.predict(tuple(tops)) != first:
+    if classifier.predict(tops) != first:
         return False
-    splits = _thresholds(classifier, space)
-    for j, domain in enumerate(space.domains, 1):
-        for atom in _atoms(domain, _cells(domain, splits[j - 1])).values():
+    model = discretize(classifier, space)
+    for j, (domain, atoms) in enumerate(zip(space.domains, model.atoms), 1):
+        for atom in atoms:
             probe = base[: j - 1] + (_piece_rep(domain, atom),) + base[j:]
             if classifier.predict(probe) != first:
                 return False
-    model = discretize(classifier, space)
     return model.forces(model.box({}, [None] * space.m), first)

@@ -72,6 +72,28 @@ def forest_pool(n: int = 150, seed: int = 202, n_trees_max: int = 7, depth: int 
 
 
 @lru_cache(maxsize=None)
+def multiclass_forest_pool(n: int = 60, seed: int = 808):
+    """Forests of 2, 4 or 6 trees over three or four classes.
+
+    An even number of trees and more than two classes make votes tie, so
+    the lowest-index tie rule and the per-class vote bounds decide.
+    """
+    rng = random.Random(seed)
+
+    def maker(r):
+        space = random_space(
+            r, r.randint(2, 3), categorical_share=0.35, max_labels=3, hi_choices=(4,)
+        )
+        classes = ("a", "b", "c", "d")[: r.choice((3, 4))]
+        forest = random_forest(
+            r, space, classes, n_trees=r.choice((2, 4, 6)), depth=3, lattice_step=Fraction(1)
+        )
+        return forest, space
+
+    return tuple(random_problem(rng, maker) for _ in range(n))
+
+
+@lru_cache(maxsize=None)
 def monotone_pool(n: int = 150, seed: int = 303):
     """Linear threshold models over 2-3 ordinal features."""
     rng = random.Random(seed)

@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import bf_forces
-from pools import monotone_pool
+from pools import categorical_pool, dl_pool, forest_pool, make_problem, monotone_pool
+from xinflate import duality as duality_module, inflate as inflate_module
 from xinflate.classifiers import DecisionTree, LabelSplit, Leaf, OrdinalSplit, MonotonicClassifier
-from xinflate.duality import enumerate_iaxps, enumerate_icxps
-from xinflate.errors import ValidationError
+from xinflate.duality import (
+    enumerate_iaxps,
+    enumerate_icxps,
+    iaxp_from_icxps,
+    icxp_from_iaxps,
+)
+from xinflate.errors import DualityConstructionError, ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, find_axp, find_cxp
 from xinflate.inflate import (
@@ -33,6 +39,8 @@ from xinflate.model import (
     singleton_set,
     vs_contains,
     vs_pieces,
+    vs_subset,
+    vs_union,
 )
 
 F = Fraction
@@ -121,6 +129,42 @@ class TestCategoricalInflation:
                 grown = dict(base)
                 grown[j] = CatSet(expl.set_for(j).labels | {label})
                 assert not bf_forces(clf, space, grown, problem.target)
+
+
+def _union_probe_grow(problem, j, current, kept, atoms):
+    """The growth loop probing kept ∪ atom, as a reference for grow."""
+    domain = problem.space.domain(j)
+    for atom in atoms:
+        if vs_subset(domain, atom, kept):
+            continue
+        trial = vs_union(domain, kept, atom)
+        if problem.sufficiency_holds({**current, j: trial}):
+            kept = trial
+    return kept
+
+
+class TestGrowth:
+    @staticmethod
+    def _inflate_and_rebuild(clf, space, point):
+        """inflate_axp, then iaxp_from_icxps on one ICXp per feature (None
+        when that construction fails before growing): both grow sets."""
+        problem = make_problem(clf, space, point)
+        iaxp = inflate_axp(problem, find_axp(problem), trusted=True)
+        try:
+            icxps = [icxp_from_iaxps(problem, [iaxp], [j]) for j in iaxp.features]
+            back = iaxp_from_icxps(problem, icxps, list(iaxp.features)).sets
+        except DualityConstructionError:
+            back = None
+        return iaxp.sets, back, problem.oracle.stats.calls
+
+    @pytest.mark.parametrize("pool", [forest_pool, dl_pool, categorical_pool])
+    def test_atom_probes_match_union_probes(self, pool, monkeypatch):
+        problems = pool()
+        got = [self._inflate_and_rebuild(*p) for p in problems]
+        assert sum(back is not None for _, back, _ in got) > len(got) // 2
+        monkeypatch.setattr(inflate_module, "grow", _union_probe_grow)
+        monkeypatch.setattr(duality_module, "grow", _union_probe_grow)
+        assert [self._inflate_and_rebuild(*p) for p in problems] == got
 
 
 class TestOrdinalGridInflation:

@@ -1,5 +1,6 @@
 """Entailment engine against an independent brute-force scan."""
 
+import csv
 import random
 import signal
 from collections import Counter
@@ -17,11 +18,13 @@ from pools import (
     integer_monotone_pool,
     integer_pool,
     monotone_pool,
+    multiclass_forest_pool,
 )
 from xinflate.classifiers import (
     DecisionList,
     DecisionTree,
     LabelEq,
+    LabelSplit,
     Leaf,
     MonotonicClassifier,
     OrdinalSplit,
@@ -32,6 +35,7 @@ from xinflate.classifiers import (
 from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, find_axp, find_cxp
+from xinflate.inflate import inflate_axp, shrink_cxp
 from xinflate.model import (
     CatSet,
     Categorical,
@@ -51,6 +55,7 @@ from xinflate.oracle import Oracle, classifier_is_constant, discretize
 from xinflate.serialize import load_model
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_value_set(rng, domain):
@@ -184,6 +189,28 @@ class TestBruteForceEquivalence:
 
     def test_monotone_agree(self):
         self._check_pool(monotone_pool(40, seed=73), random.Random(3), 7)
+
+    def test_multiclass_forests_agree(self):
+        pool = multiclass_forest_pool()
+        ties = 0
+        for clf, space, point in pool:
+            votes = Counter(tree.predict(point) for tree in clf.trees).most_common()
+            ties += len(votes) > 1 and votes[0][1] == votes[1][1]
+        assert ties > 0, "the pool must have points where the vote ties"
+        self._check_pool(pool, random.Random(8), 10)
+        self._check_pool(pool, random.Random(9), 10, _boundary_assignment)
+
+    def test_forest_with_a_shared_subtree_agrees(self):
+        # one subtree object under two parents: each path to it is its own leaf
+        space = FeatureSpace((Ordinal(F(0), F(4)), Ordinal(F(0), F(4)), Categorical(("p", "q"))))
+        shared = OrdinalSplit(2, F(2), Leaf("a"), LabelSplit(3, "p", Leaf("b"), Leaf("c")))
+        root = OrdinalSplit(1, F(2), shared, OrdinalSplit(1, F(3), Leaf("c"), shared))
+        classes = ("a", "b", "c")
+        other = OrdinalSplit(2, F(3), LabelSplit(3, "q", Leaf("c"), Leaf("a")), Leaf("b"))
+        trees = (DecisionTree(root, classes), DecisionTree(other, classes))
+        pool = [(TreeEnsemble(ts, classes), space, None) for ts in (trees, trees * 2, trees * 3)]
+        self._check_pool(pool, random.Random(10), 150)
+        self._check_pool(pool, random.Random(11), 150, _boundary_assignment)
 
     def test_integer_domains_agree(self):
         pool = integer_pool()
@@ -337,6 +364,21 @@ class TestOracleContract:
                 oracle.holds_sufficiency({3: junior, 1: junior, 0: junior}, "1")
         assert oracle.stats.calls == 0
 
+    def test_search_nodes_are_counted_apart_from_decisions(self):
+        mf = load_model(ROOT / "models" / "bench_forest.json")
+        with open(ROOT / "data" / "bench.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:11]
+        calls = nodes = 0
+        for row in rows:
+            axp = ExplanationProblem.from_point(mf.classifier, mf.space, row[: mf.space.m])
+            inflate_axp(axp, find_axp(axp), trusted=True)
+            cxp = ExplanationProblem.from_point(mf.classifier, mf.space, row[: mf.space.m])
+            shrink_cxp(cxp, find_cxp(cxp))
+            calls += axp.oracle.stats.calls + cxp.oracle.stats.calls
+            nodes += axp.oracle.stats.nodes + cxp.oracle.stats.nodes
+        assert calls == 655  # top-level decisions only, as before nodes were counted
+        assert nodes > calls
+
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()
         assert not classifier_is_constant(clf, space)
@@ -430,7 +472,7 @@ class TestSharedModel:
 
         monkeypatch.setattr(oracle_module, "CompiledModel", Counting)
         monkeypatch.setattr(oracle_module, "_last", None)
-        mf = load_model(Path(__file__).resolve().parent.parent / "models" / "bench_forest.json")
+        mf = load_model(ROOT / "models" / "bench_forest.json")
         assert not classifier_is_constant(mf.classifier, mf.space)
         assert built == []
         discretize(mf.classifier, mf.space)  # the counter does see a build
@@ -484,12 +526,14 @@ class TestDepth:
             problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
             assert find_axp(problem) == (1,)
 
-    def test_deep_ensemble_is_refused(self):
+    def test_deep_ensemble_explains_like_its_tree(self):
+        # past the default recursion limit: the vote search walks leaves, not nodes
         tree, space = _chain_tree(1200)
         clf = TreeEnsemble((tree, tree, tree), ("a", "b"))
-        problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
-        with pytest.raises(ValidationError, match="too deep for the vote search"):
-            find_axp(problem)
+        with _within_seconds(10):
+            problem = ExplanationProblem.from_point(clf, space, (F(0), F(0)))
+            single = ExplanationProblem.from_point(tree, space, (F(0), F(0)))
+            assert find_axp(problem) == find_axp(single) == (1,)
 
     def test_long_single_literal_list_explains(self):
         n = 1500
