@@ -10,13 +10,18 @@ non-integral domains, whose boxes end on clip and snap boundaries) runs
 `find_axp` + `inflate_axp`, `find_cxp` + `shrink_cxp`, and `enumerate_all`
 when it has at most six features.  Every decision of the problem's oracle
 is logged as (box, class, answer); the constancy checks made while
-building a problem are not.  The script prints one JSON line: the problem
-count, the decision count, and a sha256 over the outputs, each problem's
-`oracle.stats.calls` and the ordered decision log.  An engine change that
-keeps answers and decisions identical keeps the digest.  Label sets are
-logged sorted, so the digest does not depend on string hashing or on the
-Python version.  `scripts/decision_digest.json` holds the expected line;
-CI fails when the output differs from it.
+building a problem are not.  The box is logged as the engine decides it,
+`CompiledModel.box` of the assignment after the decision: each feature's
+atom mask, or its monotone extremes with both ends as reduced fractions.
+So a search may pass the oracle value sets or compiled entries, and the
+log is the same when the engine decides the same boxes.  The script prints
+one JSON line: the problem count, the decision count, and a sha256 over
+the outputs, each problem's `oracle.stats.calls` and the ordered decision
+log.  An engine change that keeps answers and decisions identical keeps
+the digest.  Nothing is logged in string-hash order, so the digest does
+not depend on the hash seed or on the Python version.
+`scripts/decision_digest.json` holds the expected line; CI fails when the
+output differs from it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,21 +49,25 @@ from pools import (
 from xinflate.errors import XInflateError
 from xinflate.explain import enumerate_all, find_axp, find_cxp
 from xinflate.inflate import inflate_axp, shrink_cxp
-from xinflate.model import CatSet
 from xinflate.serialize import explanation_to_dict
 
 ENUMERATE_MAX_FEATURES = 6
 
 
-def _canonical(s):
-    """A value set as logged: a frozenset prints in string-hash order."""
-    return ("CatSet", sorted(s.labels)) if isinstance(s, CatSet) else s
+def _canonical(entry):
+    """A feature of a converted box as logged: a mask as it is, monotone
+    extremes (lowest, highest, whether attained) as reduced fractions."""
+    if isinstance(entry, int):
+        return entry
+    lo_num, lo_den, hi_num, hi_den, closed = entry
+    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den), bool(closed)
 
 
-def _logged(log: list, decide):
+def _logged(log: list, oracle, decide):
     def logged(assignment, class_id):
         answer = decide(assignment, class_id)
-        log.append((sorted((j, _canonical(s)) for j, s in assignment.items()), class_id, answer))
+        box = oracle.model.box(assignment, [None] * oracle.model.space.m)
+        log.append((list(map(_canonical, box)), class_id, answer))
         return answer
 
     return logged
@@ -96,7 +106,8 @@ def main() -> int:
         problem = make_problem(clf, space, point)
         log: list = []
         for method in ("holds_sufficiency", "counterexample_in"):
-            setattr(problem.oracle, method, _logged(log, getattr(problem.oracle, method)))
+            decide = getattr(problem.oracle, method)
+            setattr(problem.oracle, method, _logged(log, problem.oracle, decide))
         out = _run(problem)
         sha.update(repr((out, problem.oracle.stats.calls, log)).encode())
         decisions += len(log)

@@ -23,16 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DualityConstructionError, ValidationError
 from .explain import ExplanationProblem, _deletion_pass, minimal_hitting_sets
 from .inflate import (
     InflationConfig,
+    _atom_bits,
+    _closed,
     _contrast_pieces,
+    _piece_set,
     _step_for,
     _uses_grid,
     feature_atoms,
+    grid,
     grid_delta,
     grid_points,
     grow,
@@ -190,7 +194,7 @@ def iaxp_from_icxps(
         )
     if not _uses_grid(problem):
         for j in feats:
-            sets[j] = grow(problem, j, sets, sets[j], feature_atoms(problem, j)[0])
+            sets[j] = grow(problem, j, sets, sets[j], _atom_bits(problem, j))
     return InflatedExplanation(ABDUCTIVE, feats, dict(sets))
 
 
@@ -203,15 +207,8 @@ def _axp_feature_options(
 ) -> list[ValueSet]:
     domain = problem.space.domain(j)
     if isinstance(domain, Ordinal) and _uses_grid(problem):
-        v = rational(problem.value_of(j))
-        points = grid_points(domain, v, _step_for(domain, config))
-        return [
-            IntervalUnion((Interval(a, b, True, True),))
-            for a in points
-            if a <= v
-            for b in points
-            if v <= b
-        ]
+        points, at = grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
+        return [_closed(a, b) for a in points[: at + 1] for b in points[at:]]
     atoms, seed = feature_atoms(problem, j)
     rest = atoms[:seed] + atoms[seed + 1 :]
     return [
@@ -251,10 +248,20 @@ def _is_locally_maximal(
     )
 
 
-def _check_cap(options: list, max_candidates: int, what: str) -> None:
+def _option_count(problem: ExplanationProblem, j: int, config: InflationConfig) -> int:
+    """How many sets `_axp_feature_options` gives feature j, without building them."""
+    domain = problem.space.domain(j)
+    if isinstance(domain, Ordinal) and _uses_grid(problem):
+        below, above, _ = grid(domain, rational(problem.value_of(j)), _step_for(domain, config))
+        return below * above
+    return 2 ** (len(problem.oracle.model.atoms[j - 1]) - 1)
+
+
+def _check_cap(counts: Iterable[int], max_candidates: int, what: str) -> None:
+    """Refuse more candidates than max_candidates, the product of the counts."""
     if max_candidates < 0:
         raise ValidationError(f"max_candidates must be non-negative, got {max_candidates}")
-    total = math.prod(len(opts) for opts in options)
+    total = math.prod(counts)
     if total > max_candidates:
         raise BudgetExceededError(f"{total} {what} exceed the cap of {max_candidates}")
 
@@ -274,8 +281,9 @@ def enumerate_iaxps(
     """
     config = config or InflationConfig()
     feats = tuple(sorted(set(axp)))
+    counts = [_option_count(problem, j, config) for j in feats]
+    _check_cap(counts, max_candidates, "candidate set families")
     options = [_axp_feature_options(problem, j, config) for j in feats]
-    _check_cap(options, max_candidates, "candidate set families")
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):
@@ -300,8 +308,9 @@ def enumerate_icxps(
     """
     config = config or InflationConfig()
     feats = tuple(sorted(set(cxp)))
-    options = [_contrast_pieces(problem, j, config) for j in feats]
-    _check_cap(options, max_candidates, "witness combinations")
+    pieces = [_contrast_pieces(problem, j, config) for j in feats]
+    _check_cap(map(len, pieces), max_candidates, "witness combinations")
+    options = [[_piece_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):

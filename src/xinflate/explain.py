@@ -20,7 +20,7 @@ from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Sequence
 from .classifiers import Classifier, validate_classifier
 from .errors import BudgetExceededError, ValidationError
 from .model import FeatureSpace, Instance, Value, ValueSet, singleton_set
-from .oracle import Oracle, classifier_is_constant
+from .oracle import Entry, Oracle, classifier_is_constant
 
 DEFAULT_SUBSET_BUDGET = 4096
 
@@ -91,10 +91,10 @@ class ExplanationProblem:
         """Freeing only these features admits a different prediction."""
         return self.counterexample_in(self.pinned_except(features))
 
-    def sufficiency_holds(self, assignment: Mapping[int, ValueSet]) -> bool:
+    def sufficiency_holds(self, assignment: Mapping[int, Entry]) -> bool:
         return self.oracle.holds_sufficiency(assignment, self.target)
 
-    def counterexample_in(self, assignment: Mapping[int, ValueSet]) -> bool:
+    def counterexample_in(self, assignment: Mapping[int, Entry]) -> bool:
         return self.oracle.counterexample_in(assignment, self.target)
 
 
@@ -113,14 +113,15 @@ def _deletion_pass(items: Iterable, holds: Callable[[list], bool], floor: int = 
     """Try dropping each item in turn, keeping a drop when holds(rest) is true.
 
     Stops once only floor items are left; the survivors keep their order.
+    rest is the survivors' own list with the item taken out, so holds must
+    not keep it.
     """
     kept = list(items)
     i = 0
     while i < len(kept) > floor:
-        rest = kept[:i] + kept[i + 1 :]
-        if holds(rest):
-            kept = rest
-        else:
+        item = kept.pop(i)
+        if not holds(kept):
+            kept.insert(i, item)
             i += 1
     return kept
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .classifiers import MonotonicClassifier
 from .errors import ValidationError
@@ -50,9 +50,9 @@ from .model import (
     rational,
     vs_contains,
     vs_is_full,
-    vs_subset,
     vs_union,
 )
+from .oracle import Entry
 
 LINEAR = "linear"
 BINARY = "binary"
@@ -108,14 +108,22 @@ def _step_for(domain: Ordinal, config: InflationConfig) -> Fraction:
     return config.delta
 
 
-def _grid_count(start: Fraction, bound: Fraction, step: Fraction, up: bool) -> int:
-    """Number of grid points strictly between start and bound."""
-    span = (bound - start) if up else (start - bound)
-    k = span / step
-    n = k.numerator // k.denominator
-    if n * step == span:
-        n -= 1
-    return max(0, n)
+def grid(domain: Ordinal, v: Fraction, step: Fraction) -> tuple[int, int, Callable]:
+    """How many of the `grid_points` lie at or below v and at or above it,
+    and point(k) = v + k*step as (numerator, denominator), built without a
+    `Fraction`: with v = p/q and step = a/b it is (p*b + k*a*q) / (q*b)."""
+    p, q, a, b = v.numerator, v.denominator, step.numerator, step.denominator
+    below, gap_lo = divmod(v - domain.lo, step)
+    above, gap_hi = divmod(domain.hi - v, step)
+    return below + 1 + (gap_lo > 0), above + 1 + (gap_hi > 0), lambda k: (p * b + k * a * q, q * b)
+
+
+def grid_points(domain: Ordinal, v: Fraction, step: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """The points v + k*step inside the domain and both domain bounds,
+    ascending, as (numerator, denominator), and the index of v among them."""
+    below, above, point = grid(domain, v, step)
+    inner = [point(k) for k in range(2 - below, above - 1)]
+    return [domain.lo.as_integer_ratio(), *inner, domain.hi.as_integer_ratio()], below - 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +143,39 @@ def feature_atoms(problem: ExplanationProblem, j: int) -> tuple[list[ValueSet], 
     return atoms, next(i for i, atom in enumerate(atoms) if vs_contains(atom, v))
 
 
+def _atom_bits(problem: ExplanationProblem, j: int) -> list[int]:
+    """Feature j's atoms as bits of the compiled model's masks, in domain order."""
+    valid = problem.oracle.model.valid[j - 1]
+    return [1 << i for i in range(valid.bit_length()) if valid >> i & 1]
+
+
 def grow(
     problem: ExplanationProblem,
     j: int,
-    current: Mapping[int, ValueSet],
+    current: Mapping[int, Entry],
     kept: ValueSet,
-    atoms: Iterable[ValueSet],
+    atoms: Iterable[int],
 ) -> ValueSet:
-    """Add to kept, in order, each atom not already in it that keeps sufficiency.
+    """Add to kept, in order, each atom (as its bit, see `_atom_bits`) not
+    already inside it that keeps sufficiency.
 
-    current holds the value sets of the other features (an entry for j is
+    current holds the sets of the other features (an entry for j is
     ignored); each probed atom costs one oracle call.  The caller must know
     that current with j = kept is sufficient.  A box is sufficient exactly
     when both halves of a split of it are, so kept ∪ atom keeps sufficiency
-    exactly when atom alone does, and the probe gives j the atom alone.  The
-    result is maximal over the atoms: any atom left out was probed against
-    a subset of the final sets, and sufficiency can only get harder as sets
-    grow.
+    exactly when atom alone does, and the probe gives j the atom's bit
+    alone.  The result is maximal over the atoms: any atom left out was
+    probed against a subset of the final sets, and sufficiency can only get
+    harder as sets grow.
     """
     domain = problem.space.domain(j)
-    for atom in atoms:
-        if vs_subset(domain, atom, kept):
-            continue
-        if problem.sufficiency_holds({**current, j: atom}):
-            kept = vs_union(domain, kept, atom)
-    return kept
+    inside = problem.oracle.model.inside(j - 1, kept)
+    added = []
+    for bit in atoms:
+        if not bit & inside and problem.sufficiency_holds({**current, j: bit}):
+            inside |= bit
+            added.append(_piece_set(problem, j, bit))
+    return vs_union(domain, kept, *added) if added else kept
 
 
 def inflate_categorical(
@@ -175,7 +191,7 @@ def inflate_categorical(
     if not isinstance(problem.space.domain(j), Categorical):
         raise ValidationError(f"feature {j} is not categorical")
     atoms, seed = feature_atoms(problem, j)
-    return grow(problem, j, current, atoms[seed], atoms)
+    return grow(problem, j, current, atoms[seed], _atom_bits(problem, j))
 
 
 def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> int:
@@ -214,7 +230,7 @@ def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> 
 def inflate_ordinal(
     problem: ExplanationProblem,
     j: int,
-    current: Mapping[int, ValueSet],
+    current: Mapping[int, Entry],
     config: InflationConfig,
 ) -> IntervalUnion:
     """Grow a closed interval around the instance value of feature j.
@@ -222,33 +238,42 @@ def inflate_ordinal(
     The domain top is probed first; only if the full reach fails does the
     walk over the grid v + k*step start, stopping strictly below the top.
     Then the same for the bottom, against the already grown upper end.  All
-    strategies return the same endpoints.
+    strategies return the same endpoints.  Every end is kept as an integer
+    numerator and denominator (see `grid`); a monotone model is probed with
+    the ends themselves (see `CompiledModel.box`), any other with their
+    interval.
     """
     domain = problem.space.domain(j)
     if not isinstance(domain, Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
     v = rational(problem.value_of(j))
     step = _step_for(domain, config)
+    below, above, point = grid(domain, v, step)  # each count holds v and a domain bound
+    monotone = _uses_grid(problem)
 
-    def holds(lo: Fraction, hi: Fraction) -> bool:
-        trial = IntervalUnion((Interval(lo, hi, True, True),))
+    def holds(lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+        trial = (*lo, *hi, True) if monotone else _closed(lo, hi)
         return problem.sufficiency_holds({**current, j: trial})
 
-    sup = v
+    sup = inf = point(0)
     if v < domain.hi:
-        if holds(v, domain.hi):
-            sup = domain.hi
+        top = domain.hi.as_integer_ratio()
+        if holds(inf, top):
+            sup = top
         else:
-            k_max = _grid_count(v, domain.hi, step, up=True)
-            sup = v + step * _search_grid(lambda k: holds(v, v + k * step), k_max, config, step)
-    inf = v
+            sup = point(_search_grid(lambda k: holds(inf, point(k)), above - 2, config, step))
     if domain.lo < v:
-        if holds(domain.lo, sup):
-            inf = domain.lo
+        bottom = domain.lo.as_integer_ratio()
+        if holds(bottom, sup):
+            inf = bottom
         else:
-            k_max = _grid_count(v, domain.lo, step, up=False)
-            inf = v - step * _search_grid(lambda k: holds(v - k * step, sup), k_max, config, step)
-    return IntervalUnion((Interval(inf, sup, True, True),))
+            inf = point(-_search_grid(lambda k: holds(point(-k), sup), below - 2, config, step))
+    return _closed(inf, sup)
+
+
+def _closed(lo: tuple[int, int], hi: tuple[int, int]) -> IntervalUnion:
+    """The closed interval between two ends given as (numerator, denominator)."""
+    return IntervalUnion((Interval(Fraction(*lo), Fraction(*hi)),))
 
 
 def inflate_ordinal_cells(
@@ -265,7 +290,8 @@ def inflate_ordinal_cells(
     if not isinstance(problem.space.domain(j), Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
     atoms, seed = feature_atoms(problem, j)
-    return grow(problem, j, current, atoms[seed], atoms[seed + 1 :] + atoms[:seed][::-1])
+    bits = _atom_bits(problem, j)
+    return grow(problem, j, current, atoms[seed], bits[seed + 1 :] + bits[:seed][::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +305,6 @@ def _uses_grid(problem: ExplanationProblem) -> bool:
 def grid_delta(problem: ExplanationProblem, config: InflationConfig) -> Fraction:
     """The step width an explanation records: delta on grid models, else 0."""
     return config.delta if _uses_grid(problem) else Fraction(0)
-
-
-def grid_points(domain: Ordinal, v: Fraction, step: Fraction) -> list[Fraction]:
-    """The points v + k*step inside the domain, plus both domain bounds, ascending."""
-    below = math.floor((v - domain.lo) / step)
-    above = math.floor((domain.hi - v) / step)
-    return sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
 
 
 def _inflate_feature(
@@ -356,17 +375,31 @@ def inflate_from_full(
 # Contrastive shrinking
 
 
-def _contrast_pieces(
-    problem: ExplanationProblem, j: int, config: InflationConfig
-) -> list[ValueSet]:
-    """Candidate off-instance pieces for feature j of a contrastive set."""
+def _contrast_pieces(problem: ExplanationProblem, j: int, config: InflationConfig) -> list:
+    """Candidate off-instance pieces for feature j of a contrastive set,
+    ascending, in the compiled form (see `CompiledModel.box`): the ends of
+    a grid point on a monotone model, else the bit of an atom."""
     domain = problem.space.domain(j)
     if isinstance(domain, Ordinal) and _uses_grid(problem):
-        v = rational(problem.value_of(j))
-        points = grid_points(domain, v, _step_for(domain, config))
-        return [IntervalUnion((Interval(p, p, True, True),)) for p in points if p != v]
-    atoms, seed = feature_atoms(problem, j)
-    return atoms[:seed] + atoms[seed + 1 :]
+        points, at = grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
+        return [(*e, *e, True) for i, e in enumerate(points) if i != at]
+    bits = _atom_bits(problem, j)
+    del bits[feature_atoms(problem, j)[1]]
+    return bits
+
+
+def _piece_set(problem: ExplanationProblem, j: int, piece) -> ValueSet:
+    """The value set of an atom bit or grid point ends of feature j."""
+    if piece.__class__ is not int:
+        return _closed(piece[:2], piece[2:4])
+    model = problem.oracle.model
+    return model.atoms[j - 1][(model.valid[j - 1] & (piece - 1)).bit_count()]
+
+
+def _joined(pieces: list):
+    """The compiled union of ascending pieces: the OR of atom bits, or the
+    ends of the lowest and the highest grid point."""
+    return sum(pieces) if pieces[0].__class__ is int else pieces[0][:2] + pieces[-1][2:]
 
 
 def shrink_cxp(
@@ -393,22 +426,22 @@ def shrink_cxp(
     if not problem.wcxp_holds(feats):
         raise ValidationError(f"{feats} is not a contrastive feature set for this instance")
     order = _check_order(config.order, feats)
-    pieces: dict[int, list[ValueSet]] = {
-        j: _contrast_pieces(problem, j, config) for j in feats
-    }
+    pieces = {j: _contrast_pieces(problem, j, config) for j in feats}
     fixed = problem.pinned_except(feats)
-    # each feature's pieces merged once; a probe re-merges only the trimmed feature
-    sets = {j: vs_union(problem.space.domain(j), *ps) for j, ps in pieces.items()}
-    if not problem.counterexample_in({**fixed, **sets}):
+    # every probe passes each trimmed feature as the entry of its remaining pieces
+    entries = {j: _joined(ps) for j, ps in pieces.items()}
+    if not problem.counterexample_in({**fixed, **entries}):
         raise ValidationError(
             "no counterexample once the instance values are excluded at this granularity"
         )
+    sets = {}
     for j in order:
-        domain = problem.space.domain(j)
 
-        def holds(rest: list[ValueSet]) -> bool:
-            return problem.counterexample_in({**fixed, **sets, j: vs_union(domain, *rest)})
+        def holds(rest: list) -> bool:
+            return problem.counterexample_in({**fixed, **entries, j: _joined(rest)})
 
-        sets[j] = vs_union(domain, *_deletion_pass(pieces[j], holds, floor=1))
+        kept = _deletion_pass(pieces[j], holds, floor=1)
+        entries[j] = _joined(kept)
+        sets[j] = vs_union(problem.space.domain(j), *(_piece_set(problem, j, e) for e in kept))
     delta = grid_delta(problem, config)
     return InflatedExplanation(CONTRASTIVE, feats, sets, order, delta)

@@ -38,8 +38,10 @@ per feature.  `ValueSet` and `Fraction` appear only where a box is
 converted, to masks or to monotone extremes, and a session converts a
 feature's set only when it is not the object the feature's slot holds
 from the previous conversion; every decision after that is integer
-arithmetic.  Explanation searches change one feature per probe and pass
-the same set objects for the others, so most decisions convert one set.
+arithmetic.  A box may also give a feature in its compiled form: an atom
+mask, or monotone extremes as an `_ends` tuple.  The explanation searches
+probe that way, so the feature they change is never converted, and the
+others are the same set objects probe after probe, which the slots spare.
 
 A single tree or list is decided by one walk without recursion over the
 paths the box reaches, stopping at the first leaf of another class.  Where
@@ -70,7 +72,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .classifiers import (
     Classifier,
@@ -99,7 +101,10 @@ from .model import (
     Value,
     ValueSet,
     clip_snap,
+    vs_complement,
 )
+
+Entry = Union[ValueSet, int, tuple]  # a feature of a box (see `CompiledModel.box`)
 
 
 class OracleStats:
@@ -235,11 +240,14 @@ class CompiledModel:
     def cells_for(self, j: int) -> tuple[Interval, ...]:
         return self.cells[j - 1]
 
-    def box(self, assignment: Mapping[int, ValueSet], last: list) -> list:
+    def box(self, assignment: Mapping[int, Entry], last: list) -> list:
         """The box as each feature's extremes for a monotone model (see
-        `_ends`), or as atom masks.  last[j - 1] holds (set, entry) from
-        feature j's last conversion; a set that `is` that one (value sets
-        are frozen) is not converted again."""
+        `_ends`), or as atom masks.  A feature given in that compiled form
+        (an `int` mask of its atoms, or an `_ends` tuple whose fractions
+        need not be reduced) is checked with integer tests and used as it
+        is.  A value set is converted; last[j - 1] holds (set, entry) from
+        feature j's last conversion, and a set that `is` that one (value
+        sets are frozen) is not converted again."""
         box = []
         assigned = 0
         for j, domain in enumerate(self.space.domains, 1):
@@ -248,6 +256,9 @@ class CompiledModel:
                 box.append(self.absent[j - 1])
                 continue
             assigned += 1
+            if s.__class__ is int or s.__class__ is tuple:
+                box.append(self._checked(j - 1, s))
+                continue
             slot = last[j - 1]
             if slot is not None and slot[0] is s:
                 box.append(slot[1])
@@ -285,7 +296,29 @@ class CompiledModel:
             return _forces_tree(self.roots[0], box, ti, self.shared)
         return self._votes(box, ti, stats or OracleStats())
 
+    def _checked(self, f0: int, entry):
+        """entry, once integer tests show it a non-empty part of feature f0's
+        domain in this model's compiled form (see `box`)."""
+        if entry.__class__ is int:
+            fits = not self.monotone and entry and not entry & ~self.valid[f0]
+        elif fits := self.monotone and len(entry) == 5:
+            ln, ld, hn, hd, closed = entry
+            dln, dld, dhn, dhd, _ = self.absent[f0]
+            low, high = ln * hd, hn * ld  # both ends over the denominator ld * hd
+            fits = ld > 0 < hd and dln * ld <= ln * dld and hn * dhd <= dhn * hd
+            fits = fits and (low < high or low == high and closed)
+            if self.space.domains[f0].kind == INTEGER:  # snapped: integer ends, closed
+                fits = fits and not (ln % ld or hn % hd) and closed
+        if not fits:
+            raise ValidationError(f"feature {f0 + 1}: {entry!r} is no part of its domain here")
+        return entry
+
     # -- compiling to atom masks ----------------------------------------------
+
+    def inside(self, f0: int, s: ValueSet) -> int:
+        """The mask of feature f0's atoms that lie wholly inside s."""
+        rest = vs_complement(self.space.domains[f0], s)
+        return self.valid[f0] & ~self._set_mask(f0, rest) if rest else self.valid[f0]
 
     def _set_mask(self, f0: int, s: ValueSet) -> int:
         if isinstance(s, CatSet):
@@ -449,15 +482,15 @@ class Oracle:
         self.stats = OracleStats()
         self._converted: list = [None] * space.m
 
-    def holds_sufficiency(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
+    def holds_sufficiency(self, assignment: Mapping[int, Entry], class_id: str) -> bool:
         """True iff every point of the box predicts class_id."""
         return self._forces(assignment, class_id)
 
-    def counterexample_in(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
+    def counterexample_in(self, assignment: Mapping[int, Entry], class_id: str) -> bool:
         """True iff some point of the box predicts a class other than class_id."""
         return not self._forces(assignment, class_id)
 
-    def _forces(self, assignment: Mapping[int, ValueSet], class_id: str) -> bool:
+    def _forces(self, assignment: Mapping[int, Entry], class_id: str) -> bool:
         model = self.model
         if class_id not in model.class_index:
             raise ValidationError(f"unknown class {class_id!r}")

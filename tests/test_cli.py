@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,17 @@ class TestEnumerateAndDual:
                 main([*argv, "--model", RISK, "--instance", "Junior,Red"])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_dual_refuses_too_many_candidates_before_building_them(self, capsys):
+        # the forest's first row gives 2**32 candidate set families
+        with open(BENCH_CSV) as fh:
+            row = fh.read().splitlines()[1].rsplit(",", 1)[0]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dual", "--model", FOREST, "--instance", row)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert err == "error: 4294967296 candidate set families exceed the cap of 4096\n"
 
 
 class TestTrainAndBench:

@@ -1,12 +1,22 @@
 """Growing explanations to maximal value sets, and shrinking contrastive ones."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from bruteforce import bf_forces
-from pools import categorical_pool, dl_pool, forest_pool, make_problem, monotone_pool
+from pools import (
+    categorical_pool,
+    dl_pool,
+    forest_pool,
+    fractional_monotone_pool,
+    integer_monotone_pool,
+    integer_pool,
+    make_problem,
+    monotone_pool,
+)
 from xinflate import duality as duality_module, inflate as inflate_module
 from xinflate.classifiers import DecisionTree, LabelSplit, Leaf, OrdinalSplit, MonotonicClassifier
 from xinflate.duality import (
@@ -131,10 +141,15 @@ class TestCategoricalInflation:
                 assert not bf_forces(clf, space, grown, problem.target)
 
 
-def _union_probe_grow(problem, j, current, kept, atoms):
-    """The growth loop probing kept ∪ atom, as a reference for grow."""
+def _bits(problem, j):
+    return inflate_module._atom_bits(problem, j)
+
+
+def _union_probe_grow(problem, j, current, kept, bits):
+    """The growth loop probing kept ∪ atom as value sets, as a reference for grow."""
     domain = problem.space.domain(j)
-    for atom in atoms:
+    atom_of = dict(zip(_bits(problem, j), feature_atoms(problem, j)[0]))
+    for atom in map(atom_of.get, bits):
         if vs_subset(domain, atom, kept):
             continue
         trial = vs_union(domain, kept, atom)
@@ -165,6 +180,34 @@ class TestGrowth:
         monkeypatch.setattr(inflate_module, "grow", _union_probe_grow)
         monkeypatch.setattr(duality_module, "grow", _union_probe_grow)
         assert [self._inflate_and_rebuild(*p) for p in problems] == got
+
+    @pytest.mark.parametrize("pool", [forest_pool, dl_pool, categorical_pool, integer_pool])
+    def test_a_multi_atom_kept_is_topped_up_as_by_union_probes(self, pool, monkeypatch):
+        """The `iaxp_from_icxps` top-up starts grow from complements, which
+        hold several atoms: only the atoms outside them are probed."""
+        problems = pool()
+        atoms_inside = []
+
+        def recording_grow(problem, j, current, kept, bits):
+            atoms_inside.append(problem.oracle.model.inside(j - 1, kept).bit_count())
+            return inflate_module.grow(problem, j, current, kept, bits)
+
+        monkeypatch.setattr(duality_module, "grow", recording_grow)
+        got = [self._inflate_and_rebuild(*p) for p in problems]
+        assert sum(n > 1 for n in atoms_inside) > len(atoms_inside) // 4
+        monkeypatch.setattr(duality_module, "grow", _union_probe_grow)
+        assert [self._inflate_and_rebuild(*p) for p in problems] == got
+
+    def test_an_atom_partly_inside_kept_is_probed(self):
+        clf, space = _three_band_tree()
+        domain = space.domain(1)
+        kept = interval_union(domain, [Interval(F(0), F(3), True, False), Interval(F(6), F(7))])
+        results = []
+        for grow in (inflate_module.grow, _union_probe_grow):
+            problem = ExplanationProblem.from_point(clf, space, (F(1),))
+            results.append((grow(problem, 1, {}, kept, _bits(problem, 1)), problem.oracle.stats.calls))
+        whole = interval_union(domain, [Interval(F(0), F(3), True, False), Interval(F(6), F(9))])
+        assert results == [(whole, 2)] * 2
 
 
 class TestOrdinalGridInflation:
@@ -306,6 +349,137 @@ class TestShrinkCxp:
         assert vs_pieces(expl.set_for(1)) == 1
         (iv,) = expl.set_for(1).intervals
         assert F(3) <= iv.lo and iv.hi <= F(6)
+
+
+def _slicing_deletion_pass(items, holds, floor=0):
+    kept = list(items)
+    i = 0
+    while i < len(kept) > floor:
+        rest = kept[:i] + kept[i + 1 :]
+        if holds(rest):
+            kept = rest
+        else:
+            i += 1
+    return kept
+
+
+def _value_set_pieces(problem, j, config):
+    domain = problem.space.domain(j)
+    if isinstance(domain, Ordinal) and isinstance(problem.classifier, MonotonicClassifier):
+        v = problem.value_of(j)
+        step = F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
+        below = math.floor((v - domain.lo) / step)
+        above = math.floor((domain.hi - v) / step)
+        points = sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
+        return [IntervalUnion((Interval(p, p),)) for p in points if p != v]
+    atoms, seed = feature_atoms(problem, j)
+    return atoms[:seed] + atoms[seed + 1 :]
+
+
+def _union_probe_shrink(problem, cxp, config):
+    """shrink_cxp with value-set probes, each merging the remaining pieces
+    with vs_union, as a reference: its sets, or its error message."""
+    feats = tuple(sorted(cxp))
+    if not problem.wcxp_holds(feats):
+        return "not contrastive"
+    pieces = {j: _value_set_pieces(problem, j, config) for j in feats}
+    fixed = problem.pinned_except(feats)
+    sets = {j: vs_union(problem.space.domain(j), *ps) for j, ps in pieces.items()}
+    if not problem.counterexample_in({**fixed, **sets}):
+        return "no counterexample once the instance values are excluded at this granularity"
+    for j in feats:
+        domain = problem.space.domain(j)
+
+        def holds(rest):
+            return problem.counterexample_in({**fixed, **sets, j: vs_union(domain, *rest)})
+
+        sets[j] = vs_union(domain, *_slicing_deletion_pass(pieces[j], holds, floor=1))
+    return sets
+
+
+class TestCompiledProbes:
+    """The searches probe with atom bits and integer grid ends; a reference
+    probing with value sets must give the same answers and decision counts."""
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            forest_pool,
+            dl_pool,
+            categorical_pool,
+            integer_pool,
+            monotone_pool,
+            integer_monotone_pool,
+            fractional_monotone_pool,
+        ],
+    )
+    def test_shrink_cxp_matches_union_probes(self, pool):
+        config = InflationConfig(delta=F(1, 3))
+        for clf, space, point in pool():
+            runs = []
+            for shrink in (shrink_cxp, _union_probe_shrink):
+                problem = make_problem(clf, space, point)
+                cxp = find_cxp(problem)
+                try:
+                    out = shrink(problem, cxp, config)
+                except ValidationError as exc:
+                    out = str(exc)
+                runs.append((getattr(out, "sets", out), problem.oracle.stats.calls))
+            assert runs[0] == runs[1], (clf, point)
+
+    @pytest.mark.parametrize("pool", [integer_monotone_pool, fractional_monotone_pool])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            InflationConfig(delta=F(1, 3)),
+            InflationConfig(delta=F(1, 3), strategy=BINARY),
+            InflationConfig(delta=F(1, 2), beta=F(2)),
+            InflationConfig(delta=F(2, 7), strategy=BINARY),
+        ],
+        ids=["linear", "binary", "beta", "binary-2/7"],
+    )
+    def test_integer_grid_matches_fraction_grid(self, pool, config, monkeypatch):
+        problems = pool()
+        got = [self._inflate(p, config) for p in problems]
+        monkeypatch.setattr(inflate_module, "inflate_ordinal", _fraction_grid_inflate_ordinal)
+        assert [self._inflate(p, config) for p in problems] == got
+
+    @staticmethod
+    def _inflate(p, config):
+        problem = make_problem(*p)
+        expl = inflate_axp(problem, find_axp(problem), config, trusted=True)
+        return expl.sets, problem.oracle.stats.calls
+
+
+def _fraction_grid_inflate_ordinal(problem, j, current, config):
+    """inflate_ordinal probing with a `Fraction` grid and interval sets, as a reference."""
+    domain = problem.space.domain(j)
+    v = problem.value_of(j)
+    step = F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
+
+    def holds(lo, hi):
+        return problem.sufficiency_holds({**current, j: IntervalUnion((Interval(lo, hi),))})
+
+    def count(span):  # grid points strictly inside a span
+        n = math.floor(span / step)
+        return max(0, n - 1 if n * step == span else n)
+
+    search = inflate_module._search_grid
+    sup = v
+    if v < domain.hi:
+        if holds(v, domain.hi):
+            sup = domain.hi
+        else:
+            k_max = count(domain.hi - v)
+            sup = v + step * search(lambda k: holds(v, v + k * step), k_max, config, step)
+    inf = v
+    if domain.lo < v:
+        if holds(domain.lo, sup):
+            inf = domain.lo
+        else:
+            k_max = count(v - domain.lo)
+            inf = v - step * search(lambda k: holds(v - k * step, sup), k_max, config, step)
+    return IntervalUnion((Interval(inf, sup),))
 
 
 def _integer_gap_problem():

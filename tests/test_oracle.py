@@ -385,6 +385,67 @@ class TestOracleContract:
         oracle = Oracle(clf, space)
         assert oracle.stats.calls == 0
 
+    @staticmethod
+    def _integer_grade():
+        space = FeatureSpace((Ordinal(F(0), F(10), INTEGER), Ordinal(F(0), F(10))))
+        return MonotonicClassifier((F(1), F(1)), (F(12),), ("B", "A")), space
+
+    @pytest.mark.parametrize(
+        "model, entry",
+        [
+            ("risk", 0),
+            ("risk", 1 << 3),  # feature 1 has three labels: bits 0..2
+            ("risk", -1),
+            ("grade", 1),
+            ("risk", (0, 1, 0, 1, True)),
+            ("grade", (3, 1, 2, 1, True)),
+            ("grade", (6, 2, 3, 1, False)),  # [3, 3): unreduced, and empty
+            ("grade", (-1, 2, 2, 1, True)),
+            ("grade", (0, 1, 21, 2, True)),
+            ("grade", (0, 1, 1, 0, True)),
+            ("grade", (0, 1, 1, 1)),
+            ("integer", (1, 2, 2, 1, True)),
+            ("integer", (0, 1, 2, 1, False)),
+        ],
+        ids=[
+            "zero-mask", "mask-beyond-the-atoms", "negative-mask", "mask-on-monotone",
+            "ends-on-atoms", "lowest-above-highest", "open-point", "below-the-domain",
+            "above-the-domain", "zero-denominator", "four-parts", "ends-off-integers",
+            "open-end-on-integers",
+        ],
+    )
+    def test_a_malformed_entry_is_refused(self, model, entry):
+        clf, space = {"risk": risk_list, "grade": grade_model, "integer": self._integer_grade}[
+            model
+        ]()
+        oracle = Oracle(clf, space)
+        for _ in range(2):  # nothing is kept from a refused entry
+            with pytest.raises(ValidationError, match="feature 1: .* is no part of its domain"):
+                oracle.holds_sufficiency({1: entry}, clf.classes[0])
+        assert oracle.stats.calls == 0
+
+    def test_entries_decide_as_their_value_sets(self):
+        clf, space = grade_model()
+        oracle = Oracle(clf, space)
+        cases = [
+            ((6, 2, 19, 2, True), Interval(F(3), F(19, 2))),
+            ((6, 2, 14, 2, False), Interval(F(3), F(7), True, False)),
+            ((0, 1, 10, 1, True), Interval(F(0), F(10))),
+            ((7, 1, 7, 1, True), Interval(F(7), F(7))),
+        ]
+        pin = singleton_set(space.domain(2), F(5))
+        for entry, iv in cases:
+            for target in clf.classes:
+                want = bf_forces(clf, space, {1: IntervalUnion((iv,)), 2: pin}, target)
+                assert oracle.holds_sufficiency({1: entry, 2: pin}, target) == want
+        clf, space = risk_list()
+        oracle = Oracle(clf, space)
+        for mask in range(1, 1 << 6):
+            labels = [l for i, l in enumerate(space.domain(2).labels) if mask >> i & 1]
+            sets = {1: cat_set(space.domain(1), ["Junior"]), 2: cat_set(space.domain(2), labels)}
+            want = bf_forces(clf, space, sets, "1")
+            assert oracle.holds_sufficiency({**sets, 2: mask}, "1") == want
+
 
 class TestSessionSlots:
     """An `Oracle` keeps each feature's last converted set; reusing it must
