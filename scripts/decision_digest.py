@@ -7,8 +7,12 @@ Run from the repository root:
 Each problem of the `tests/pools.py` pools (lists, forests, monotone,
 categorical, integer-domain, and monotone over integer and over
 non-integral domains, whose boxes end on clip and snap boundaries) runs
-`find_axp` + `inflate_axp`, `find_cxp` + `shrink_cxp`, and `enumerate_all`
-when it has at most six features.  Every decision of the problem's oracle
+`find_axp` + `inflate_axp`, `find_cxp` + `shrink_cxp`, and the duality
+round trip: `icxp_from_iaxps` on that inflated AXp (one ICXp per feature),
+then `iaxp_from_icxps` back from those.  A problem with at most six
+features also runs `enumerate_all`, then `enumerate_iaxps` on every AXp
+and `enumerate_icxps` on every CXp it finds, at delta 1/2 and with a cap
+of 128 candidates.  Every decision of the problem's oracle
 is logged as (box, class, answer); the constancy checks made while
 building a problem are not.  The box is logged as the engine decides it,
 `CompiledModel.box` of the assignment after the decision: each feature's
@@ -46,12 +50,15 @@ from pools import (
     make_problem,
     monotone_pool,
 )
+from xinflate.duality import enumerate_iaxps, enumerate_icxps, iaxp_from_icxps, icxp_from_iaxps
 from xinflate.errors import XInflateError
 from xinflate.explain import enumerate_all, find_axp, find_cxp
-from xinflate.inflate import inflate_axp, shrink_cxp
+from xinflate.inflate import InflationConfig, inflate_axp, shrink_cxp
 from xinflate.serialize import explanation_to_dict
 
 ENUMERATE_MAX_FEATURES = 6
+DUAL_CONFIG = InflationConfig(delta=Fraction(1, 2))
+DUAL_CAP = 128
 
 
 def _canonical(entry):
@@ -73,6 +80,24 @@ def _logged(log: list, oracle, decide):
     return logged
 
 
+def _attempt(call):
+    """call(), or its error as (type name, message)."""
+    try:
+        return call()
+    except XInflateError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _documents(problem, expls) -> list:
+    return [explanation_to_dict(problem.space, e) for e in expls]
+
+
+def _round_trip(problem) -> list:
+    iaxp = inflate_axp(problem, find_axp(problem), trusted=True)
+    icxps = [icxp_from_iaxps(problem, [iaxp], [j]) for j in iaxp.features]
+    return _documents(problem, (*icxps, iaxp_from_icxps(problem, icxps, list(iaxp.features))))
+
+
 def _run(problem) -> list:
     """The outputs of the listed calls; an error counts as its message."""
     out = []
@@ -84,9 +109,17 @@ def _run(problem) -> list:
             out.append((type(exc).__name__, str(exc)))
     if problem.space.m <= ENUMERATE_MAX_FEATURES:
         try:
-            out.append(enumerate_all(problem))
+            families = enumerate_all(problem)
+            out.append(families)
         except XInflateError as exc:
             out.append((type(exc).__name__, str(exc)))
+            families = ((), ())
+        for enumerate_family, family in zip((enumerate_iaxps, enumerate_icxps), families):
+            for feats in family:
+                out.append(_attempt(lambda: _documents(
+                    problem, enumerate_family(problem, feats, DUAL_CONFIG, DUAL_CAP)
+                )))
+    out.append(_attempt(lambda: _round_trip(problem)))
     return out
 
 

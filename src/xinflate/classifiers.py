@@ -17,8 +17,6 @@ from .errors import ValidationError
 from .model import (
     Categorical,
     FeatureSpace,
-    Interval,
-    IntervalUnion,
     CatSet,
     Ordinal,
     Value,

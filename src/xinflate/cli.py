@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 

@@ -12,10 +12,14 @@ The constructions here cross the families.  A selector theta picks one
 feature from each inflated abductive explanation; the chosen features form
 Y and each G_j intersects the complements of the E_j sets that chose j.
 The mirror construction phi builds an abductive candidate from contrastive
-ones.  Neither construction is guaranteed valid for every model, so both
-are validated against their defining condition and raise
-DualityConstructionError carrying the failed candidate; the abductive
-direction re-runs per-feature maximality afterwards.
+ones.  Neither is valid for every model, so both are checked against their
+defining condition and raise DualityConstructionError carrying the failed
+candidate; phi then tops each set up to maximality with `grow`.
+
+The enumerations search in the engine's compiled form (see
+`CompiledModel.box`): a candidate is an atom mask, or the ends of a grid
+interval on a monotone model, and one step larger adds an atom's bit or
+moves an end to the next grid point.  Only the answers become value sets.
 """
 
 from __future__ import annotations
@@ -23,37 +27,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DualityConstructionError, ValidationError
 from .explain import ExplanationProblem, _deletion_pass, minimal_hitting_sets
 from .inflate import (
     InflationConfig,
     _atom_bits,
-    _closed,
     _contrast_pieces,
-    _piece_set,
+    _entry_set,
+    _feature_pieces,
     _step_for,
     _uses_grid,
-    feature_atoms,
     grid,
     grid_delta,
-    grid_points,
     grow,
 )
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
     InflatedExplanation,
-    Interval,
-    IntervalUnion,
     Ordinal,
     ValueSet,
     rational,
     vs_contains,
     vs_complement,
     vs_intersect,
-    vs_subset,
     vs_union,
 )
 from .oracle import _piece_rep
@@ -149,7 +148,6 @@ def icxp_from_iaxps(
     """
     _, sets = _selected_complements(problem, iaxps, selector, ABDUCTIVE)
     feats = tuple(sorted(sets))
-    candidate = InflatedExplanation(CONTRASTIVE, feats, dict(sets))
 
     def exists_with(live: dict[int, ValueSet]) -> bool:
         return problem.counterexample_in({**problem.pinned_except(live), **live})
@@ -157,7 +155,7 @@ def icxp_from_iaxps(
     if not exists_with(sets):
         raise DualityConstructionError(
             "no counterexample inside the constructed contrastive sets",
-            candidate=candidate,
+            candidate=InflatedExplanation(CONTRASTIVE, feats, dict(sets)),
         )
     kept = _deletion_pass(feats, lambda rest: exists_with({k: sets[k] for k in rest}), floor=1)
     return InflatedExplanation(CONTRASTIVE, tuple(kept), {k: sets[k] for k in kept})
@@ -186,15 +184,17 @@ def iaxp_from_icxps(
                 candidate=(tuple(picks), dict(sets)),
             )
     feats = tuple(sorted(sets))
-    candidate = InflatedExplanation(ABDUCTIVE, feats, dict(sets))
     if not problem.sufficiency_holds(sets):
         raise DualityConstructionError(
             "constructed sets are not sufficient for the prediction",
-            candidate=candidate,
+            candidate=InflatedExplanation(ABDUCTIVE, feats, dict(sets)),
         )
     if not _uses_grid(problem):
         for j in feats:
-            sets[j] = grow(problem, j, sets, sets[j], _atom_bits(problem, j))
+            inside = problem.oracle.model.inside(j - 1, sets[j])
+            added = grow(problem, j, sets, inside, _atom_bits(problem, j)[0]) & ~inside
+            if added:
+                sets[j] = vs_union(problem.space.domain(j), sets[j], _entry_set(problem, j, added))
     return InflatedExplanation(ABDUCTIVE, feats, dict(sets))
 
 
@@ -202,50 +202,25 @@ def iaxp_from_icxps(
 # Exhaustive enumeration of the inflated families (small problems)
 
 
-def _axp_feature_options(
-    problem: ExplanationProblem, j: int, config: InflationConfig
-) -> list[ValueSet]:
-    domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and _uses_grid(problem):
-        points, at = grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
-        return [_closed(a, b) for a in points[: at + 1] for b in points[at:]]
-    atoms, seed = feature_atoms(problem, j)
-    rest = atoms[:seed] + atoms[seed + 1 :]
-    return [
-        vs_union(domain, atoms[seed], *combo)
-        for size in range(len(rest) + 1)
-        for combo in combinations(rest, size)
-    ]
+def _axp_feature_options(pieces: list, at: int) -> list:
+    """A feature's candidate entries, from its pieces (see `_feature_pieces`):
+    every pair of grid ends around the instance's point, or the instance's
+    atom joined with each combination of the others, by size."""
+    if pieces[at].__class__ is not int:
+        return [(*a, *b, True) for a in pieces[: at + 1] for b in pieces[at:]]
+    rest = pieces[:at] + pieces[at + 1 :]
+    sizes = range(len(rest) + 1)
+    return [pieces[at] | sum(combo) for size in sizes for combo in combinations(rest, size)]
 
 
-def _one_step_larger(
-    problem: ExplanationProblem, j: int, s: ValueSet, config: InflationConfig
-) -> Iterator[ValueSet]:
-    """The sets one atom, or one grid step at either end, larger than s."""
-    domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and _uses_grid(problem):
-        iv = s.intervals[0]
-        step = _step_for(domain, config)
-        if iv.hi < domain.hi:
-            yield IntervalUnion((Interval(iv.lo, min(domain.hi, iv.hi + step), True, True),))
-        if iv.lo > domain.lo:
-            yield IntervalUnion((Interval(max(domain.lo, iv.lo - step), iv.hi, True, True),))
-        return
-    for atom in feature_atoms(problem, j)[0]:
-        if not vs_subset(domain, atom, s):
-            yield vs_union(domain, s, atom)
-
-
-def _is_locally_maximal(
-    problem: ExplanationProblem,
-    sets: dict[int, ValueSet],
-    config: InflationConfig,
-) -> bool:
-    return not any(
-        problem.sufficiency_holds({**sets, j: larger})
-        for j, s in sets.items()
-        for larger in _one_step_larger(problem, j, s, config)
-    )
+def _one_step_larger(entry, pieces: list) -> list:
+    """The entries one atom larger than a mask, in domain order, or one grid
+    point larger than grid ends, up first, then down."""
+    if entry.__class__ is int:
+        return [entry | bit for bit in pieces if not bit & entry]
+    lo, hi = pieces.index(entry[:2]), pieces.index(entry[2:4])
+    up = [(*entry[:2], *pieces[hi + 1], True)] if hi + 1 < len(pieces) else []
+    return up + ([(*pieces[lo - 1], *entry[2:4], True)] if lo else [])
 
 
 def _option_count(problem: ExplanationProblem, j: int, config: InflationConfig) -> int:
@@ -283,12 +258,18 @@ def enumerate_iaxps(
     feats = tuple(sorted(set(axp)))
     counts = [_option_count(problem, j, config) for j in feats]
     _check_cap(counts, max_candidates, "candidate set families")
-    options = [_axp_feature_options(problem, j, config) for j in feats]
+    pieces = {j: _feature_pieces(problem, j, config) for j in feats}
+    options = [_axp_feature_options(*pieces[j]) for j in feats]
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):
-        sets = dict(zip(feats, combo))
-        if problem.sufficiency_holds(sets) and _is_locally_maximal(problem, sets, config):
+        entries = dict(zip(feats, combo))
+        if problem.sufficiency_holds(entries) and not any(  # and locally maximal
+            problem.sufficiency_holds({**entries, j: larger})
+            for j, entry in entries.items()
+            for larger in _one_step_larger(entry, pieces[j][0])
+        ):
+            sets = {j: _entry_set(problem, j, e) for j, e in entries.items()}
             out.append(InflatedExplanation(ABDUCTIVE, feats, sets, (), delta))
     return tuple(out)
 
@@ -310,7 +291,7 @@ def enumerate_icxps(
     feats = tuple(sorted(set(cxp)))
     pieces = [_contrast_pieces(problem, j, config) for j in feats]
     _check_cap(map(len, pieces), max_candidates, "witness combinations")
-    options = [[_piece_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]
+    options = [[_entry_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):

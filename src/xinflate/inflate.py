@@ -48,7 +48,6 @@ from .model import (
     Ordinal,
     ValueSet,
     rational,
-    vs_contains,
     vs_is_full,
     vs_union,
 )
@@ -103,9 +102,7 @@ def _extract(problem: ExplanationProblem, find, config: InflationConfig):
 
 def _step_for(domain: Ordinal, config: InflationConfig) -> Fraction:
     # fractional steps leave an integer domain, so round the step up
-    if domain.kind == INTEGER:
-        return Fraction(max(1, math.ceil(config.delta)))
-    return config.delta
+    return Fraction(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
 
 
 def grid(domain: Ordinal, v: Fraction, step: Fraction) -> tuple[int, int, Callable]:
@@ -130,52 +127,56 @@ def grid_points(domain: Ordinal, v: Fraction, step: Fraction) -> tuple[list[tupl
 # Per-feature growth
 
 
-def feature_atoms(problem: ExplanationProblem, j: int) -> tuple[list[ValueSet], int]:
-    """Feature j's atoms in domain order, and the index of the instance's atom.
+def _atom_bits(problem: ExplanationProblem, j: int) -> tuple[list[int], int]:
+    """Feature j's atoms as bits of the compiled model's masks, in domain
+    order, and the index of the instance's atom, whose bit is its pin's mask.
 
     An atom is a single label, or a discretization cell holding at least one
     point of the domain (a cell of an integer domain may hold no integer).
     The prediction cannot tell two points of one atom apart.
     """
-    problem.space.domain(j)  # rejects an index out of range
-    atoms = list(problem.oracle.model.atoms[j - 1])  # a copy: the model is shared
-    v = problem.value_of(j)
-    return atoms, next(i for i, atom in enumerate(atoms) if vs_contains(atom, v))
+    model = problem.oracle.model
+    seed = model.set_mask(j - 1, problem.pin(j))  # the pin rejects an index out of range
+    valid = model.valid[j - 1]
+    bits = [1 << i for i in range(valid.bit_length()) if valid >> i & 1]
+    return bits, bits.index(seed)
 
 
-def _atom_bits(problem: ExplanationProblem, j: int) -> list[int]:
-    """Feature j's atoms as bits of the compiled model's masks, in domain order."""
-    valid = problem.oracle.model.valid[j - 1]
-    return [1 << i for i in range(valid.bit_length()) if valid >> i & 1]
+def _entry_set(problem: ExplanationProblem, j: int, entry) -> ValueSet:
+    """Feature j's compiled entry (see `CompiledModel.box`) as a value set:
+    the union of a mask's atoms, or the closed interval between two ends."""
+    if entry.__class__ is not int:
+        return IntervalUnion((Interval(Fraction(*entry[:2]), Fraction(*entry[2:4])),))
+    model = problem.oracle.model
+    valid, atoms = model.valid[j - 1], model.atoms[j - 1]
+    bit_of = (i for i in range(valid.bit_length()) if valid >> i & 1)  # each atom's bit index
+    picked = [atom for i, atom in zip(bit_of, atoms) if entry >> i & 1]
+    return picked[0] if len(picked) == 1 else vs_union(problem.space.domain(j), *picked)
 
 
 def grow(
     problem: ExplanationProblem,
     j: int,
     current: Mapping[int, Entry],
-    kept: ValueSet,
+    kept: int,
     atoms: Iterable[int],
-) -> ValueSet:
-    """Add to kept, in order, each atom (as its bit, see `_atom_bits`) not
-    already inside it that keeps sufficiency.
+) -> int:
+    """Add to the atom mask kept, in order, each atom (a bit, see
+    `_atom_bits`) outside it that keeps sufficiency, and return the mask.
 
-    current holds the sets of the other features (an entry for j is
+    current holds the entries of the other features (an entry for j is
     ignored); each probed atom costs one oracle call.  The caller must know
     that current with j = kept is sufficient.  A box is sufficient exactly
-    when both halves of a split of it are, so kept ∪ atom keeps sufficiency
+    when both halves of a split of it are, so kept | atom keeps sufficiency
     exactly when atom alone does, and the probe gives j the atom's bit
     alone.  The result is maximal over the atoms: any atom left out was
     probed against a subset of the final sets, and sufficiency can only get
-    harder as sets grow.
+    harder as sets grow.  The caller builds the value set, once.
     """
-    domain = problem.space.domain(j)
-    inside = problem.oracle.model.inside(j - 1, kept)
-    added = []
     for bit in atoms:
-        if not bit & inside and problem.sufficiency_holds({**current, j: bit}):
-            inside |= bit
-            added.append(_piece_set(problem, j, bit))
-    return vs_union(domain, kept, *added) if added else kept
+        if not bit & kept and problem.sufficiency_holds({**current, j: bit}):
+            kept |= bit
+    return kept
 
 
 def inflate_categorical(
@@ -190,8 +191,8 @@ def inflate_categorical(
     """
     if not isinstance(problem.space.domain(j), Categorical):
         raise ValidationError(f"feature {j} is not categorical")
-    atoms, seed = feature_atoms(problem, j)
-    return grow(problem, j, current, atoms[seed], _atom_bits(problem, j))
+    bits, at = _atom_bits(problem, j)
+    return _entry_set(problem, j, grow(problem, j, current, bits[at], bits))
 
 
 def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> int:
@@ -252,7 +253,8 @@ def inflate_ordinal(
     monotone = _uses_grid(problem)
 
     def holds(lo: tuple[int, int], hi: tuple[int, int]) -> bool:
-        trial = (*lo, *hi, True) if monotone else _closed(lo, hi)
+        trial = (*lo, *hi, True)
+        trial = trial if monotone else _entry_set(problem, j, trial)
         return problem.sufficiency_holds({**current, j: trial})
 
     sup = inf = point(0)
@@ -268,12 +270,7 @@ def inflate_ordinal(
             inf = bottom
         else:
             inf = point(-_search_grid(lambda k: holds(point(-k), sup), below - 2, config, step))
-    return _closed(inf, sup)
-
-
-def _closed(lo: tuple[int, int], hi: tuple[int, int]) -> IntervalUnion:
-    """The closed interval between two ends given as (numerator, denominator)."""
-    return IntervalUnion((Interval(Fraction(*lo), Fraction(*hi)),))
+    return _entry_set(problem, j, (*inf, *sup, True))
 
 
 def inflate_ordinal_cells(
@@ -289,9 +286,9 @@ def inflate_ordinal_cells(
     """
     if not isinstance(problem.space.domain(j), Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
-    atoms, seed = feature_atoms(problem, j)
-    bits = _atom_bits(problem, j)
-    return grow(problem, j, current, atoms[seed], bits[seed + 1 :] + bits[:seed][::-1])
+    bits, at = _atom_bits(problem, j)
+    grown = grow(problem, j, current, bits[at], bits[at + 1 :] + bits[:at][::-1])
+    return _entry_set(problem, j, grown)
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +372,20 @@ def inflate_from_full(
 # Contrastive shrinking
 
 
-def _contrast_pieces(problem: ExplanationProblem, j: int, config: InflationConfig) -> list:
-    """Candidate off-instance pieces for feature j of a contrastive set,
-    ascending, in the compiled form (see `CompiledModel.box`): the ends of
-    a grid point on a monotone model, else the bit of an atom."""
+def _feature_pieces(problem: ExplanationProblem, j: int, config: InflationConfig) -> tuple:
+    """Feature j's pieces, ascending, and the index of the instance's: the
+    `grid_points` on a monotone model, else the atom bits."""
     domain = problem.space.domain(j)
     if isinstance(domain, Ordinal) and _uses_grid(problem):
-        points, at = grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
-        return [(*e, *e, True) for i, e in enumerate(points) if i != at]
-    bits = _atom_bits(problem, j)
-    del bits[feature_atoms(problem, j)[1]]
-    return bits
+        return grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
+    return _atom_bits(problem, j)
 
 
-def _piece_set(problem: ExplanationProblem, j: int, piece) -> ValueSet:
-    """The value set of an atom bit or grid point ends of feature j."""
-    if piece.__class__ is not int:
-        return _closed(piece[:2], piece[2:4])
-    model = problem.oracle.model
-    return model.atoms[j - 1][(model.valid[j - 1] & (piece - 1)).bit_count()]
+def _contrast_pieces(problem: ExplanationProblem, j: int, config: InflationConfig) -> list:
+    """Feature j's off-instance pieces, ascending, as compiled entries (see
+    `CompiledModel.box`): an atom's bit, or the ends of a grid point."""
+    pieces, at = _feature_pieces(problem, j, config)
+    return [p if p.__class__ is int else (*p, *p, True) for i, p in enumerate(pieces) if i != at]
 
 
 def _joined(pieces: list):
@@ -427,6 +419,9 @@ def shrink_cxp(
         raise ValidationError(f"{feats} is not a contrastive feature set for this instance")
     order = _check_order(config.order, feats)
     pieces = {j: _contrast_pieces(problem, j, config) for j in feats}
+    for j, ps in pieces.items():
+        if not ps:
+            raise ValidationError(f"feature {j} has no value but the instance's to contrast with")
     fixed = problem.pinned_except(feats)
     # every probe passes each trimmed feature as the entry of its remaining pieces
     entries = {j: _joined(ps) for j, ps in pieces.items()}
@@ -442,6 +437,6 @@ def shrink_cxp(
 
         kept = _deletion_pass(pieces[j], holds, floor=1)
         entries[j] = _joined(kept)
-        sets[j] = vs_union(problem.space.domain(j), *(_piece_set(problem, j, e) for e in kept))
+        sets[j] = vs_union(problem.space.domain(j), *(_entry_set(problem, j, e) for e in kept))
     delta = grid_delta(problem, config)
     return InflatedExplanation(CONTRASTIVE, feats, sets, order, delta)

@@ -225,7 +225,7 @@ class CompiledModel:
                     if isinstance(lit, LabelEq):
                         m = self.labels[f0].get(lit.label, 0)
                     else:
-                        m = self._set_mask(f0, lit.values)
+                        m = self.set_mask(f0, lit.values)
                     hit = (f0, m, node, hit)
                 node = hit
             self.roots = [node]
@@ -271,11 +271,11 @@ class CompiledModel:
                 unknown = s.labels - set(domain.labels)
                 if unknown:
                     raise ValidationError(f"feature {j}: labels {sorted(unknown)} not in domain")
-                entry = self._set_mask(j - 1, s)
+                entry = self.set_mask(j - 1, s)
             elif self.monotone:
                 entry = _extremes(domain, s)
             else:
-                entry = self._set_mask(j - 1, s) & self.valid[j - 1]
+                entry = self.set_mask(j - 1, s) & self.valid[j - 1]
                 if not entry:
                     raise ValidationError("interval union is empty within the domain")
             last[j - 1] = (s, entry)  # one tuple: a reader never pairs one set with another's entry
@@ -318,9 +318,10 @@ class CompiledModel:
     def inside(self, f0: int, s: ValueSet) -> int:
         """The mask of feature f0's atoms that lie wholly inside s."""
         rest = vs_complement(self.space.domains[f0], s)
-        return self.valid[f0] & ~self._set_mask(f0, rest) if rest else self.valid[f0]
+        return self.valid[f0] & ~self.set_mask(f0, rest) if rest else self.valid[f0]
 
-    def _set_mask(self, f0: int, s: ValueSet) -> int:
+    def set_mask(self, f0: int, s: ValueSet) -> int:
+        """The mask of feature f0's cells or labels that s meets, atoms or not."""
         if isinstance(s, CatSet):
             labels = self.labels[f0]
             return sum(labels.get(label, 0) for label in s.labels)

@@ -12,10 +12,9 @@ import csv
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .classifiers import (
-    Classifier,
     DecisionList,
     DecisionTree,
     LabelEq,

@@ -1,5 +1,6 @@
 """Command-line behavior: documents, text lines, exit codes."""
 
+import copy
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xinflate.cli import main
 from xinflate.explain import ExplanationProblem, find_axp
@@ -195,6 +197,23 @@ class TestEnumerateAndDual:
         doc = json.loads(out)
         assert doc["explanation"]["sets"]["2"] == {"labels": ["White"]}
 
+
+    def test_shrink_cxp_with_a_one_atom_feature_exits_2(self, capsys, tmp_path):
+        # the tree never tests feature 2, so it has no off-instance value
+        path = tmp_path / "stump.json"
+        ordinal = {"type": "ordinal", "lo": "0", "hi": "4"}
+        root = {"feature": 1, "threshold": "2", "left": {"class": "a"}, "right": {"class": "b"}}
+        path.write_text(json.dumps({
+            "schema": "xinflate-model/1", "name": "stump",
+            "features": [{"name": "x1", "domain": ordinal}, {"name": "x2", "domain": ordinal}],
+            "classes": ["a", "b"], "classifier": {"type": "decision_tree", "root": root},
+        }))
+        code, out, err = run(
+            capsys, "shrink-cxp", "--model", str(path), "--instance", "1,1", "--cxp", "1,2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: feature 2 has no value but the instance's to contrast with\n"
 
     def test_shrink_cxp_extracts_in_order(self, capsys):
         code, out, err = run(
@@ -385,3 +404,75 @@ class TestParser:
     def test_unknown_command_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# small values only: a domain bound of 10**9 would make a grid search walk for hours
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from(["", "0", "-1", "1/0", "2/3", "7/2", "nan", "x", "Red", "ordinal", "integer"]),
+    st.just([]),
+    st.just({}),
+)
+_BUNDLED = [(RISK, "Junior,Red"), (GRADE, "3,5"), (FOREST, "7,7,7,8,3,2.5,high,green")]
+_COMMANDS = [
+    ("predict",),
+    ("explain",),
+    ("inflate",),
+    ("enumerate", "--budget", "64"),
+    ("shrink-cxp",),
+    ("dual", "--budget", "64", "--max-candidates", "64"),
+]
+
+
+def _mutate(data, doc):
+    """doc with one value replaced, removed or repeated, as drawn.  The value
+    is found by walking down from the root, stopping at each level with
+    probability 1/3, so values near the root are drawn as often as deep ones."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 2)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    action = data.draw(st.sampled_from(["replace", "remove", "repeat"]))
+    if parent is None:
+        return data.draw(_JSON_VALUES)
+    if action == "replace":
+        parent[key] = data.draw(_JSON_VALUES)
+    elif action == "remove":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    return doc
+
+
+class TestExitCodeProperty:
+    """Mutated bundled model files and instances make the CLI exit 0 or 2, never 1."""
+
+    @settings(
+        max_examples=500,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_mutated_inputs_never_exit_1(self, capsys, tmp_path, data):
+        model, instance = data.draw(st.sampled_from(_BUNDLED))
+        command = data.draw(st.sampled_from(_COMMANDS))
+        doc = json.loads(Path(model).read_text())
+        if data.draw(st.booleans()):
+            doc = _mutate(data, doc)
+        values = instance.split(",")
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(values) - 1))
+            values[i : i + 1] = data.draw(
+                st.lists(st.sampled_from(["", "x", "-1", "1/2", "99", "Adult", "high"]), max_size=2)
+            )
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        instance = "--instance=" + ",".join(values)  # one argument even when it starts with "-"
+        code = main([command[0], "--model", str(path), instance, *command[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err

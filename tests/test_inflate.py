@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -25,14 +26,13 @@ from xinflate.duality import (
     iaxp_from_icxps,
     icxp_from_iaxps,
 )
-from xinflate.errors import DualityConstructionError, ValidationError
+from xinflate.errors import BudgetExceededError, DualityConstructionError, ValidationError
 from xinflate.examples import grade_model, risk_list
-from xinflate.explain import ExplanationProblem, find_axp, find_cxp
+from xinflate.explain import ExplanationProblem, enumerate_all, find_axp, find_cxp
 from xinflate.inflate import (
     BINARY,
     LINEAR,
     InflationConfig,
-    feature_atoms,
     inflate_axp,
     inflate_from_full,
     shrink_cxp,
@@ -114,11 +114,11 @@ class TestCategoricalInflation:
 
     def test_feature_atoms_reject_an_index_out_of_range(self):
         problem = _risk_problem()
-        atoms, seed = feature_atoms(problem, 1)
-        assert atoms[seed] == CatSet(frozenset({"Junior"}))
+        bits, at = inflate_module._atom_bits(problem, 1)
+        assert problem.oracle.model.atoms[0][at] == CatSet(frozenset({"Junior"}))
         for j in (0, 3):
             with pytest.raises(ValidationError):
-                feature_atoms(problem, j)
+                inflate_module._atom_bits(problem, j)
 
     def test_explicit_order_is_recorded(self):
         problem = _risk_problem()
@@ -142,19 +142,29 @@ class TestCategoricalInflation:
 
 
 def _bits(problem, j):
-    return inflate_module._atom_bits(problem, j)
+    return inflate_module._atom_bits(problem, j)[0]
+
+
+def _value_set_atoms(problem, j):
+    """Feature j's atoms as value sets, and the index of the one holding the instance value."""
+    atoms = list(problem.oracle.model.atoms[j - 1])
+    return atoms, next(i for i, a in enumerate(atoms) if vs_contains(a, problem.value_of(j)))
 
 
 def _union_probe_grow(problem, j, current, kept, bits):
-    """The growth loop probing kept ∪ atom as value sets, as a reference for grow."""
+    """The growth loop probing kept ∪ atom as value sets, as a reference for
+    grow.  kept is a mask, as grow takes it; its set is joined with the set
+    current gives j, which may hold parts of atoms.  Returns a mask."""
     domain = problem.space.domain(j)
-    atom_of = dict(zip(_bits(problem, j), feature_atoms(problem, j)[0]))
-    for atom in map(atom_of.get, bits):
-        if vs_subset(domain, atom, kept):
+    atom_of = dict(zip(_bits(problem, j), problem.oracle.model.atoms[j - 1]))
+    kept_set = vs_union(domain, current[j], *(a for bit, a in atom_of.items() if bit & kept))
+    for bit in bits:
+        atom = atom_of[bit]
+        if vs_subset(domain, atom, kept_set):
             continue
-        trial = vs_union(domain, kept, atom)
+        trial = vs_union(domain, kept_set, atom)
         if problem.sufficiency_holds({**current, j: trial}):
-            kept = trial
+            kept_set, kept = trial, kept | bit
     return kept
 
 
@@ -189,7 +199,7 @@ class TestGrowth:
         atoms_inside = []
 
         def recording_grow(problem, j, current, kept, bits):
-            atoms_inside.append(problem.oracle.model.inside(j - 1, kept).bit_count())
+            atoms_inside.append(kept.bit_count())
             return inflate_module.grow(problem, j, current, kept, bits)
 
         monkeypatch.setattr(duality_module, "grow", recording_grow)
@@ -205,7 +215,9 @@ class TestGrowth:
         results = []
         for grow in (inflate_module.grow, _union_probe_grow):
             problem = ExplanationProblem.from_point(clf, space, (F(1),))
-            results.append((grow(problem, 1, {}, kept, _bits(problem, 1)), problem.oracle.stats.calls))
+            inside = problem.oracle.model.inside(0, kept)
+            grown = grow(problem, 1, {1: kept}, inside, _bits(problem, 1))
+            results.append((inflate_module._entry_set(problem, 1, grown), problem.oracle.stats.calls))
         whole = interval_union(domain, [Interval(F(0), F(3), True, False), Interval(F(6), F(9))])
         assert results == [(whole, 2)] * 2
 
@@ -342,6 +354,14 @@ class TestShrinkCxp:
         with pytest.raises(ValidationError):
             shrink_cxp(problem, (2,))
 
+    def test_a_feature_with_one_atom_is_refused(self):
+        # the tree never tests x2, so x2 has no value to contrast the instance's with
+        space = FeatureSpace((Ordinal(F(0), F(4)), Ordinal(F(0), F(4))))
+        clf = DecisionTree(OrdinalSplit(1, F(2), Leaf("a"), Leaf("b")), ("a", "b"))
+        problem = ExplanationProblem.from_point(clf, space, (F(1), F(1)))
+        with pytest.raises(ValidationError, match="feature 2 has no value but the instance's"):
+            shrink_cxp(problem, (1, 2))
+
     def test_cell_model_witnesses_are_single_cells(self):
         clf, space = _three_band_tree()
         problem = ExplanationProblem.from_point(clf, space, (F(1),))
@@ -363,17 +383,82 @@ def _slicing_deletion_pass(items, holds, floor=0):
     return kept
 
 
-def _value_set_pieces(problem, j, config):
+def _fraction_step(domain, config):
+    return F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
+
+
+def _fraction_grid(problem, j, config):
+    """The grid v + k*step inside feature j's domain and both domain bounds, ascending,
+    when feature j grows on a grid (an ordinal feature of a monotone model), else None."""
     domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and isinstance(problem.classifier, MonotonicClassifier):
-        v = problem.value_of(j)
-        step = F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
-        below = math.floor((v - domain.lo) / step)
-        above = math.floor((domain.hi - v) / step)
-        points = sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
-        return [IntervalUnion((Interval(p, p),)) for p in points if p != v]
-    atoms, seed = feature_atoms(problem, j)
+    if not (isinstance(domain, Ordinal) and isinstance(problem.classifier, MonotonicClassifier)):
+        return None
+    v, step = problem.value_of(j), _fraction_step(domain, config)
+    below = math.floor((v - domain.lo) / step)
+    above = math.floor((domain.hi - v) / step)
+    return sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
+
+
+def _value_set_pieces(problem, j, config):
+    points = _fraction_grid(problem, j, config)
+    if points is not None:
+        return [IntervalUnion((Interval(p, p),)) for p in points if p != problem.value_of(j)]
+    atoms, seed = _value_set_atoms(problem, j)
     return atoms[:seed] + atoms[seed + 1 :]
+
+
+def _value_set_options(problem, j, config):
+    """enumerate_iaxps' candidates for feature j as value sets: every grid
+    interval around the instance value, or every union of atoms holding
+    the instance's atom, by size."""
+    domain = problem.space.domain(j)
+    points = _fraction_grid(problem, j, config)
+    if points is not None:
+        v = problem.value_of(j)
+        return [IntervalUnion((Interval(a, b),)) for a in points if a <= v for b in points if b >= v]
+    atoms, seed = _value_set_atoms(problem, j)
+    rest = atoms[:seed] + atoms[seed + 1 :]
+    return [
+        vs_union(domain, atoms[seed], *combo)
+        for size in range(len(rest) + 1)
+        for combo in combinations(rest, size)
+    ]
+
+
+def _value_set_one_step_larger(problem, j, s, config):
+    """The sets one atom, or one grid step at either end, larger than s."""
+    domain = problem.space.domain(j)
+    if _fraction_grid(problem, j, config) is not None:
+        iv = s.intervals[0]
+        step = _fraction_step(domain, config)
+        if iv.hi < domain.hi:
+            yield IntervalUnion((Interval(iv.lo, min(domain.hi, iv.hi + step)),))
+        if iv.lo > domain.lo:
+            yield IntervalUnion((Interval(max(domain.lo, iv.lo - step), iv.hi),))
+        return
+    for atom in problem.oracle.model.atoms[j - 1]:
+        if not vs_subset(domain, atom, s):
+            yield vs_union(domain, s, atom)
+
+
+def _value_set_enumerate_iaxps(problem, axp, config, max_candidates):
+    """enumerate_iaxps over value-set candidates, as a reference: the sets
+    of each locally maximal inflation, or "cap" when the candidates exceed
+    max_candidates."""
+    feats = tuple(sorted(axp))
+    options = [_value_set_options(problem, j, config) for j in feats]
+    if math.prod(map(len, options)) > max_candidates:
+        return "cap"
+    out = []
+    for combo in product(*options):
+        sets = dict(zip(feats, combo))
+        if problem.sufficiency_holds(sets) and not any(
+            problem.sufficiency_holds({**sets, j: larger})
+            for j, s in sets.items()
+            for larger in _value_set_one_step_larger(problem, j, s, config)
+        ):
+            out.append(sets)
+    return out
 
 
 def _union_probe_shrink(problem, cxp, config):
@@ -443,6 +528,42 @@ class TestCompiledProbes:
         got = [self._inflate(p, config) for p in problems]
         monkeypatch.setattr(inflate_module, "inflate_ordinal", _fraction_grid_inflate_ordinal)
         assert [self._inflate(p, config) for p in problems] == got
+
+    @pytest.mark.parametrize(
+        "pool, delta",
+        [
+            (integer_monotone_pool, F(1, 2)),
+            (integer_monotone_pool, F(2, 7)),
+            (fractional_monotone_pool, F(1, 2)),
+            (fractional_monotone_pool, F(2, 7)),
+            (integer_pool, F(1, 5)),
+            (categorical_pool, F(1, 5)),
+            (dl_pool, F(1, 5)),
+            (forest_pool, F(1, 5)),
+        ],
+    )
+    def test_enumerate_iaxps_matches_value_set_candidates(self, pool, delta):
+        """Candidates and one-step-larger sets as compiled entries give the
+        same families and decisions as the same candidates as value sets."""
+        config, cap = InflationConfig(delta=delta), 256
+        answered = 0
+        for clf, space, point in pool():
+            runs = []
+            for new in (True, False):
+                problem = make_problem(clf, space, point)
+                out = []
+                for axp in enumerate_all(problem)[0]:
+                    if not new:
+                        out.append(_value_set_enumerate_iaxps(problem, axp, config, cap))
+                        continue
+                    try:
+                        out.append([e.sets for e in enumerate_iaxps(problem, axp, config, cap)])
+                    except BudgetExceededError:
+                        out.append("cap")
+                runs.append((out, problem.oracle.stats.calls))
+            assert runs[0] == runs[1], (clf, point)
+            answered += sum(family != "cap" for family in runs[0][0])
+        assert answered > len(pool()) // 2
 
     @staticmethod
     def _inflate(p, config):
