@@ -11,14 +11,15 @@ non-integral domains, whose boxes end on clip and snap boundaries) runs
 round trip: `icxp_from_iaxps` on that inflated AXp (one ICXp per feature),
 then `iaxp_from_icxps` back from those.  A problem with at most six
 features also runs `enumerate_all`, then `enumerate_iaxps` on every AXp
-and `enumerate_icxps` on every CXp it finds, at delta 1/2 and with a cap
-of 128 candidates.  Every decision of the problem's oracle
-is logged as (box, class, answer); the constancy checks made while
-building a problem are not.  The box is logged as the engine decides it,
-`CompiledModel.box` of the assignment after the decision: each feature's
-atom mask, or its monotone extremes with both ends as reduced fractions.
-So a search may pass the oracle value sets or compiled entries, and the
-log is the same when the engine decides the same boxes.  The script prints
+and `enumerate_icxps` on every CXp it finds, trusted since `enumerate_all`
+proved them, at delta 1/2 and with a cap of 128 candidates.  Every
+decision of the problem's oracle is logged as (box, class, answer); the
+constancy checks made while building a problem are not.  The box is
+logged as the engine decides it, `CompiledModel.box` of the assignment
+after the decision: each feature's atom mask, or its monotone extremes
+with both ends as reduced fractions.  So a search may pass the oracle
+value sets or compiled entries, and the log is the same when the engine
+decides the same boxes.  The script prints
 one JSON line: the problem count, the decision count, and a sha256 over
 the outputs, each problem's `oracle.stats.calls` and the ordered decision
 log.  An engine change that keeps answers and decisions identical keeps
@@ -117,7 +118,7 @@ def _run(problem) -> list:
         for enumerate_family, family in zip((enumerate_iaxps, enumerate_icxps), families):
             for feats in family:
                 out.append(_attempt(lambda: _documents(
-                    problem, enumerate_family(problem, feats, DUAL_CONFIG, DUAL_CAP)
+                    problem, enumerate_family(problem, feats, DUAL_CONFIG, DUAL_CAP, trusted=True)
                 )))
     out.append(_attempt(lambda: _round_trip(problem)))
     return out

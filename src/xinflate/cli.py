@@ -4,12 +4,17 @@ Subcommands: predict, explain, inflate, enumerate, shrink-cxp, dual,
 train-rf, bench.  Exit code 0 on success, 2 on validation or schema
 problems (including an instance whose given label the model does not
 reproduce), 1 on unexpected internal errors.
+
+`main` can be called repeatedly in one process.  It builds its parser once:
+parsing leaves the parser as it was, and argparse reads the terminal width
+only when it formats help or a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -197,11 +202,11 @@ def _cmd_dual(args) -> int:
     config = _config(args)
     sets, doc = _families(args, mf, problem, "xinflate-dual/1")
     iaxps = []
-    for x in sets.axps:
-        iaxps.extend(enumerate_iaxps(problem, x, config, max_candidates=args.max_candidates))
+    for x in sets.axps:  # enumerate_all proved each family, so no call re-checks it
+        iaxps.extend(enumerate_iaxps(problem, x, config, args.max_candidates, trusted=True))
     icxps = []
     for y in sets.cxps:
-        icxps.extend(enumerate_icxps(problem, y, config, max_candidates=args.max_candidates))
+        icxps.extend(enumerate_icxps(problem, y, config, args.max_candidates, trusted=True))
     hits = [[check_hits(problem, ia, ic) for ic in icxps] for ia in iaxps]
     doc["iaxps"] = [explanation_to_dict(mf.space, e) for e in iaxps]
     doc["icxps"] = [explanation_to_dict(mf.space, e) for e in icxps]
@@ -219,6 +224,9 @@ def _cmd_dual(args) -> int:
 
 def _cmd_train_rf(args) -> int:
     dataset = load_dataset(args.data)
+    for out in (args.model_out, args.out):  # refuse before training, not after
+        if out and not Path(out).parent.is_dir():
+            raise ValidationError(f"output directory not found: {Path(out).parent}")
     forest = train_forest(dataset, n_trees=args.trees, depth=args.depth, seed=args.seed)
     acc = model_accuracy(forest, dataset)
     mf = ModelFile(args.name, dataset.space, forest)
@@ -312,6 +320,7 @@ def _add_inflation(p: argparse.ArgumentParser, *, search: bool, order: bool) -> 
         p.add_argument("--order", help="comma-separated feature order, e.g. 2,1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xinflate", description="Inflated formal explanations for interpretable classifiers"
@@ -378,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit

@@ -34,6 +34,7 @@ from .explain import ExplanationProblem, _deletion_pass, minimal_hitting_sets
 from .inflate import (
     InflationConfig,
     _atom_bits,
+    _checked_features,
     _contrast_pieces,
     _entry_set,
     _feature_pieces,
@@ -246,16 +247,18 @@ def enumerate_iaxps(
     axp: Sequence[int],
     config: Optional[InflationConfig] = None,
     max_candidates: int = 4096,
+    trusted: bool = False,
 ) -> tuple[InflatedExplanation, ...]:
     """Every locally maximal inflation of one abductive explanation.
 
     Exhausts the per-feature candidate sets (label subsets, cell unions, or
     grid intervals) and keeps the sufficient, locally maximal combinations.
     Greedy inflation returns one member of this family per probe order;
-    the family can hold more.
+    the family can hold more.  axp is refused as `inflate_axp` refuses it;
+    trusted skips the one oracle call that checks its sufficiency.
     """
     config = config or InflationConfig()
-    feats = tuple(sorted(set(axp)))
+    feats = _checked_features(problem, axp, ABDUCTIVE, trusted)
     counts = [_option_count(problem, j, config) for j in feats]
     _check_cap(counts, max_candidates, "candidate set families")
     pieces = {j: _feature_pieces(problem, j, config) for j in feats}
@@ -279,16 +282,19 @@ def enumerate_icxps(
     cxp: Sequence[int],
     config: Optional[InflationConfig] = None,
     max_candidates: int = 4096,
+    trusted: bool = False,
 ) -> tuple[InflatedExplanation, ...]:
     """Every single-piece contrastive witness family over one CXp.
 
     Each feature of the explanation takes one off-instance piece (a label,
     a cell, or a grid point); a combination whose representative point
     flips the prediction is a valid contrastive family because the
-    prediction is constant on the piece product.
+    prediction is constant on the piece product.  cxp is refused as
+    `shrink_cxp` refuses it; trusted skips the one oracle call that checks
+    that it is contrastive.
     """
     config = config or InflationConfig()
-    feats = tuple(sorted(set(cxp)))
+    feats = _checked_features(problem, cxp, CONTRASTIVE, trusted)
     pieces = [_contrast_pieces(problem, j, config) for j in feats]
     _check_cap(map(len, pieces), max_candidates, "witness combinations")
     options = [[_entry_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]

@@ -318,6 +318,24 @@ def _inflate_feature(
     return inflate_ordinal_cells(problem, j, current)
 
 
+def _checked_features(problem: ExplanationProblem, xp: Sequence[int], kind: str, trusted: bool):
+    """xp's features, ascending.  Refuses an empty set, a repeated feature, an
+    index out of range and, unless trusted, at the cost of one oracle call, a
+    set that is not sufficient (abductive) or not contrastive."""
+    feats = tuple(sorted(set(xp)))
+    if not feats:
+        raise ValidationError("an explanation cannot be empty")
+    if len(feats) != len(tuple(xp)):
+        raise ValidationError(f"duplicate features in {tuple(xp)}")
+    for j in feats:
+        problem.space.domain(j)  # rejects an index out of range
+    holds = problem.waxp_holds if kind == ABDUCTIVE else problem.wcxp_holds
+    if not trusted and not holds(feats):
+        what = "sufficient" if kind == ABDUCTIVE else kind
+        raise ValidationError(f"{feats} is not a {what} feature set for this instance")
+    return feats
+
+
 def inflate_axp(
     problem: ExplanationProblem,
     axp: Sequence[int],
@@ -332,15 +350,7 @@ def inflate_axp(
     a false trusted claim gives undefined sets.
     """
     config = config or InflationConfig()
-    feats = tuple(sorted(set(axp)))
-    if len(feats) != len(tuple(axp)):
-        raise ValidationError(f"duplicate features in {tuple(axp)}")
-    if not feats:
-        raise ValidationError("an abductive explanation cannot be empty here")
-    for j in feats:
-        problem.space.domain(j)
-    if not trusted and not problem.waxp_holds(feats):
-        raise ValidationError(f"{feats} is not a sufficient feature set for this instance")
+    feats = _checked_features(problem, axp, ABDUCTIVE, trusted)
     order = _check_order(config.order, feats)
     current: dict[int, ValueSet] = {j: problem.pin(j) for j in feats}
     for j in order:
@@ -383,8 +393,11 @@ def _feature_pieces(problem: ExplanationProblem, j: int, config: InflationConfig
 
 def _contrast_pieces(problem: ExplanationProblem, j: int, config: InflationConfig) -> list:
     """Feature j's off-instance pieces, ascending, as compiled entries (see
-    `CompiledModel.box`): an atom's bit, or the ends of a grid point."""
+    `CompiledModel.box`): an atom's bit, or the ends of a grid point.
+    Refuses a feature that has none."""
     pieces, at = _feature_pieces(problem, j, config)
+    if len(pieces) < 2:
+        raise ValidationError(f"feature {j} has no value but the instance's to contrast with")
     return [p if p.__class__ is int else (*p, *p, True) for i, p in enumerate(pieces) if i != at]
 
 
@@ -410,18 +423,9 @@ def shrink_cxp(
     pins that feature.
     """
     config = config or InflationConfig()
-    feats = tuple(sorted(set(cxp)))
-    if not feats:
-        raise ValidationError("a contrastive explanation cannot be empty")
-    if len(feats) != len(tuple(cxp)):
-        raise ValidationError(f"duplicate features in {tuple(cxp)}")
-    if not problem.wcxp_holds(feats):
-        raise ValidationError(f"{feats} is not a contrastive feature set for this instance")
+    feats = _checked_features(problem, cxp, CONTRASTIVE, trusted=False)
     order = _check_order(config.order, feats)
     pieces = {j: _contrast_pieces(problem, j, config) for j in feats}
-    for j, ps in pieces.items():
-        if not ps:
-            raise ValidationError(f"feature {j} has no value but the instance's to contrast with")
     fixed = problem.pinned_except(feats)
     # every probe passes each trimmed feature as the entry of its remaining pieces
     entries = {j: _joined(ps) for j, ps in pieces.items()}

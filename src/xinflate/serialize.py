@@ -182,7 +182,9 @@ def _literal_from(doc, path, space: FeatureSpace) -> Literal:
     raise SchemaError(f"{path}.op", f"unknown literal op {op!r}")
 
 
-def _node_from(doc, path, space: FeatureSpace, classes) -> Node:
+def _node_from(doc, path, space: FeatureSpace, classes, seen: dict) -> Node:
+    """A tree node; seen maps each (feature, threshold string) read so far
+    in this load to its checked value, so a repeated split is read once."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     if "class" in doc:
@@ -192,16 +194,22 @@ def _node_from(doc, path, space: FeatureSpace, classes) -> Node:
         return Leaf(cls)
     j = _feature_index(doc, path, space)
     domain = space.domain(j)
-    left = _node_from(_want(doc, path, "left", dict, "an object"), f"{path}.left", space, classes)
-    right = _node_from(_want(doc, path, "right", dict, "an object"), f"{path}.right", space, classes)
+    left = _node_from(_want(doc, path, "left", dict, "an object"), f"{path}.left", space, classes, seen)
+    right = _node_from(_want(doc, path, "right", dict, "an object"), f"{path}.right", space, classes, seen)
     if "threshold" in doc:
-        if not isinstance(domain, Ordinal):
-            raise SchemaError(f"{path}.threshold", f"feature {j} is categorical")
-        t = _rational_at(doc["threshold"], f"{path}.threshold")
-        if not domain.lo < t <= domain.hi:
-            raise SchemaError(
-                f"{path}.threshold", f"{rational_str(t)} outside ({rational_str(domain.lo)}, {rational_str(domain.hi)}]"
-            )
+        raw = doc["threshold"]
+        # only strings are keys: a JSON true equals 1 and must still be refused
+        t = seen.get((j, raw)) if isinstance(raw, str) else None
+        if t is None:
+            if not isinstance(domain, Ordinal):
+                raise SchemaError(f"{path}.threshold", f"feature {j} is categorical")
+            t = _rational_at(raw, f"{path}.threshold")
+            if not domain.lo < t <= domain.hi:
+                raise SchemaError(
+                    f"{path}.threshold", f"{rational_str(t)} outside ({rational_str(domain.lo)}, {rational_str(domain.hi)}]"
+                )
+            if isinstance(raw, str):
+                seen[j, raw] = t
         return OrdinalSplit(j, t, left, right)
     if "label" in doc:
         if not isinstance(domain, Categorical):
@@ -241,13 +249,14 @@ def _classifier_from(doc, path, space: FeatureSpace, classes) -> Classifier:
         if default not in classes:
             raise SchemaError(f"{path}.default", f"unknown class {default!r}")
         return DecisionList(tuple(rules), default, classes)
+    seen: dict = {}  # one load's thresholds, see _node_from
     if kind == "decision_tree":
-        root = _node_from(_want(doc, path, "root", dict, "an object"), f"{path}.root", space, classes)
+        root = _node_from(_want(doc, path, "root", dict, "an object"), f"{path}.root", space, classes, seen)
         return DecisionTree(root, classes)
     if kind == "tree_ensemble":
         trees = []
         for i, tdoc in enumerate(_want_list(doc, path, "trees")):
-            root = _node_from(tdoc, f"{path}.trees[{i}]", space, classes)
+            root = _node_from(tdoc, f"{path}.trees[{i}]", space, classes, seen)
             trees.append(DecisionTree(root, classes))
         if not trees:
             raise SchemaError(f"{path}.trees", "an ensemble needs at least one tree")
@@ -256,6 +265,9 @@ def _classifier_from(doc, path, space: FeatureSpace, classes) -> Classifier:
 
 
 def model_from_dict(doc: dict) -> ModelFile:
+    """Read a model document, refusing its first bad element with its path.
+    Each distinct threshold string of a feature's splits is parsed and
+    checked against the domain once per call; repeats reuse the value."""
     path = "$"
     schema = _want_str(doc, path, "schema")
     if schema != MODEL_SCHEMA:

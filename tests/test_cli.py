@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from xinflate.cli import main
+from xinflate import cli
+from xinflate.cli import build_parser, main
 from xinflate.explain import ExplanationProblem, find_axp
 from xinflate.serialize import load_model, parse_point
 
@@ -323,6 +324,23 @@ class TestTrainAndBench:
         assert "--limit" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--model-out", "--out"])
+    def test_train_refuses_a_missing_output_directory_before_training(
+        self, capsys, monkeypatch, tmp_path, flag
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("trained before checking the output directory")
+
+        monkeypatch.setattr(cli, "train_forest", never)
+        paths = {"--model-out": str(tmp_path / "model.json"), "--out": str(tmp_path / "out.json")}
+        paths[flag] = str(tmp_path / "no" / "such" / "dir" / "x.json")
+        argv = ["train-rf", "--data", BENCH_CSV, "--trees", "1"]
+        code, out, err = run(capsys, *argv, *(a for item in paths.items() for a in item))
+        assert code == 2
+        assert err == f"error: output directory not found: {tmp_path / 'no' / 'such' / 'dir'}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_negative_depth_exits_2(self, capsys, tmp_path):
         model_path = tmp_path / "rf.json"
         code, out, err = run(
@@ -404,6 +422,64 @@ class TestParser:
     def test_unknown_command_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+_SUBCOMMANDS = ("predict", "explain", "inflate", "enumerate", "shrink-cxp", "dual", "train-rf", "bench")
+
+
+def _exit_text(capsys, parse, argv):
+    """The exit code and the text parse(argv) prints before it exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestCachedParser:
+    """main reuses one parser per process; no request sees another's."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_a_valid_call(self, capsys):
+        argv = ("dual", "--model", RISK, "--instance", "Junior,Red", "--format", "json")
+        first = run(capsys, *argv)
+        assert _exit_text(capsys, main, ["dual", "--model", RISK])[0] == 2
+        assert run(capsys, *argv) == first
+        doc = json.loads(first[1])
+        assert (doc["axps"], doc["cxps"], doc["duality_holds"]) == ([[1, 2]], [[1], [2]], True)
+
+    def test_no_value_leaks_into_the_next_request(self, capsys):
+        code, _, err = run(
+            capsys, "dual", "--model", RISK, "--instance", "Junior,Red",
+            "--max-candidates", "200", "--delta", "1/2",
+        )
+        assert code == 0, err
+        argv = ["inflate", "--model", GRADE, "--instance", "3,5"]
+        args = build_parser().parse_args(argv)
+        assert vars(args) == vars(build_parser.__wrapped__().parse_args(argv))
+        assert not hasattr(args, "max_candidates") and args.delta == "1/5"
+
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    def test_help_and_usage_errors_read_the_width_when_printed(self, capsys, monkeypatch, columns):
+        # the cached parser is built at the other width, then prints at this one
+        monkeypatch.setenv("COLUMNS", "200" if columns == "60" else "60")
+        build_parser.cache_clear()
+        build_parser()
+        monkeypatch.setenv("COLUMNS", columns)
+        cases = [
+            ["--help"],
+            *([command, "--help"] for command in _SUBCOMMANDS),
+            ["frobnicate"],
+            ["predict", "--instance", "1"],
+        ]
+        for argv in cases:
+            expected = _exit_text(capsys, build_parser.__wrapped__().parse_args, argv)
+            assert _exit_text(capsys, main, argv) == expected, argv
+            assert expected[0] == (0 if "--help" in argv else 2)
+        top = _exit_text(capsys, main, ["--help"])[1]
+        monkeypatch.setenv("COLUMNS", "60" if columns == "200" else "200")
+        assert _exit_text(capsys, main, ["--help"])[1] != top
 
 
 # small values only: a domain bound of 10**9 would make a grid search walk for hours

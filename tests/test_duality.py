@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pools import categorical_pool
+from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit
 from xinflate.duality import (
     ExplanationSets,
     check_hits,
@@ -16,8 +17,8 @@ from xinflate.duality import (
 from xinflate.errors import DualityConstructionError, ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, enumerate_all
-from xinflate.inflate import InflationConfig, inflate_axp
-from xinflate.model import CatSet, InflatedExplanation, full_set
+from xinflate.inflate import InflationConfig, inflate_axp, shrink_cxp
+from xinflate.model import CatSet, FeatureSpace, InflatedExplanation, Ordinal, full_set
 
 F = Fraction
 
@@ -86,6 +87,52 @@ class TestEnumerateInflatedFamilies:
         for enumerate_family, feats in ((enumerate_iaxps, (1, 2)), (enumerate_icxps, (1,))):
             with pytest.raises(ValidationError, match="non-negative"):
                 enumerate_family(problem, feats, max_candidates=-1)
+
+
+def _stump_problem():
+    """x1 < 2 gives a, else b, over two [0, 4] features, at (1, 1): the only
+    AXp and CXp is {1}, and x2 has no off-instance piece."""
+    domain = Ordinal(F(0), F(4))
+    clf = DecisionTree(OrdinalSplit(1, F(2), Leaf("a"), Leaf("b")), ("a", "b"))
+    return ExplanationProblem.from_point(clf, FeatureSpace((domain, domain)), (F(1), F(1)))
+
+
+class TestEnumerationRefusals:
+    """The enumerations refuse what inflate_axp and shrink_cxp refuse."""
+
+    @pytest.mark.parametrize(
+        "enumerate_family, feats",
+        [(enumerate_icxps, (2,)), (enumerate_icxps, (1, 2)), (enumerate_iaxps, (2,))],
+    )
+    def test_not_an_explanation_is_refused(self, enumerate_family, feats):
+        with pytest.raises(ValidationError):
+            enumerate_family(_stump_problem(), feats)
+
+    @pytest.mark.parametrize(
+        "enumerate_family, finish, bad",
+        [
+            (enumerate_iaxps, inflate_axp, [(), (1, 1), (3,), (2,)]),
+            (enumerate_icxps, shrink_cxp, [(), (1, 1), (3,), (2,), (1, 2)]),
+        ],
+    )
+    def test_refusals_match_the_single_explanation_calls(self, enumerate_family, finish, bad):
+        for feats in bad:
+            with pytest.raises(ValidationError) as expected:
+                finish(_stump_problem(), feats)
+            with pytest.raises(ValidationError) as got:
+                enumerate_family(_stump_problem(), feats)
+            assert str(got.value) == str(expected.value), feats
+
+    @pytest.mark.parametrize("enumerate_family", [enumerate_iaxps, enumerate_icxps])
+    def test_trusted_skips_the_one_check_call(self, enumerate_family):
+        answers = []
+        for trusted in (False, True):
+            problem = _stump_problem()
+            answers.append(enumerate_family(problem, (1,), trusted=trusted))
+            answers.append(problem.oracle.stats.calls)
+        checked, checked_calls, trusted_out, trusted_calls = answers
+        assert checked == trusted_out and checked
+        assert checked_calls == trusted_calls + 1
 
 
 class TestCheckHits:

@@ -186,6 +186,59 @@ class TestSchemaErrors:
             load_model(bad)
 
 
+class TestThresholdsReadOncePerLoad:
+    """Each (feature, threshold string) is parsed and range-checked once per
+    load; every refusal still names the offending element."""
+
+    @staticmethod
+    def _forest(*splits, his=("10", "4")):
+        features = [
+            {"name": f"x{i + 1}", "domain": {"type": "ordinal", "lo": "0", "hi": hi}}
+            for i, hi in enumerate(his)
+        ]
+        trees = [
+            {"feature": j, "threshold": t, "left": {"class": "a"}, "right": {"class": "b"}}
+            for j, t in splits
+        ]
+        return {
+            "schema": MODEL_SCHEMA,
+            "features": features,
+            "classes": ["a", "b"],
+            "classifier": {"type": "tree_ensemble", "trees": trees},
+        }
+
+    def _refused_at(self, doc) -> SchemaError:
+        with pytest.raises(SchemaError) as err:
+            model_from_dict(doc)
+        return err.value
+
+    def test_one_string_is_checked_against_each_features_domain(self):
+        # "6" lies inside x1's (0, 10] and outside x2's (0, 4]
+        err = self._refused_at(self._forest((1, "6"), (2, "6")))
+        assert err.path == "$.classifier.trees[1].threshold"
+        assert "outside" in str(err)
+
+    @pytest.mark.parametrize("first", [1, "1"])
+    def test_true_after_an_equal_threshold_is_still_refused(self, first):
+        err = self._refused_at(self._forest((1, first), (1, True)))
+        assert err.path == "$.classifier.trees[1].threshold"
+        assert "expected a rational" in str(err)
+
+    def test_repeated_out_of_range_threshold_names_its_first_occurrence(self):
+        err = self._refused_at(self._forest((1, "3"), (1, "11"), (1, "11")))
+        assert err.path == "$.classifier.trees[1].threshold"
+
+    def test_repeated_thresholds_load_as_written(self):
+        doc = self._forest((1, "3"), (2, "3"), (1, "3"), (1, "7/2"), (2, 3))
+        back = model_to_dict(model_from_dict(doc))
+        splits = [(t["feature"], t["threshold"]) for t in back["classifier"]["trees"]]
+        assert splits == [(1, "3"), (2, "3"), (1, "3"), (1, "3.5"), (2, "3")]
+
+    def test_bundled_forest_loads_to_its_own_document(self):
+        path = MODELS / "bench_forest.json"
+        assert model_to_dict(load_model(path)) == json.loads(path.read_text())
+
+
 class TestExplanationDocuments:
     def test_risk_inflated_document(self):
         clf, space = risk_list()
