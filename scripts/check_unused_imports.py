@@ -1,15 +1,15 @@
-"""List the imports a module of the package never uses.
+"""List the imports a module of the package, its tests or its scripts never uses.
 
 Run from the repository root:
 
     python3 scripts/check_unused_imports.py
 
-Every module under `src/` except the `__init__.py` files is parsed with
-`ast`.  A name bound by an import counts as used when it appears anywhere
-in the module as a name, as the root of an attribute chain, or inside a
-quoted annotation.  `from __future__` imports are skipped.  The script
-prints one `path:line: name` per unused import and exits 1 when there is
-any, else 0.
+Every module under `src/`, `tests/` and `scripts/` except the
+`__init__.py` files is parsed with `ast`.  A name bound by an import
+counts as used when it appears anywhere in the module as a name, as the
+root of an attribute chain, or inside a quoted annotation.  `from
+__future__` imports are skipped.  The script prints one `path:line: name`
+per unused import and exits 1 when there is any, else 0.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CHECKED = ("src", "tests", "scripts")
 
 
 def _annotations(tree: ast.AST):
@@ -53,11 +54,15 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name not in used]
 
 
+def modules():
+    """Every checked module, `__init__.py` files left out."""
+    for top in CHECKED:
+        yield from (p for p in sorted((ROOT / top).rglob("*.py")) if p.name != "__init__.py")
+
+
 def main() -> int:
     found = 0
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in modules():
         for line, name in unused_imports(path):
             print(f"{path.relative_to(ROOT)}:{line}: {name}")
             found += 1

@@ -166,6 +166,8 @@ def run_bench(
         raise ValidationError("no instances to bench")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    if labels is not None and len(labels) != len(rows):
+        raise ValidationError("labels and rows differ in length")
     config = config or InflationConfig()
     validate_classifier(classifier, space)
     if classifier_is_constant(classifier, space):
@@ -182,8 +184,6 @@ def run_bench(
             records = list(pool.map(_worker_task, list(enumerate(points))))
     accuracy = None
     if labels is not None:
-        if len(labels) != len(points):
-            raise ValidationError("labels and rows differ in length")
         hits = sum(1 for r, l in zip(records, labels) if r.class_id == l)
         accuracy = Fraction(hits, len(points))
     return BenchReport(tuple(records), config.delta, config.strategy, accuracy)

@@ -13,7 +13,6 @@ only when it formats help or a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -43,7 +42,7 @@ from .serialize import (
     save_model,
     set_text,
 )
-from .trainer import load_dataset, model_accuracy, train_forest
+from .trainer import load_dataset, model_accuracy, read_table, train_forest
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -249,22 +248,15 @@ def _cmd_train_rf(args) -> int:
 
 
 def _read_rows(path: str, m: int):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"empty CSV file: {path}")
-        table = [row for row in reader if row]
-    if len(header) == m:
-        return [tuple(cell.strip() for cell in row) for row in table], None
-    if len(header) == m + 1:
-        rows = [tuple(cell.strip() for cell in row[:-1]) for row in table]
-        labels = [row[-1].strip() for row in table]
-        return rows, labels
-    raise ValidationError(
-        f"CSV has {len(header)} columns; expected {m} features plus an optional label"
-    )
+    """The rows of a CSV of points, and its labels when it has a label column."""
+    header, table = read_table(path)
+    if len(header) not in (m, m + 1):
+        raise ValidationError(
+            f"CSV has {len(header)} columns; expected {m} features plus an optional label"
+        )
+    rows = [tuple(cell.strip() for cell in row[:m]) for row in table]
+    labels = [row[m].strip() for row in table] if len(header) > m else None
+    return rows, labels
 
 
 def _cmd_bench(args) -> int:
@@ -298,11 +290,10 @@ def _cmd_bench(args) -> int:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser, *, instance: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="path to a model JSON file")
-    if instance:
-        p.add_argument("--instance", required=True, help="comma-separated feature values")
-        p.add_argument("--label", help="expected class; exit 2 if the model disagrees")
+    p.add_argument("--instance", required=True, help="comma-separated feature values")
+    p.add_argument("--label", help="expected class; exit 2 if the model disagrees")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON document to this file")
 

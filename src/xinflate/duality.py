@@ -39,7 +39,6 @@ from .inflate import (
     _entry_set,
     _feature_pieces,
     _step_for,
-    _uses_grid,
     grid,
     grid_delta,
     grow,
@@ -47,8 +46,12 @@ from .inflate import (
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
+    CatSet,
+    Domain,
+    INTEGER,
     InflatedExplanation,
     Ordinal,
+    Value,
     ValueSet,
     rational,
     vs_contains,
@@ -56,7 +59,6 @@ from .model import (
     vs_intersect,
     vs_union,
 )
-from .oracle import _piece_rep
 
 Selector = Union[Sequence[int], Callable[[InflatedExplanation], int]]
 
@@ -190,7 +192,7 @@ def iaxp_from_icxps(
             "constructed sets are not sufficient for the prediction",
             candidate=InflatedExplanation(ABDUCTIVE, feats, dict(sets)),
         )
-    if not _uses_grid(problem):
+    if not problem.oracle.model.monotone:
         for j in feats:
             inside = problem.oracle.model.inside(j - 1, sets[j])
             added = grow(problem, j, sets, inside, _atom_bits(problem, j)[0]) & ~inside
@@ -227,10 +229,19 @@ def _one_step_larger(entry, pieces: list) -> list:
 def _option_count(problem: ExplanationProblem, j: int, config: InflationConfig) -> int:
     """How many sets `_axp_feature_options` gives feature j, without building them."""
     domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and _uses_grid(problem):
+    if isinstance(domain, Ordinal) and problem.oracle.model.monotone:
         below, above, _ = grid(domain, rational(problem.value_of(j)), _step_for(domain, config))
         return below * above
     return 2 ** (len(problem.oracle.model.atoms[j - 1]) - 1)
+
+
+def _witness_count(problem: ExplanationProblem, j: int, config: InflationConfig) -> int:
+    """How many pieces `_contrast_pieces` gives feature j, without building them."""
+    domain = problem.space.domain(j)
+    if isinstance(domain, Ordinal) and problem.oracle.model.monotone:
+        below, above, _ = grid(domain, rational(problem.value_of(j)), _step_for(domain, config))
+        return below + above - 2
+    return len(problem.oracle.model.atoms[j - 1]) - 1
 
 
 def _check_cap(counts: Iterable[int], max_candidates: int, what: str) -> None:
@@ -277,6 +288,17 @@ def enumerate_iaxps(
     return tuple(out)
 
 
+def _piece_rep(domain: Domain, piece: ValueSet) -> Value:
+    """A point of a one-label or one-interval piece, such as an atom."""
+    if isinstance(piece, CatSet):
+        (label,) = piece.labels
+        return label
+    iv = piece.intervals[0]
+    if domain.kind == INTEGER or iv.lo == iv.hi:
+        return iv.lo
+    return (iv.lo + iv.hi) / 2
+
+
 def enumerate_icxps(
     problem: ExplanationProblem,
     cxp: Sequence[int],
@@ -295,8 +317,9 @@ def enumerate_icxps(
     """
     config = config or InflationConfig()
     feats = _checked_features(problem, cxp, CONTRASTIVE, trusted)
+    counts = [_witness_count(problem, j, config) for j in feats]
+    _check_cap(counts, max_candidates, "witness combinations")
     pieces = [_contrast_pieces(problem, j, config) for j in feats]
-    _check_cap(map(len, pieces), max_candidates, "witness combinations")
     options = [[_entry_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]
     delta = grid_delta(problem, config)
     out = []

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .classifiers import MonotonicClassifier
 from .errors import ValidationError
 from .explain import ExplanationProblem, _check_order, _deletion_pass
 from .model import (
@@ -250,7 +249,7 @@ def inflate_ordinal(
     v = rational(problem.value_of(j))
     step = _step_for(domain, config)
     below, above, point = grid(domain, v, step)  # each count holds v and a domain bound
-    monotone = _uses_grid(problem)
+    monotone = problem.oracle.model.monotone
 
     def holds(lo: tuple[int, int], hi: tuple[int, int]) -> bool:
         trial = (*lo, *hi, True)
@@ -295,13 +294,9 @@ def inflate_ordinal_cells(
 # Whole-explanation inflation
 
 
-def _uses_grid(problem: ExplanationProblem) -> bool:
-    return isinstance(problem.classifier, MonotonicClassifier)
-
-
 def grid_delta(problem: ExplanationProblem, config: InflationConfig) -> Fraction:
     """The step width an explanation records: delta on grid models, else 0."""
-    return config.delta if _uses_grid(problem) else Fraction(0)
+    return config.delta if problem.oracle.model.monotone else Fraction(0)
 
 
 def _inflate_feature(
@@ -313,7 +308,7 @@ def _inflate_feature(
     domain = problem.space.domain(j)
     if isinstance(domain, Categorical):
         return inflate_categorical(problem, j, current)
-    if _uses_grid(problem):
+    if problem.oracle.model.monotone:
         return inflate_ordinal(problem, j, current, config)
     return inflate_ordinal_cells(problem, j, current)
 
@@ -386,7 +381,7 @@ def _feature_pieces(problem: ExplanationProblem, j: int, config: InflationConfig
     """Feature j's pieces, ascending, and the index of the instance's: the
     `grid_points` on a monotone model, else the atom bits."""
     domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and _uses_grid(problem):
+    if isinstance(domain, Ordinal) and problem.oracle.model.monotone:
         return grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
     return _atom_bits(problem, j)
 

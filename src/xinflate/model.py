@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ValidationError
 
-Rational = Fraction
 Value = Union[str, Fraction]
 
 CONTINUOUS = "continuous"
@@ -387,8 +386,7 @@ class FeatureSpace:
         return self.domains[j - 1]
 
     def name(self, j: int) -> str:
-        if not 1 <= j <= self.m:
-            raise ValidationError(f"feature index {j} out of range 1..{self.m}")
+        self.domain(j)  # rejects an index out of range
         return self.names[j - 1]
 
     def validate_point(self, values: Sequence[Value]) -> tuple[Value, ...]:

@@ -98,7 +98,6 @@ from .model import (
     Interval,
     IntervalUnion,
     Ordinal,
-    Value,
     ValueSet,
     clip_snap,
     vs_complement,
@@ -529,16 +528,8 @@ def _forces_monotone(
     hi_attained = True
     for f0, w in weights:
         ln, ld, hn, hd, closed = box[f0]
-        if ld == lo_den:
-            lo_num += w * ln
-        else:
-            lo_num = lo_num * ld + w * ln * lo_den
-            lo_den *= ld
-        if hd == hi_den:
-            hi_num += w * hn
-        else:
-            hi_num = hi_num * hd + w * hn * hi_den
-            hi_den *= hd
+        lo_num, lo_den = lo_num * ld + w * ln * lo_den, lo_den * ld
+        hi_num, hi_den = hi_num * hd + w * hn * hi_den, hi_den * hd
         hi_attained = hi_attained and closed
     # the class index counts the thresholds at or below the score, so an
     # open lower end yields the same lowest index as a closed one, and an
@@ -619,23 +610,12 @@ def _reaches_only(node, box: list[int], ti: int) -> bool:
 # Constancy
 
 
-def _piece_rep(domain: Domain, piece: ValueSet) -> Value:
-    """A point of a one-label or one-interval piece, such as an atom."""
-    if isinstance(piece, CatSet):
-        (label,) = piece.labels
-        return label
-    iv = piece.intervals[0]
-    if domain.kind == INTEGER or iv.lo == iv.hi:
-        return iv.lo
-    return (iv.lo + iv.hi) / 2
-
-
 def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     """Whether the classifier predicts one class everywhere.
 
-    Cheap probe points first: the lowest and highest corners, and when
-    they agree, one point per atom of each feature, read off the compiled
-    model; only when they all agree does the box engine prove it.
+    Two predicts first: when the lowest and the highest corner differ the
+    answer is no, and nothing is compiled.  Otherwise the box engine proves
+    or refutes that the whole space gets the corners' class.
     """
     base = tuple(d.labels[0] if isinstance(d, Categorical) else d.lo for d in space.domains)
     tops = tuple(d.labels[-1] if isinstance(d, Categorical) else d.hi for d in space.domains)
@@ -643,9 +623,4 @@ def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     if classifier.predict(tops) != first:
         return False
     model = discretize(classifier, space)
-    for j, (domain, atoms) in enumerate(zip(space.domains, model.atoms), 1):
-        for atom in atoms:
-            probe = base[: j - 1] + (_piece_rep(domain, atom),) + base[j:]
-            if classifier.predict(probe) != first:
-                return False
     return model.forces(model.box({}, [None] * space.m), first)

@@ -43,6 +43,7 @@ from .model import (
     Ordinal,
     ValueSet,
     Value,
+    cat_set,
     interval_union,
     rational,
     rational_str,
@@ -152,12 +153,10 @@ def _valueset_from(doc, path, domain: Domain) -> ValueSet:
         labels = doc["labels"]
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise SchemaError(f"{path}.labels", "expected an array of strings")
-        unknown = set(labels) - set(domain.labels)
-        if unknown:
-            raise SchemaError(f"{path}.labels", f"labels not in domain: {sorted(unknown)}")
-        if not labels:
-            raise SchemaError(f"{path}.labels", "empty label set")
-        return CatSet(frozenset(labels))
+        try:
+            return cat_set(domain, labels)
+        except ValidationError as exc:
+            raise SchemaError(f"{path}.labels", str(exc)) from exc
     if "intervals" in doc:
         if not isinstance(domain, Ordinal):
             raise SchemaError(path, "intervals given for a categorical feature")

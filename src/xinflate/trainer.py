@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -67,8 +68,9 @@ def _infer_domain(column: Sequence[str], name: str):
     return Categorical(tuple(seen)), tuple(column)
 
 
-def load_dataset(path: Union[str, Path]) -> Dataset:
-    """Read a CSV whose header names the columns; the last column is the label."""
+def read_table(path: Union[str, Path]) -> tuple[list[str], list[list[str]]]:
+    """A CSV file's header row and its other rows, blank ones dropped;
+    refuses an empty file and a row whose width differs from the header's."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -76,12 +78,17 @@ def load_dataset(path: Union[str, Path]) -> Dataset:
         except StopIteration:
             raise ValidationError(f"empty CSV file: {path}")
         table = [row for row in reader if row]
+    for i, row in enumerate(table):
+        if len(row) != len(header):
+            raise ValidationError(f"row {i + 2} has {len(row)} cells, expected {len(header)}")
+    return header, table
+
+
+def load_dataset(path: Union[str, Path]) -> Dataset:
+    """Read a CSV whose header names the columns; the last column is the label."""
+    header, table = read_table(path)
     if len(header) < 2:
         raise ValidationError("need at least one feature column and one label column")
-    width = len(header)
-    for i, row in enumerate(table):
-        if len(row) != width:
-            raise ValidationError(f"row {i + 2} has {len(row)} cells, expected {width}")
     if not table:
         raise ValidationError(f"no data rows in {path}")
     names = tuple(h.strip() for h in header[:-1])
@@ -117,16 +124,9 @@ def _gini(counts: dict) -> Fraction:
     return 1 - acc
 
 
-def _counts(labels: Sequence[str]) -> dict:
-    out: dict = {}
-    for l in labels:
-        out[l] = out.get(l, 0) + 1
-    return out
-
-
 def _majority(labels: Sequence[str], classes: Sequence[str]) -> str:
-    counts = _counts(labels)
-    return max(classes, key=lambda c: (counts.get(c, 0), -classes.index(c)))
+    counts = Counter(labels)
+    return max(classes, key=lambda c: (counts[c], -classes.index(c)))
 
 
 def _split_score(left_labels, right_labels) -> Optional[Fraction]:
@@ -134,8 +134,8 @@ def _split_score(left_labels, right_labels) -> Optional[Fraction]:
     if nl == 0 or nr == 0:
         return None
     n = nl + nr
-    return Fraction(nl, n) * _gini(_counts(left_labels)) + Fraction(nr, n) * _gini(
-        _counts(right_labels)
+    return Fraction(nl, n) * _gini(Counter(left_labels)) + Fraction(nr, n) * _gini(
+        Counter(right_labels)
     )
 
 
@@ -166,7 +166,7 @@ def _best_split(rows, labels, space: FeatureSpace):
 def _grow(rows, labels, space: FeatureSpace, classes, depth: int) -> Node:
     if depth < 0:
         raise ValidationError(f"depth must be non-negative, got {depth}")
-    counts = _counts(labels)
+    counts = Counter(labels)
     if depth == 0 or len(counts) <= 1:
         return Leaf(_majority(labels, classes))
     best = _best_split(rows, labels, space)

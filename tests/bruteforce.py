@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from xinflate.classifiers import (
     DecisionList,
     DecisionTree,
-    LabelSplit,
     Leaf,
     MonotonicClassifier,
     OrdinalSplit,
@@ -27,7 +26,6 @@ from xinflate.classifiers import (
     TreeEnsemble,
 )
 from xinflate.model import (
-    CatSet,
     Categorical,
     FeatureSpace,
     INTEGER,

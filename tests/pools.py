@@ -17,7 +17,6 @@ from xinflate.model import (
     INTEGER,
     Categorical,
     FeatureSpace,
-    Instance,
     Interval,
     IntervalUnion,
     Ordinal,

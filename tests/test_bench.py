@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from xinflate.bench import BenchRecord, BenchReport, run_bench, widening
+from xinflate import bench as bench_module
+from xinflate.bench import run_bench, widening
 from xinflate.classifiers import DecisionList
 from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
-from xinflate.explain import ExplanationProblem, find_axp
+from xinflate.explain import ExplanationProblem
 from xinflate.inflate import InflationConfig, inflate_axp
 from xinflate.model import FeatureSpace, Ordinal
 from xinflate.serialize import load_model
@@ -96,6 +97,17 @@ class TestRunBench:
         clf, space = risk_list()
         with pytest.raises(ValidationError):
             run_bench(clf, space, [])
+
+    def test_label_count_refused_before_any_row_is_explained(self, monkeypatch):
+        def explain_one(*args):
+            raise AssertionError("a row was explained")
+
+        monkeypatch.setattr(bench_module, "_explain_one", explain_one)
+        clf, space = risk_list()
+        rows = [("Junior", "Red"), ("Adult", "Red")]
+        for labels in (["1"], ["1", "0", "1"]):
+            with pytest.raises(ValidationError, match="^labels and rows differ in length$"):
+                run_bench(clf, space, rows, labels=labels)
 
     def test_mispredicted_labels_lower_accuracy(self):
         clf, space = risk_list()

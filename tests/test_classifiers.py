@@ -111,6 +111,59 @@ class TestDecisionList:
             DecisionList((Rule((), "ghost"),), "out", ("in", "out"))
 
 
+COLORS = Categorical(("red", "green"))
+MIXED = FeatureSpace((UNIT, COLORS))  # feature 1 ordinal, feature 2 categorical
+
+
+def _list_with(literal):
+    return DecisionList((Rule((literal,), "in"),), "out", ("in", "out"))
+
+
+def _tree_with(node):
+    return DecisionTree(node, ("L", "H"))
+
+
+# objects the model-file reader refuses before they exist, built directly
+MALFORMED = [
+    (_list_with(LabelEq(1, "red")), "rule 0, feature 1: label 'red' not in domain"),
+    (_list_with(LabelEq(2, "blue")), "rule 0, feature 2: label 'blue' not in domain"),
+    (
+        _list_with(SetMember(1, CatSet(frozenset({"red"})))),
+        "rule 0, feature 1: label set over an ordinal feature",
+    ),
+    (
+        _list_with(SetMember(2, CatSet(frozenset({"red", "blue"})))),
+        r"rule 0, feature 2: labels not in domain: \['blue'\]",
+    ),
+    (
+        _list_with(SetMember(2, interval_union(UNIT, [Interval(F(0), F(5), True, False)]))),
+        "rule 0, feature 2: interval set over a categorical feature",
+    ),
+    (_tree_with(Leaf("ghost")), "tree 0: leaf class 'ghost' not declared"),
+    (
+        _tree_with(OrdinalSplit(2, F(1), Leaf("L"), Leaf("H"))),
+        "tree 0, feature 2: threshold split on a categorical feature",
+    ),
+    (
+        _tree_with(LabelSplit(1, "red", Leaf("L"), Leaf("H"))),
+        "tree 0, feature 1: label split on an ordinal feature",
+    ),
+    (
+        _tree_with(LabelSplit(2, "blue", Leaf("L"), Leaf("H"))),
+        "tree 0, feature 2: label 'blue' not in domain",
+    ),
+]
+
+
+@pytest.mark.parametrize("clf, message", MALFORMED)
+def test_validate_classifier_refuses_malformed_objects(clf, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        validate_classifier(clf, MIXED)
+    if isinstance(clf, DecisionTree):  # an ensemble names the tree the same way
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            validate_classifier(TreeEnsemble((clf,), clf.classes), MIXED)
+
+
 def _stump(threshold, lo_class="L", hi_class="H"):
     return DecisionTree(
         OrdinalSplit(1, F(threshold), Leaf(lo_class), Leaf(hi_class)), (lo_class, hi_class)

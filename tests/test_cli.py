@@ -316,6 +316,28 @@ class TestTrainAndBench:
         code, _, err = run(capsys, "bench", "--model", RISK, "--data", BENCH_CSV)
         assert code == 2
 
+    def test_bench_names_a_ragged_row_and_an_empty_file(self, capsys, tmp_path):
+        lines = Path(BENCH_CSV).read_text().splitlines()[:6]
+        lines[4] += ",extra"  # the fifth line: a 10-cell row under a 9-cell header
+        ragged, empty = tmp_path / "ragged.csv", tmp_path / "empty.csv"
+        ragged.write_text("\n".join(lines) + "\n")
+        empty.write_text("")
+        for data, message in (
+            (ragged, "row 5 has 10 cells, expected 9"),
+            (empty, f"empty CSV file: {empty}"),
+        ):
+            code, out, err = run(capsys, "bench", "--model", FOREST, "--data", str(data))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_bench_reads_rows_without_a_label_column(self, capsys, tmp_path):
+        lines = Path(BENCH_CSV).read_text().splitlines()[:4]
+        data = tmp_path / "points.csv"
+        data.write_text("\n\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        code, out, err = run(capsys, "bench", "--model", FOREST, "--data", str(data))
+        assert code == 0, err
+        assert "instances: 3" in out
+        assert "accuracy" not in out
+
     def test_bench_negative_limit_exits_2(self, capsys):
         code, out, err = run(
             capsys, "bench", "--model", FOREST, "--data", BENCH_CSV, "--limit", "-298"

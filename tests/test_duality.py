@@ -1,24 +1,42 @@
 """Cross-constructions between inflated abductive and contrastive families."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from pools import categorical_pool
+from bruteforce import bf_forces
+from pools import categorical_pool, dl_pool, forest_pool, integer_pool, make_problem, monotone_pool
 from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit
 from xinflate.duality import (
     ExplanationSets,
+    _axp_feature_options,
+    _option_count,
+    _witness_count,
     check_hits,
     enumerate_iaxps,
     enumerate_icxps,
     iaxp_from_icxps,
     icxp_from_iaxps,
 )
-from xinflate.errors import DualityConstructionError, ValidationError
+from xinflate.errors import BudgetExceededError, DualityConstructionError, ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem, enumerate_all
-from xinflate.inflate import InflationConfig, inflate_axp, shrink_cxp
-from xinflate.model import CatSet, FeatureSpace, InflatedExplanation, Ordinal, full_set
+from xinflate.inflate import (
+    InflationConfig,
+    _contrast_pieces,
+    _feature_pieces,
+    inflate_axp,
+    shrink_cxp,
+)
+from xinflate.model import (
+    CatSet,
+    FeatureSpace,
+    InflatedExplanation,
+    Ordinal,
+    full_set,
+    vs_union,
+)
 
 F = Fraction
 
@@ -87,6 +105,39 @@ class TestEnumerateInflatedFamilies:
         for enumerate_family, feats in ((enumerate_iaxps, (1, 2)), (enumerate_icxps, (1,))):
             with pytest.raises(ValidationError, match="non-negative"):
                 enumerate_family(problem, feats, max_candidates=-1)
+
+
+class TestCountsBeforeBuilding:
+    """The caps count each feature's entries from `grid` or the atoms, and
+    refuse before any entry is built."""
+
+    def test_witness_cap_refuses_before_building_the_grid(self):
+        # delta 1/100000 puts 1,000,000 off-instance grid points on Q
+        clf, space = grade_model()
+        problem = ExplanationProblem.from_point(clf, space, (F(3), F(5)))
+        config = InflationConfig(delta=F(1, 100000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_icxps(problem, (1,), config, max_candidates=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "1000000 witness combinations exceed the cap of 10"
+        assert peak < 1 << 20
+
+    def test_counts_equal_the_entries_built(self):
+        pools = (dl_pool(20), forest_pool(20), integer_pool(20), monotone_pool(20))
+        for clf, space, point in (case for pool in pools for case in pool):
+            problem = make_problem(clf, space, point)
+            for config in (InflationConfig(), InflationConfig(delta=F(3, 2))):
+                for j in space.features():
+                    pieces, at = _feature_pieces(problem, j, config)
+                    if len(pieces) > 1:
+                        built = len(_contrast_pieces(problem, j, config))
+                        assert _witness_count(problem, j, config) == built
+                    built = len(_axp_feature_options(pieces, at))
+                    assert _option_count(problem, j, config) == built
 
 
 def _stump_problem():
@@ -205,6 +256,25 @@ class TestAbductiveFromContrastive:
         assert iaxp.features == (1, 2)
         assert iaxp.set_for(1) == CatSet(frozenset({"Junior", "Senior"}))
         assert iaxp.set_for(2) == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
+
+    def test_top_up_adds_the_atoms_sufficiency_allows(self):
+        # the top-up grows feature 2 by red, the label its one pick shut out
+        clf, space, point = forest_pool()[6]
+        problem = make_problem(clf, space, point)
+        icxps = [shrink_cxp(problem, y) for y in enumerate_all(problem)[1]]
+        assert [e.features for e in icxps] == [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
+        # only the fourth picks feature 2, so the picks leave it the complement of {red}
+        assert icxps[3].set_for(2) == CatSet(frozenset({"red"}))
+        iaxp = iaxp_from_icxps(problem, icxps, (1, 1, 1, 2, 4))
+        assert iaxp.features == (1, 2, 4)
+        assert iaxp.set_for(2) == full_set(space.domain(2))
+        sets = {j: iaxp.set_for(j) for j in iaxp.features}
+        assert bf_forces(clf, space, sets, problem.target)
+        for j in iaxp.features:  # every atom left out breaks sufficiency
+            for atom in problem.oracle.model.atoms[j - 1]:
+                grown = vs_union(space.domain(j), sets[j], atom)
+                if grown != sets[j]:
+                    assert not bf_forces(clf, space, {**sets, j: grown}, problem.target), (j, atom)
 
     def test_round_trip_through_both_constructions(self):
         problem = _risk_problem()

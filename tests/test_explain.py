@@ -7,7 +7,7 @@ import pytest
 
 from bruteforce import bf_forces
 from pools import dl_pool, monotone_pool
-from xinflate.classifiers import DecisionList, Rule
+from xinflate.classifiers import DecisionList
 from xinflate.errors import BudgetExceededError, ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import (
@@ -198,6 +198,15 @@ class TestMinimalHittingSets:
     def test_empty_member_rejected(self):
         with pytest.raises(ValidationError):
             minimal_hitting_sets([(1,), ()])
+
+    def test_budget_trip(self):
+        # {1}, {2}, {3}, then {1, 3}: four tests find both minimal hitting sets
+        family = [(1, 2), (2, 3)]
+        assert minimal_hitting_sets(family, max_subsets=4) == ((2,), (1, 3))
+        for budget in (0, 3):
+            with pytest.raises(BudgetExceededError) as err:
+                minimal_hitting_sets(family, max_subsets=budget)
+            assert str(err.value) == f"hitting set search exceeded {budget} tests"
 
     def test_duality_on_worked_example(self):
         axps, cxps = enumerate_all(_risk_problem())

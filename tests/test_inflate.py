@@ -1,7 +1,6 @@
 """Growing explanations to maximal value sets, and shrinking contrastive ones."""
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations, product
 

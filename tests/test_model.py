@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from xinflate.errors import ValidationError
 from xinflate.model import (
-    CatSet,
     Categorical,
     FeatureSpace,
     INTEGER,

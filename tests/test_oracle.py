@@ -53,6 +53,13 @@ from xinflate.model import (
 from xinflate import oracle as oracle_module
 from xinflate.oracle import Oracle, classifier_is_constant, discretize
 from xinflate.serialize import load_model
+from xinflate.synthetic import (
+    random_decision_list,
+    random_forest,
+    random_monotone,
+    random_space,
+    random_tree,
+)
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -693,3 +700,63 @@ class TestConstancyOnIntegerDomains:
         clf, space = self._model()
         with pytest.raises(ValidationError, match="constant classifier"):
             ExplanationProblem.from_point(clf, space, (F(1), "a"))
+
+
+def _constancy_draw(rng):
+    """A small model of any family, constant or not: pools keep only the
+    models that are not, so they never show the constant answer."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return random_monotone(rng, rng.randint(1, 3), n_classes=rng.choice((2, 3)))
+    if rng.random() < 0.3:  # integer domains, half-step thresholds: cells with no integer
+        space = FeatureSpace(
+            tuple(Ordinal(F(0), F(4), INTEGER) for _ in range(rng.randint(1, 2)))
+        )
+    else:
+        space = random_space(
+            rng, rng.randint(1, 3), categorical_share=0.4, max_labels=3, hi_choices=(4,)
+        )
+    if kind == 0:  # a half-step literal on an integer domain may hold no integer at all
+        return random_decision_list(rng, space, max_rules=4, lattice_step=F(1)), space
+    if kind == 1:
+        return random_tree(rng, space, depth=2), space
+    classes = ("a", "b", "c")[: rng.choice((2, 3))]
+    return random_forest(rng, space, classes, n_trees=rng.choice((2, 3)), depth=2), space
+
+
+def _corners(clf, space):
+    lows = tuple(d.labels[0] if isinstance(d, Categorical) else d.lo for d in space.domains)
+    highs = tuple(d.labels[-1] if isinstance(d, Categorical) else d.hi for d in space.domains)
+    return clf.predict(lows), clf.predict(highs)
+
+
+class TestConstancyAgainstBruteForce:
+    """`classifier_is_constant` against the scan of the whole space."""
+
+    def _check(self, models):
+        seen = Counter()
+        for clf, space in models:
+            low, high = _corners(clf, space)
+            want = bf_forces(clf, space, {}, low)
+            assert classifier_is_constant(clf, space) == want, (clf, space)
+            seen[want, low == high] += 1
+        return seen
+
+    def test_random_models_of_every_family(self):
+        rng = random.Random(17)
+        seen = self._check(_constancy_draw(rng) for _ in range(300))
+        # constant; corners agree, yet not constant (the engine decides);
+        # corners differ (decided without compiling)
+        assert seen[True, True] and seen[False, True] and seen[False, False], seen
+
+    def test_pool_models_are_not_constant(self):
+        pools = (
+            dl_pool(40),
+            forest_pool(40),
+            multiclass_forest_pool(40),
+            integer_pool(40),
+            monotone_pool(40),
+            integer_monotone_pool(40),
+        )
+        seen = self._check((clf, space) for pool in pools for clf, space, _ in pool)
+        assert not seen[True, True] and seen[False, True], seen

@@ -9,7 +9,7 @@ from xinflate.classifiers import Leaf, validate_classifier
 from xinflate.errors import ValidationError
 from xinflate.model import Categorical, Ordinal
 from xinflate.serialize import model_to_dict, ModelFile
-from xinflate.trainer import Dataset, load_dataset, model_accuracy, train_forest, train_tree
+from xinflate.trainer import load_dataset, model_accuracy, read_table, train_forest, train_tree
 
 F = Fraction
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -50,9 +50,12 @@ class TestLoadDataset:
             load_dataset(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
-        path = _write(tmp_path, "x,y\n1,0\n2\n")
-        with pytest.raises(ValidationError):
-            load_dataset(path)
+        for text, width in (("x,y\n1,0\n2\n", 1), ("x,y\n1,0\n2,1,3\n", 3)):
+            path = _write(tmp_path, text)
+            for reader in (read_table, load_dataset):
+                with pytest.raises(ValidationError) as err:
+                    reader(path)
+                assert str(err.value) == f"row 3 has {width} cells, expected 2"
 
     def test_single_class_rejected(self, tmp_path):
         path = _write(tmp_path, "x,y\n1,0\n2,0\n")
@@ -61,7 +64,21 @@ class TestLoadDataset:
 
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path, "")
-        with pytest.raises(ValidationError):
+        for reader in (read_table, load_dataset):
+            with pytest.raises(ValidationError) as err:
+                reader(path)
+            assert str(err.value) == f"empty CSV file: {path}"
+
+
+class TestReadTable:
+    def test_header_and_rows_without_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "x,y\n1,a\n\n 2 ,b\n")
+        assert read_table(path) == (["x", "y"], [["1", "a"], [" 2 ", "b"]])
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        path = _write(tmp_path, "x,y\n")
+        assert read_table(path) == (["x", "y"], [])
+        with pytest.raises(ValidationError, match="no data rows"):
             load_dataset(path)
 
 
