@@ -33,12 +33,10 @@ from .errors import BudgetExceededError, DualityConstructionError, ValidationErr
 from .explain import ExplanationProblem, _deletion_pass, minimal_hitting_sets
 from .inflate import (
     InflationConfig,
-    _atom_bits,
     _checked_features,
     _contrast_pieces,
     _entry_set,
     _feature_pieces,
-    _step_for,
     grid,
     grid_delta,
     grow,
@@ -50,10 +48,8 @@ from .model import (
     Domain,
     INTEGER,
     InflatedExplanation,
-    Ordinal,
     Value,
     ValueSet,
-    rational,
     vs_contains,
     vs_complement,
     vs_intersect,
@@ -195,7 +191,7 @@ def iaxp_from_icxps(
     if not problem.oracle.model.monotone:
         for j in feats:
             inside = problem.oracle.model.inside(j - 1, sets[j])
-            added = grow(problem, j, sets, inside, _atom_bits(problem, j)[0]) & ~inside
+            added = grow(problem, j, sets, inside, problem.oracle.model.atoms[j - 1]) & ~inside
             if added:
                 sets[j] = vs_union(problem.space.domain(j), sets[j], _entry_set(problem, j, added))
     return InflatedExplanation(ABDUCTIVE, feats, dict(sets))
@@ -226,22 +222,14 @@ def _one_step_larger(entry, pieces: list) -> list:
     return up + ([(*pieces[lo - 1], *entry[2:4], True)] if lo else [])
 
 
-def _option_count(problem: ExplanationProblem, j: int, config: InflationConfig) -> int:
-    """How many sets `_axp_feature_options` gives feature j, without building them."""
-    domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and problem.oracle.model.monotone:
-        below, above, _ = grid(domain, rational(problem.value_of(j)), _step_for(domain, config))
-        return below * above
-    return 2 ** (len(problem.oracle.model.atoms[j - 1]) - 1)
-
-
-def _witness_count(problem: ExplanationProblem, j: int, config: InflationConfig) -> int:
-    """How many pieces `_contrast_pieces` gives feature j, without building them."""
-    domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and problem.oracle.model.monotone:
-        below, above, _ = grid(domain, rational(problem.value_of(j)), _step_for(domain, config))
-        return below + above - 2
-    return len(problem.oracle.model.atoms[j - 1]) - 1
+def _counts(problem: ExplanationProblem, j: int, config: InflationConfig) -> tuple[int, int]:
+    """How many entries `_axp_feature_options` and how many pieces
+    `_contrast_pieces` give feature j, without building them."""
+    if problem.oracle.model.monotone:
+        below, above, _ = grid(problem, j, config)
+        return below * above, below + above - 2
+    n = len(problem.oracle.model.atoms[j - 1])
+    return 2 ** (n - 1), n - 1
 
 
 def _check_cap(counts: Iterable[int], max_candidates: int, what: str) -> None:
@@ -270,7 +258,7 @@ def enumerate_iaxps(
     """
     config = config or InflationConfig()
     feats = _checked_features(problem, axp, ABDUCTIVE, trusted)
-    counts = [_option_count(problem, j, config) for j in feats]
+    counts = [_counts(problem, j, config)[0] for j in feats]
     _check_cap(counts, max_candidates, "candidate set families")
     pieces = {j: _feature_pieces(problem, j, config) for j in feats}
     options = [_axp_feature_options(*pieces[j]) for j in feats]
@@ -317,7 +305,7 @@ def enumerate_icxps(
     """
     config = config or InflationConfig()
     feats = _checked_features(problem, cxp, CONTRASTIVE, trusted)
-    counts = [_witness_count(problem, j, config) for j in feats]
+    counts = [_counts(problem, j, config)[1] for j in feats]
     _check_cap(counts, max_candidates, "witness combinations")
     pieces = [_contrast_pieces(problem, j, config) for j in feats]
     options = [[_entry_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]

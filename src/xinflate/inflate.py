@@ -31,10 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .explain import ExplanationProblem, _check_order, _deletion_pass
+from .explain import ExplanationProblem, _check_order
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
@@ -104,22 +105,18 @@ def _step_for(domain: Ordinal, config: InflationConfig) -> Fraction:
     return Fraction(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
 
 
-def grid(domain: Ordinal, v: Fraction, step: Fraction) -> tuple[int, int, Callable]:
-    """How many of the `grid_points` lie at or below v and at or above it,
-    and point(k) = v + k*step as (numerator, denominator), built without a
-    `Fraction`: with v = p/q and step = a/b it is (p*b + k*a*q) / (q*b)."""
+def grid(problem: ExplanationProblem, j: int, config: InflationConfig) -> tuple[int, int, Callable]:
+    """Feature j's grid: how many points lie at or below the instance value v
+    and at or above it, and point(k), k in range(1 - below, above), ascending,
+    as (numerator, denominator): the domain bounds at both ends, else v + k*step
+    built without a `Fraction` (with v = p/q and step = a/b: (p*b + k*a*q) / (q*b))."""
+    domain = problem.space.domain(j)
+    v, step = rational(problem.value_of(j)), _step_for(domain, config)
     p, q, a, b = v.numerator, v.denominator, step.numerator, step.denominator
-    below, gap_lo = divmod(v - domain.lo, step)
-    above, gap_hi = divmod(domain.hi - v, step)
-    return below + 1 + (gap_lo > 0), above + 1 + (gap_hi > 0), lambda k: (p * b + k * a * q, q * b)
-
-
-def grid_points(domain: Ordinal, v: Fraction, step: Fraction) -> tuple[list[tuple[int, int]], int]:
-    """The points v + k*step inside the domain and both domain bounds,
-    ascending, as (numerator, denominator), and the index of v among them."""
-    below, above, point = grid(domain, v, step)
-    inner = [point(k) for k in range(2 - below, above - 1)]
-    return [domain.lo.as_integer_ratio(), *inner, domain.hi.as_integer_ratio()], below - 1
+    below = math.ceil((v - domain.lo) / step) + 1
+    above = math.ceil((domain.hi - v) / step) + 1
+    ends = {1 - below: domain.lo.as_integer_ratio(), above - 1: domain.hi.as_integer_ratio()}
+    return below, above, lambda k: ends.get(k) or (p * b + k * a * q, q * b)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +133,7 @@ def _atom_bits(problem: ExplanationProblem, j: int) -> tuple[list[int], int]:
     """
     model = problem.oracle.model
     seed = model.set_mask(j - 1, problem.pin(j))  # the pin rejects an index out of range
-    valid = model.valid[j - 1]
-    bits = [1 << i for i in range(valid.bit_length()) if valid >> i & 1]
+    bits = list(model.atoms[j - 1])
     return bits, bits.index(seed)
 
 
@@ -146,10 +142,7 @@ def _entry_set(problem: ExplanationProblem, j: int, entry) -> ValueSet:
     the union of a mask's atoms, or the closed interval between two ends."""
     if entry.__class__ is not int:
         return IntervalUnion((Interval(Fraction(*entry[:2]), Fraction(*entry[2:4])),))
-    model = problem.oracle.model
-    valid, atoms = model.valid[j - 1], model.atoms[j - 1]
-    bit_of = (i for i in range(valid.bit_length()) if valid >> i & 1)  # each atom's bit index
-    picked = [atom for i, atom in zip(bit_of, atoms) if entry >> i & 1]
+    picked = [atom for bit, atom in problem.oracle.model.atoms[j - 1].items() if bit & entry]
     return picked[0] if len(picked) == 1 else vs_union(problem.space.domain(j), *picked)
 
 
@@ -195,7 +188,12 @@ def inflate_categorical(
 
 
 def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> int:
-    """Largest k in 0..k_max with holds(k); holds is antitone and holds(0) is true."""
+    """Largest k in 0..k_max with holds(k); holds is antitone and holds(0) is
+    true.  k_max, a domain bound, is probed first; only if it fails does the
+    search run below it."""
+    if k_max == 0 or holds(k_max):
+        return k_max
+    k_max -= 1
     if k_max == 0:
         return 0
     if config.strategy == BINARY:
@@ -246,9 +244,7 @@ def inflate_ordinal(
     domain = problem.space.domain(j)
     if not isinstance(domain, Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
-    v = rational(problem.value_of(j))
-    step = _step_for(domain, config)
-    below, above, point = grid(domain, v, step)  # each count holds v and a domain bound
+    below, above, point = grid(problem, j, config)  # each count holds v and a domain bound
     monotone = problem.oracle.model.monotone
 
     def holds(lo: tuple[int, int], hi: tuple[int, int]) -> bool:
@@ -256,19 +252,10 @@ def inflate_ordinal(
         trial = trial if monotone else _entry_set(problem, j, trial)
         return problem.sufficiency_holds({**current, j: trial})
 
-    sup = inf = point(0)
-    if v < domain.hi:
-        top = domain.hi.as_integer_ratio()
-        if holds(inf, top):
-            sup = top
-        else:
-            sup = point(_search_grid(lambda k: holds(inf, point(k)), above - 2, config, step))
-    if domain.lo < v:
-        bottom = domain.lo.as_integer_ratio()
-        if holds(bottom, sup):
-            inf = bottom
-        else:
-            inf = point(-_search_grid(lambda k: holds(point(-k), sup), below - 2, config, step))
+    step = _step_for(domain, config)
+    at = point(0)
+    sup = point(_search_grid(lambda k: holds(at, point(k)), above - 1, config, step))
+    inf = point(-_search_grid(lambda k: holds(point(-k), sup), below - 1, config, step))
     return _entry_set(problem, j, (*inf, *sup, True))
 
 
@@ -379,10 +366,10 @@ def inflate_from_full(
 
 def _feature_pieces(problem: ExplanationProblem, j: int, config: InflationConfig) -> tuple:
     """Feature j's pieces, ascending, and the index of the instance's: the
-    `grid_points` on a monotone model, else the atom bits."""
-    domain = problem.space.domain(j)
-    if isinstance(domain, Ordinal) and problem.oracle.model.monotone:
-        return grid_points(domain, rational(problem.value_of(j)), _step_for(domain, config))
+    `grid` points on a monotone model, else the atom bits."""
+    if problem.oracle.model.monotone:
+        below, above, point = grid(problem, j, config)
+        return [point(k) for k in range(1 - below, above)], below - 1
     return _atom_bits(problem, j)
 
 
@@ -396,10 +383,12 @@ def _contrast_pieces(problem: ExplanationProblem, j: int, config: InflationConfi
     return [p if p.__class__ is int else (*p, *p, True) for i, p in enumerate(pieces) if i != at]
 
 
-def _joined(pieces: list):
-    """The compiled union of ascending pieces: the OR of atom bits, or the
-    ends of the lowest and the highest grid point."""
-    return sum(pieces) if pieces[0].__class__ is int else pieces[0][:2] + pieces[-1][2:]
+def _join(a, b):
+    """The compiled union of a and b, whose pieces lie above a's: the OR of
+    two masks, or a's low end and b's high end.  None stands for no piece."""
+    if a is None or b is None:
+        return b if a is None else a
+    return a | b if a.__class__ is int else a[:2] + b[2:]
 
 
 def shrink_cxp(
@@ -415,27 +404,32 @@ def shrink_cxp(
     still exists inside the remaining sets, the other features staying at
     the instance.  The greedy pass drives every feature down to a single
     piece: whichever surviving piece carries the remaining counterexamples
-    pins that feature.
+    pins that feature.  A feature's pass is linear in its pieces: probe i
+    joins the pieces kept so far with the precomputed join of those after i.
     """
     config = config or InflationConfig()
     feats = _checked_features(problem, cxp, CONTRASTIVE, trusted=False)
     order = _check_order(config.order, feats)
     pieces = {j: _contrast_pieces(problem, j, config) for j in feats}
+    joins = {  # joins[j][i]: the join of feature j's pieces from i on
+        j: list(accumulate(reversed(ps), lambda rest, piece: _join(piece, rest)))[::-1]
+        for j, ps in pieces.items()
+    }
     fixed = problem.pinned_except(feats)
-    # every probe passes each trimmed feature as the entry of its remaining pieces
-    entries = {j: _joined(ps) for j, ps in pieces.items()}
+    # every probe passes each trimmed feature as the join of its remaining pieces
+    entries = {j: js[0] for j, js in joins.items()}
     if not problem.counterexample_in({**fixed, **entries}):
         raise ValidationError(
             "no counterexample once the instance values are excluded at this granularity"
         )
     sets = {}
     for j in order:
-
-        def holds(rest: list) -> bool:
-            return problem.counterexample_in({**fixed, **entries, j: _joined(rest)})
-
-        kept = _deletion_pass(pieces[j], holds, floor=1)
-        entries[j] = _joined(kept)
-        sets[j] = vs_union(problem.space.domain(j), *(_entry_set(problem, j, e) for e in kept))
+        kept = None  # the join of the pieces kept so far
+        for piece, rest in zip(pieces[j], joins[j][1:] + [None]):
+            trial = _join(kept, rest)  # None: the last piece left stays
+            if trial is None or not problem.counterexample_in({**fixed, **entries, j: trial}):
+                kept = _join(kept, piece)
+        entries[j] = kept
+        sets[j] = _entry_set(problem, j, kept)
     delta = grid_delta(problem, config)
     return InflatedExplanation(CONTRASTIVE, feats, sets, order, delta)

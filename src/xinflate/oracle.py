@@ -153,13 +153,13 @@ def _cells(domain: Domain, splits: Sequence[Fraction]) -> tuple[Interval, ...]:
 
 
 def _atoms(domain: Domain, cells: Sequence[Interval]) -> dict[int, ValueSet]:
-    """A feature's atoms in domain order, keyed by bit index: its labels, or
-    the cells that hold a point of the domain, as value sets of those points
+    """A feature's atoms in domain order, keyed by their mask bit: its labels,
+    or the cells that hold a point of the domain, as value sets of those points
     (a cell of an integer domain that holds no integer has no entry)."""
     if isinstance(domain, Categorical):
-        return {i: CatSet(frozenset([label])) for i, label in enumerate(domain.labels)}
-    atoms = ((i, clip_snap(domain, cell)) for i, cell in enumerate(cells))
-    return {i: IntervalUnion((atom,)) for i, atom in atoms if atom}
+        return {1 << i: CatSet(frozenset([label])) for i, label in enumerate(domain.labels)}
+    atoms = ((1 << i, clip_snap(domain, cell)) for i, cell in enumerate(cells))
+    return {bit: IntervalUnion((atom,)) for bit, atom in atoms if atom}
 
 
 def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) -> int:
@@ -202,9 +202,8 @@ class CompiledModel:
             self.thresholds = [int(t * scale) for t in classifier.thresholds]
         self.splits = _thresholds(classifier, space)
         self.cells = tuple(_cells(d, sj) for d, sj in zip(space.domains, self.splits))
-        atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
-        self.atoms = [tuple(feature_atoms.values()) for feature_atoms in atoms]  # domain order
-        self.valid = [sum(1 << i for i in feature_atoms) for feature_atoms in atoms]
+        self.atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
+        self.valid = [sum(feature_atoms) for feature_atoms in self.atoms]
         # what an absent feature contributes to a box: its whole domain
         self.absent = [_ends(d.lo, d.hi, True) for d in space.domains] if self.monotone else self.valid
         labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)

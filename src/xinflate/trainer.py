@@ -69,18 +69,21 @@ def _infer_domain(column: Sequence[str], name: str):
 
 
 def read_table(path: Union[str, Path]) -> tuple[list[str], list[list[str]]]:
-    """A CSV file's header row and its other rows, blank ones dropped;
-    refuses an empty file and a row whose width differs from the header's."""
+    """A CSV file's header row and its other rows, blank ones dropped; refuses an
+    empty file and a row whose width differs from the header's, named by its first line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"empty CSV file: {path}")
-        table = [row for row in reader if row]
-    for i, row in enumerate(table):
-        if len(row) != len(header):
-            raise ValidationError(f"row {i + 2} has {len(row)} cells, expected {len(header)}")
+        table, start = [], reader.line_num + 1  # the line the next row starts on
+        for row in reader:
+            if row and len(row) != len(header):
+                raise ValidationError(f"row {start} has {len(row)} cells, expected {len(header)}")
+            if row:
+                table.append(row)
+            start = reader.line_num + 1
     return header, table
 
 

@@ -139,6 +139,13 @@ class TestInflate:
         )
         assert code == 2
 
+    def test_a_non_integer_axp_index_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "inflate", "--model", RISK, "--instance", "Junior,Red", "--axp", "1,x"
+        )
+        message = "error: expected comma-separated feature indices, got '1,x'\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_order_steers_extraction_and_inflation(self, capsys):
         order = "8,7,6,5,4,3,2,1"
         code, out, err = run(
@@ -326,6 +333,19 @@ class TestTrainAndBench:
             (ragged, "row 5 has 10 cells, expected 9"),
             (empty, f"empty CSV file: {empty}"),
         ):
+            code, out, err = run(capsys, "bench", "--model", FOREST, "--data", str(data))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_bench_names_a_ragged_row_by_its_first_line(self, capsys, tmp_path):
+        header, first, second = Path(BENCH_CSV).read_text().splitlines()[:3]
+        two_line_label = first.rsplit(",", 1)[0] + ',"1\n0"'
+        data = tmp_path / "ragged.csv"
+        for text, message in (
+            (f"{header}\n{first}\n\n\n{second},extra\n", "row 5 has 10 cells, expected 9"),
+            (f"{header}\n{two_line_label}\n{second},x\n", "row 4 has 10 cells, expected 9"),
+            (f'{header}\n\n{first}\n"1\n2",{second}\n', "row 4 has 10 cells, expected 9"),
+        ):
+            data.write_text(text)
             code, out, err = run(capsys, "bench", "--model", FOREST, "--data", str(data))
             assert (code, out, err) == (2, "", f"error: {message}\n")
 

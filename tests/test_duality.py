@@ -11,8 +11,7 @@ from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit
 from xinflate.duality import (
     ExplanationSets,
     _axp_feature_options,
-    _option_count,
-    _witness_count,
+    _counts,
     check_hits,
     enumerate_iaxps,
     enumerate_icxps,
@@ -132,12 +131,11 @@ class TestCountsBeforeBuilding:
             problem = make_problem(clf, space, point)
             for config in (InflationConfig(), InflationConfig(delta=F(3, 2))):
                 for j in space.features():
+                    options, witnesses = _counts(problem, j, config)
                     pieces, at = _feature_pieces(problem, j, config)
                     if len(pieces) > 1:
-                        built = len(_contrast_pieces(problem, j, config))
-                        assert _witness_count(problem, j, config) == built
-                    built = len(_axp_feature_options(pieces, at))
-                    assert _option_count(problem, j, config) == built
+                        assert witnesses == len(_contrast_pieces(problem, j, config))
+                    assert options == len(_axp_feature_options(pieces, at))
 
 
 def _stump_problem():
@@ -271,7 +269,7 @@ class TestAbductiveFromContrastive:
         sets = {j: iaxp.set_for(j) for j in iaxp.features}
         assert bf_forces(clf, space, sets, problem.target)
         for j in iaxp.features:  # every atom left out breaks sufficiency
-            for atom in problem.oracle.model.atoms[j - 1]:
+            for atom in problem.oracle.model.atoms[j - 1].values():
                 grown = vs_union(space.domain(j), sets[j], atom)
                 if grown != sets[j]:
                     assert not bf_forces(clf, space, {**sets, j: grown}, problem.target), (j, atom)

@@ -114,7 +114,7 @@ class TestCategoricalInflation:
     def test_feature_atoms_reject_an_index_out_of_range(self):
         problem = _risk_problem()
         bits, at = inflate_module._atom_bits(problem, 1)
-        assert problem.oracle.model.atoms[0][at] == CatSet(frozenset({"Junior"}))
+        assert problem.oracle.model.atoms[0][bits[at]] == CatSet(frozenset({"Junior"}))
         for j in (0, 3):
             with pytest.raises(ValidationError):
                 inflate_module._atom_bits(problem, j)
@@ -146,7 +146,7 @@ def _bits(problem, j):
 
 def _value_set_atoms(problem, j):
     """Feature j's atoms as value sets, and the index of the one holding the instance value."""
-    atoms = list(problem.oracle.model.atoms[j - 1])
+    atoms = list(problem.oracle.model.atoms[j - 1].values())
     return atoms, next(i for i, a in enumerate(atoms) if vs_contains(a, problem.value_of(j)))
 
 
@@ -155,7 +155,7 @@ def _union_probe_grow(problem, j, current, kept, bits):
     grow.  kept is a mask, as grow takes it; its set is joined with the set
     current gives j, which may hold parts of atoms.  Returns a mask."""
     domain = problem.space.domain(j)
-    atom_of = dict(zip(_bits(problem, j), problem.oracle.model.atoms[j - 1]))
+    atom_of = problem.oracle.model.atoms[j - 1]
     kept_set = vs_union(domain, current[j], *(a for bit, a in atom_of.items() if bit & kept))
     for bit in bits:
         atom = atom_of[bit]
@@ -435,7 +435,7 @@ def _value_set_one_step_larger(problem, j, s, config):
         if iv.lo > domain.lo:
             yield IntervalUnion((Interval(max(domain.lo, iv.lo - step), iv.hi),))
         return
-    for atom in problem.oracle.model.atoms[j - 1]:
+    for atom in problem.oracle.model.atoms[j - 1].values():
         if not vs_subset(domain, atom, s):
             yield vs_union(domain, s, atom)
 
@@ -585,21 +585,16 @@ def _fraction_grid_inflate_ordinal(problem, j, current, config):
         n = math.floor(span / step)
         return max(0, n - 1 if n * step == span else n)
 
+    def up(k):  # k steps above v, the last reaching the domain top
+        return min(domain.hi, v + k * step)
+
+    def down(k):
+        return max(domain.lo, v - k * step)
+
     search = inflate_module._search_grid
-    sup = v
-    if v < domain.hi:
-        if holds(v, domain.hi):
-            sup = domain.hi
-        else:
-            k_max = count(domain.hi - v)
-            sup = v + step * search(lambda k: holds(v, v + k * step), k_max, config, step)
-    inf = v
-    if domain.lo < v:
-        if holds(domain.lo, sup):
-            inf = domain.lo
-        else:
-            k_max = count(v - domain.lo)
-            inf = v - step * search(lambda k: holds(v - k * step, sup), k_max, config, step)
+    k_up, k_down = count(domain.hi - v) + (v < domain.hi), count(v - domain.lo) + (domain.lo < v)
+    sup = up(search(lambda k: holds(v, up(k)), k_up, config, step))
+    inf = down(search(lambda k: holds(down(k), sup), k_down, config, step))
     return IntervalUnion((Interval(inf, sup),))
 
 

@@ -79,6 +79,13 @@ class TestDomains:
         with pytest.raises(ValidationError):
             Ordinal(Fraction(1, 2), Fraction(5), INTEGER)
 
+    def test_integer_domain_contains_only_integers(self):
+        domain = Ordinal(Fraction(0), Fraction(5), INTEGER)
+        assert domain.contains(Fraction(2))
+        assert not domain.contains(Fraction(5, 2))
+        assert not domain.contains(Fraction(6))
+        assert Ordinal(Fraction(0), Fraction(5)).contains(Fraction(5, 2))
+
 
 class TestIntervalUnion:
     def test_merges_overlaps_and_sorts(self):

@@ -75,6 +75,26 @@ class TestReadTable:
         path = _write(tmp_path, "x,y\n1,a\n\n 2 ,b\n")
         assert read_table(path) == (["x", "y"], [["1", "a"], [" 2 ", "b"]])
 
+    def test_a_quoted_cell_may_span_lines(self, tmp_path):
+        path = _write(tmp_path, 'x,y\n"a\nb",0\n\nc,1\n')
+        assert read_table(path) == (["x", "y"], [["a\nb", "0"], ["c", "1"]])
+
+    @pytest.mark.parametrize(
+        "text, line, width",
+        [
+            ("x,y\n\n\n1,0\n2\n", 5, 1),  # two blank lines above
+            ('x,y\n"a\nb",0\n\n1\n', 5, 1),  # a row of two lines and a blank line above
+            ('x,y\n1,0\n"a\nb",0,1\n', 3, 3),  # the ragged row spans lines 3 and 4
+            ("x,y\n1,0\n\n2,1,3\n\n", 4, 3),
+        ],
+    )
+    def test_a_ragged_row_is_named_by_its_first_line(self, tmp_path, text, line, width):
+        path = _write(tmp_path, text)
+        for reader in (read_table, load_dataset):
+            with pytest.raises(ValidationError) as err:
+                reader(path)
+            assert str(err.value) == f"row {line} has {width} cells, expected 2"
+
     def test_header_only_has_no_rows(self, tmp_path):
         path = _write(tmp_path, "x,y\n")
         assert read_table(path) == (["x", "y"], [])
