@@ -58,11 +58,10 @@ from .explain import (
 )
 from .inflate import (
     InflationConfig,
+    inflate_atoms,
     inflate_axp,
-    inflate_categorical,
     inflate_from_full,
     inflate_ordinal,
-    inflate_ordinal_cells,
     shrink_cxp,
 )
 from .duality import (

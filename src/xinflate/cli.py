@@ -41,18 +41,21 @@ from .serialize import (
     render_rule,
     save_model,
     set_text,
+    utf8,
 )
 from .trainer import load_dataset, model_accuracy, read_table, train_forest
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
+    """Write doc as JSON to --out, and doc or text_lines to stdout; nothing if UTF-8 cannot carry them."""
+    as_json = json.dumps(doc, indent=2, ensure_ascii=False) + "\n" if args.out or args.format == "json" else ""
+    shown = as_json if args.format == "json" else "".join(line + "\n" for line in text_lines)
+    data = utf8(as_json)
+    if shown is not as_json:
+        utf8(shown)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
-    else:
-        for line in text_lines:
-            print(line)
+        Path(args.out).write_bytes(data)
+    sys.stdout.write(shown)
 
 
 def _feature_list(text: str) -> tuple[int, ...]:

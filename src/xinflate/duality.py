@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -45,7 +46,6 @@ from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
     CatSet,
-    Domain,
     INTEGER,
     InflatedExplanation,
     Value,
@@ -276,13 +276,17 @@ def enumerate_iaxps(
     return tuple(out)
 
 
-def _piece_rep(domain: Domain, piece: ValueSet) -> Value:
-    """A point of a one-label or one-interval piece, such as an atom."""
-    if isinstance(piece, CatSet):
-        (label,) = piece.labels
+def _piece_rep(problem: ExplanationProblem, j: int, entry) -> Value:
+    """A point of one of feature j's pieces, given as its compiled entry (see
+    `_contrast_pieces`): the grid point of its ends, or a point of its atom."""
+    if entry.__class__ is not int:
+        return Fraction(*entry[:2])
+    atom = problem.oracle.model.atoms[j - 1][entry]
+    if isinstance(atom, CatSet):
+        (label,) = atom.labels
         return label
-    iv = piece.intervals[0]
-    if domain.kind == INTEGER or iv.lo == iv.hi:
+    iv = atom.intervals[0]
+    if problem.space.domain(j).kind == INTEGER or iv.lo == iv.hi:
         return iv.lo
     return (iv.lo + iv.hi) / 2
 
@@ -308,13 +312,14 @@ def enumerate_icxps(
     counts = [_counts(problem, j, config)[1] for j in feats]
     _check_cap(counts, max_candidates, "witness combinations")
     pieces = [_contrast_pieces(problem, j, config) for j in feats]
-    options = [[_entry_set(problem, j, e) for e in ps] for j, ps in zip(feats, pieces)]
+    options = [[(e, _piece_rep(problem, j, e)) for e in ps] for j, ps in zip(feats, pieces)]
     delta = grid_delta(problem, config)
     out = []
     for combo in product(*options):
         point = list(problem.instance.values)
-        for j, piece in zip(feats, combo):
-            point[j - 1] = _piece_rep(problem.space.domain(j), piece)
-        if problem.classifier.predict(tuple(point)) != problem.target:
-            out.append(InflatedExplanation(CONTRASTIVE, feats, dict(zip(feats, combo)), (), delta))
+        for j, (_, rep) in zip(feats, combo):
+            point[j - 1] = rep
+        if problem.classifier.predict(tuple(point)) != problem.target:  # only now build the sets
+            sets = {j: _entry_set(problem, j, e) for j, (e, _) in zip(feats, combo)}
+            out.append(InflatedExplanation(CONTRASTIVE, feats, sets, (), delta))
     return tuple(out)

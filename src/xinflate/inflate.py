@@ -8,18 +8,17 @@ features keep their already widened sets while the current one grows, so
 the outcome depends on the processing order (every outcome is maximal,
 they just differ).
 
-Per-feature growth comes in three flavours:
+Per-feature growth comes in two flavours:
 
-* categorical: probe each remaining label once, keep it if sufficiency
-  survives (one oracle call per label);
-* ordinal, monotone model: grow a closed interval around v_j.  The domain
-  bound is probed first; if it fails, walk a delta grid anchored at v_j.
-  The upper end grows before the lower end.  Linear, coarse-then-fine, and
-  binary searches over the grid return the same endpoint because
-  sufficiency is monotone along it;
-* ordinal, tree or list model: the model's thresholds cut the domain into
-  finitely many cells on which the prediction is constant, so probing whole
-  cells is exact and needs no step width.
+* `inflate_atoms`, any model but a monotone one: the model's labels and
+  thresholds cut each domain into finitely many atoms on which the
+  prediction is constant, so probing whole atoms is exact and needs no
+  step width (one oracle call per atom);
+* `inflate_ordinal`, monotone model: grow a closed interval around v_j.
+  The domain bound is probed first; if it fails, walk a delta grid anchored
+  at v_j.  The upper end grows before the lower end.  Linear,
+  coarse-then-fine, and binary searches over the grid return the same
+  endpoint because sufficiency is monotone along it.
 
 The reverse direction is `shrink_cxp`: start a contrastive explanation with
 every off-instance value allowed, then greedily discard values while a
@@ -39,7 +38,6 @@ from .explain import ExplanationProblem, _check_order
 from .model import (
     ABDUCTIVE,
     CONTRASTIVE,
-    CatSet,
     Categorical,
     INTEGER,
     InflatedExplanation,
@@ -171,20 +169,31 @@ def grow(
     return kept
 
 
-def inflate_categorical(
+def inflate_atoms(
     problem: ExplanationProblem,
     j: int,
-    current: Mapping[int, ValueSet],
-) -> CatSet:
-    """Grow feature j's label set from the instance label, one probe each.
-
-    current holds the value sets of the explanation features (an entry for
-    j is ignored); labels are probed in domain declaration order.
-    """
-    if not isinstance(problem.space.domain(j), Categorical):
-        raise ValidationError(f"feature {j} is not categorical")
+    current: Mapping[int, Entry],
+) -> ValueSet:
+    """Grow feature j from the instance's atom (see `_atom_bits`), probing
+    each other atom once: labels in domain order, cells above ascending,
+    then cells below descending.  current holds the other features' entries.
+    Refuses a monotone model: its one atom is the whole domain, and only
+    `inflate_ordinal`'s grid is exact there."""
+    if problem.oracle.model.monotone:
+        raise ValidationError("a monotone model grows on the delta grid, not by atoms")
     bits, at = _atom_bits(problem, j)
-    return _entry_set(problem, j, grow(problem, j, current, bits[at], bits))
+    probes = bits if isinstance(problem.space.domain(j), Categorical) else bits[at + 1 :] + bits[:at][::-1]
+    return _entry_set(problem, j, grow(problem, j, current, bits[at], probes))
+
+
+def _check_beta(problem: ExplanationProblem, features: Iterable[int], config: InflationConfig) -> None:
+    """Refuse a beta that is not a multiple of each feature's effective step (see `_step_for`)."""
+    if config.beta is None:
+        return
+    for j in features:
+        step = _step_for(problem.space.domain(j), config)
+        if (config.beta / step).denominator != 1:
+            raise ValidationError(f"beta {config.beta} is not a multiple of the effective step {step}")
 
 
 def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> int:
@@ -213,14 +222,8 @@ def _search_grid(holds, k_max: int, config: InflationConfig, step: Fraction) -> 
             k += stride
         return best
 
-    # coarse-then-fine with beta; with stride 1 the fine pass probes nothing
-    stride = 1
-    if config.beta is not None:
-        stride = int(config.beta / step)
-        if stride * step != config.beta:
-            raise ValidationError(
-                f"beta {config.beta} is not a multiple of the effective step {step}"
-            )
+    # coarse-then-fine with beta (see `_check_beta`); with stride 1 the fine pass probes nothing
+    stride = 1 if config.beta is None else int(config.beta / step)
     coarse = walk(0, k_max, stride)
     return walk(coarse, min(k_max, coarse + stride - 1), 1)
 
@@ -244,6 +247,7 @@ def inflate_ordinal(
     domain = problem.space.domain(j)
     if not isinstance(domain, Ordinal):
         raise ValidationError(f"feature {j} is not ordinal")
+    _check_beta(problem, (j,), config)
     below, above, point = grid(problem, j, config)  # each count holds v and a domain bound
     monotone = problem.oracle.model.monotone
 
@@ -259,24 +263,6 @@ def inflate_ordinal(
     return _entry_set(problem, j, (*inf, *sup, True))
 
 
-def inflate_ordinal_cells(
-    problem: ExplanationProblem,
-    j: int,
-    current: Mapping[int, ValueSet],
-) -> IntervalUnion:
-    """Grow feature j as a union of discretization cells; exact, no step.
-
-    Starts from the whole cell holding the instance value (the prediction
-    cannot distinguish points inside one cell) and probes the cells above
-    it in ascending order, then the cells below in descending order.
-    """
-    if not isinstance(problem.space.domain(j), Ordinal):
-        raise ValidationError(f"feature {j} is not ordinal")
-    bits, at = _atom_bits(problem, j)
-    grown = grow(problem, j, current, bits[at], bits[at + 1 :] + bits[:at][::-1])
-    return _entry_set(problem, j, grown)
-
-
 # ---------------------------------------------------------------------------
 # Whole-explanation inflation
 
@@ -284,20 +270,6 @@ def inflate_ordinal_cells(
 def grid_delta(problem: ExplanationProblem, config: InflationConfig) -> Fraction:
     """The step width an explanation records: delta on grid models, else 0."""
     return config.delta if problem.oracle.model.monotone else Fraction(0)
-
-
-def _inflate_feature(
-    problem: ExplanationProblem,
-    j: int,
-    current: Mapping[int, ValueSet],
-    config: InflationConfig,
-) -> ValueSet:
-    domain = problem.space.domain(j)
-    if isinstance(domain, Categorical):
-        return inflate_categorical(problem, j, current)
-    if problem.oracle.model.monotone:
-        return inflate_ordinal(problem, j, current, config)
-    return inflate_ordinal_cells(problem, j, current)
 
 
 def _checked_features(problem: ExplanationProblem, xp: Sequence[int], kind: str, trusted: bool):
@@ -334,9 +306,15 @@ def inflate_axp(
     config = config or InflationConfig()
     feats = _checked_features(problem, axp, ABDUCTIVE, trusted)
     order = _check_order(config.order, feats)
+    monotone = problem.oracle.model.monotone
+    if monotone:  # refuse beta before the first growth probe, on every instance alike
+        _check_beta(problem, problem.space.features(), config)
     current: dict[int, ValueSet] = {j: problem.pin(j) for j in feats}
     for j in order:
-        current[j] = _inflate_feature(problem, j, current, config)
+        if monotone:
+            current[j] = inflate_ordinal(problem, j, current, config)
+        else:
+            current[j] = inflate_atoms(problem, j, current)
     return InflatedExplanation(ABDUCTIVE, feats, dict(current), order, grid_delta(problem, config))
 
 

@@ -87,13 +87,18 @@ def _want_list(doc, path, key) -> list:
     return _want(doc, path, key, list, "an array")
 
 
+def _built(path: str, build, *args):
+    """build(*args), a ValidationError it raises refused as a SchemaError at path."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
 def _rational_at(value, path):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(path, "expected a rational as a string or integer")
-    try:
-        return rational(value)
-    except ValidationError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _built(path, rational, value)
 
 
 def _domain_from(doc, path) -> Domain:
@@ -103,20 +108,14 @@ def _domain_from(doc, path) -> Domain:
         for i, l in enumerate(labels):
             if not isinstance(l, str):
                 raise SchemaError(f"{path}.labels[{i}]", "expected a string label")
-        try:
-            return Categorical(tuple(labels))
-        except ValidationError as exc:
-            raise SchemaError(f"{path}.labels", str(exc)) from exc
+        return _built(f"{path}.labels", Categorical, tuple(labels))
     if kind == "ordinal":
         lo = _rational_at(_want(doc, path, "lo", (str, int), "a rational"), f"{path}.lo")
         hi = _rational_at(_want(doc, path, "hi", (str, int), "a rational"), f"{path}.hi")
         value_kind = doc.get("kind", CONTINUOUS)
         if value_kind not in (CONTINUOUS, INTEGER):
             raise SchemaError(f"{path}.kind", f"expected {CONTINUOUS!r} or {INTEGER!r}")
-        try:
-            return Ordinal(lo, hi, value_kind)
-        except ValidationError as exc:
-            raise SchemaError(path, str(exc)) from exc
+        return _built(path, Ordinal, lo, hi, value_kind)
     raise SchemaError(f"{path}.type", f"unknown domain type {kind!r}")
 
 
@@ -138,10 +137,7 @@ def _intervals_from(items, path, domain: Ordinal) -> IntervalUnion:
         if not isinstance(entry[2], bool) or not isinstance(entry[3], bool):
             raise SchemaError(here, "endpoint flags must be booleans")
         pieces.append(Interval(lo, hi, entry[2], entry[3]))
-    try:
-        return interval_union(domain, pieces)
-    except ValidationError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _built(path, interval_union, domain, pieces)
 
 
 def _valueset_from(doc, path, domain: Domain) -> ValueSet:
@@ -153,10 +149,7 @@ def _valueset_from(doc, path, domain: Domain) -> ValueSet:
         labels = doc["labels"]
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise SchemaError(f"{path}.labels", "expected an array of strings")
-        try:
-            return cat_set(domain, labels)
-        except ValidationError as exc:
-            raise SchemaError(f"{path}.labels", str(exc)) from exc
+        return _built(f"{path}.labels", cat_set, domain, labels)
     if "intervals" in doc:
         if not isinstance(domain, Ordinal):
             raise SchemaError(path, "intervals given for a categorical feature")
@@ -228,10 +221,7 @@ def _classifier_from(doc, path, space: FeatureSpace, classes) -> Classifier:
             _rational_at(t, f"{path}.thresholds[{i}]")
             for i, t in enumerate(_want_list(doc, path, "thresholds"))
         ]
-        try:
-            return MonotonicClassifier(tuple(weights), tuple(thresholds), classes)
-        except ValidationError as exc:
-            raise SchemaError(path, str(exc)) from exc
+        return _built(path, MonotonicClassifier, tuple(weights), tuple(thresholds), classes)
     if kind == "decision_list":
         rules = []
         for i, rdoc in enumerate(_want_list(doc, path, "rules")):
@@ -283,10 +273,7 @@ def model_from_dict(doc: dict) -> ModelFile:
         fpath = f"{path}.features[{i}]"
         names.append(_want_str(fdoc, fpath, "name"))
         domains.append(_domain_from(_want(fdoc, fpath, "domain", dict, "an object"), f"{fpath}.domain"))
-    try:
-        space = FeatureSpace(tuple(domains), tuple(names))
-    except ValidationError as exc:
-        raise SchemaError(f"{path}.features", str(exc)) from exc
+    space = _built(f"{path}.features", FeatureSpace, tuple(domains), tuple(names))
     classes = _want_list(doc, path, "classes")
     if not all(isinstance(c, str) for c in classes):
         raise SchemaError(f"{path}.classes", "expected an array of strings")
@@ -295,10 +282,7 @@ def model_from_dict(doc: dict) -> ModelFile:
     classifier = _classifier_from(
         _want(doc, path, "classifier", dict, "an object"), f"{path}.classifier", space, tuple(classes)
     )
-    try:
-        validate_classifier(classifier, space)
-    except ValidationError as exc:
-        raise SchemaError(f"{path}.classifier", str(exc)) from exc
+    _built(f"{path}.classifier", validate_classifier, classifier, space)
     return ModelFile(name, space, classifier)
 
 
@@ -307,7 +291,7 @@ def load_model(source: Union[str, Path, dict]) -> ModelFile:
         if isinstance(source, dict):
             return model_from_dict(source)
         try:
-            doc = json.loads(Path(source).read_text())
+            doc = json.loads(read_utf8(source))
         except FileNotFoundError:
             raise ValidationError(f"model file not found: {source}")
         except json.JSONDecodeError as exc:
@@ -412,7 +396,25 @@ def save_model(mf: ModelFile, path: Union[str, Path]) -> None:
         text = json.dumps(model_to_dict(mf), indent=2, ensure_ascii=False) + "\n"
     except RecursionError:  # the encoder recurses on depth too
         raise ValidationError(_TOO_DEEP_TO_WRITE) from None
-    Path(path).write_text(text)
+    Path(path).write_bytes(utf8(text))
+
+
+def read_utf8(path: Union[str, Path]) -> str:
+    """The text of the file at path; refuses bytes that are not UTF-8, naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}: line {line} is not UTF-8 text ({exc.reason})") from None
+
+
+def utf8(text: str) -> bytes:
+    """text encoded as UTF-8; refuses text holding a lone surrogate, which UTF-8 cannot carry."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{exc.object[exc.start:exc.end]!r} cannot be written as UTF-8") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Bagging draws rows with replacement from a seeded generator, so a given
 from __future__ import annotations
 
 import csv
+import io
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .classifiers import (
 )
 from .errors import ValidationError
 from .model import Categorical, FeatureSpace, Ordinal, Value, rational
+from .serialize import read_utf8
 
 
 @dataclass(frozen=True)
@@ -69,22 +71,23 @@ def _infer_domain(column: Sequence[str], name: str):
 
 
 def read_table(path: Union[str, Path]) -> tuple[list[str], list[list[str]]]:
-    """A CSV file's header row and its other rows, blank ones dropped; refuses an
-    empty file and a row whose width differs from the header's, named by its first line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"empty CSV file: {path}")
-        table, start = [], reader.line_num + 1  # the line the next row starts on
+    """A UTF-8 CSV file's header row and its other rows, blank ones dropped; refuses
+    an empty file, a row the csv module cannot parse, and a row whose width differs
+    from the header's, each named by its first line."""
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    rows, start = [], 1  # start: the line the next row starts on
+    try:
         for row in reader:
-            if row and len(row) != len(header):
-                raise ValidationError(f"row {start} has {len(row)} cells, expected {len(header)}")
-            if row:
-                table.append(row)
+            if rows and row and len(row) != len(rows[0]):
+                raise ValidationError(f"row {start} has {len(row)} cells, expected {len(rows[0])}")
+            if row or not rows:  # the first row is the header, even when blank
+                rows.append(row)
             start = reader.line_num + 1
-    return header, table
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: row {start}: {exc}") from None
+    if not rows:
+        raise ValidationError(f"empty CSV file: {path}")
+    return rows[0], rows[1:]
 
 
 def load_dataset(path: Union[str, Path]) -> Dataset:

@@ -32,9 +32,9 @@ from xinflate.explain import (
 )
 from xinflate.inflate import (
     InflationConfig,
+    inflate_atoms,
     inflate_axp,
     inflate_ordinal,
-    inflate_ordinal_cells,
 )
 from xinflate.model import (
     CatSet,
@@ -211,7 +211,7 @@ def test_criterion_4_tree_cell_exactness():
             boundaries = _boundaries(clf, space, j)
             allowed = set(boundaries) | set(harvested_thresholds(clf, j))
             others = {k: s for k, s in base.items() if k != j}
-            cells_grown = inflate_ordinal_cells(problem, j, others)
+            cells_grown = inflate_atoms(problem, j, others)
             for piece in cells_grown.intervals:
                 if piece.lo not in allowed or piece.hi not in allowed:
                     violations.append((idx, j, "endpoint off the cell boundaries", piece))

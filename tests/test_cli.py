@@ -417,6 +417,58 @@ class TestBadInput:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("bench", "--model", FOREST, "--data", "{tmp}/bytes.csv"), "{tmp}/bytes.csv: line 3 is not UTF-8"),
+            (
+                ("train-rf", "--data", "{tmp}/bytes.csv", "--model-out", "{tmp}/m.json"),
+                "{tmp}/bytes.csv: line 3 is not UTF-8",
+            ),
+            (("predict", "--model", "{tmp}/bytes.json", "--instance", "3,5"), "{tmp}/bytes.json: line 3 is not UTF-8"),
+            (
+                ("predict", "--model", "{tmp}/surrogate.json", "--instance", "3,5", "--format", "json"),
+                "'\\ud800' cannot be written as UTF-8",
+            ),
+            (
+                ("predict", "--model", "{tmp}/surrogate.json", "--instance", "3,5", "--out", "{tmp}/o.json"),
+                "'\\ud800' cannot be written as UTF-8",
+            ),
+            (
+                ("train-rf", "--data", STUMP_CSV, "--name", os.fsdecode(b"\xff"), "--model-out", "{tmp}/m.json"),
+                "'\\udcff' cannot be written as UTF-8",
+            ),
+            (("bench", "--model", FOREST, "--data", "{tmp}/long.csv"), "{tmp}/long.csv: row 3: field larger"),
+            (
+                ("train-rf", "--data", "{tmp}/long.csv", "--model-out", "{tmp}/m.json"),
+                "{tmp}/long.csv: row 3: field larger",
+            ),
+        ],
+        ids=[
+            "bench-csv-bytes",
+            "train-csv-bytes",
+            "model-bytes",
+            "surrogate-json",
+            "surrogate-out",
+            "train-name-bytes",
+            "bench-long-cell",
+            "train-long-cell",
+        ],
+    )
+    def test_text_utf8_cannot_carry_exits_2_and_writes_nothing(self, capsys, tmp_path, argv, message):
+        (tmp_path / "bytes.csv").write_bytes(b"x1,x2,label\n5,2,pos\n6,10,neg\xff\xfe\n")
+        (tmp_path / "long.csv").write_text("x1,x2,label\n5,2,pos\n6," + "1" * 140_000 + ",neg\n")
+        (tmp_path / "bytes.json").write_bytes(Path(GRADE).read_bytes().replace(b"grade", b"gr\xffade"))
+        doc = json.loads(Path(GRADE).read_text())
+        doc["name"] = "\ud800"
+        (tmp_path / "surrogate.json").write_text(json.dumps(doc))
+        inputs = set(tmp_path.iterdir())
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert err.startswith("error: " + message.format(tmp=tmp_path)), err
+        assert out == ""
+        assert set(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize(
         "argv, word",
         [
             (("enumerate", "--model", RISK, "--instance", "Junior,Red", "--budget", "-1"), "budget"),
@@ -529,7 +581,8 @@ _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 12),
-    st.sampled_from(["", "0", "-1", "1/0", "2/3", "7/2", "nan", "x", "Red", "ordinal", "integer"]),
+    # "\ud800", a lone surrogate, is valid JSON but cannot be written as UTF-8
+    st.sampled_from(["", "0", "-1", "1/0", "2/3", "7/2", "nan", "x", "Red", "ordinal", "integer", "\ud800"]),
     st.just([]),
     st.just({}),
 )
@@ -566,7 +619,9 @@ def _mutate(data, doc):
 
 
 class TestExitCodeProperty:
-    """Mutated bundled model files and instances make the CLI exit 0 or 2, never 1."""
+    """Mutated bundled model files and instances make the CLI exit 0 or 2, never 1,
+    whether the file is written escaped or as raw text (a lone surrogate then becomes
+    bytes that are not UTF-8) and whether or not one of its bytes is corrupted."""
 
     @settings(
         max_examples=500,
@@ -588,9 +643,14 @@ class TestExitCodeProperty:
             values[i : i + 1] = data.draw(
                 st.lists(st.sampled_from(["", "x", "-1", "1/2", "99", "Adult", "high"]), max_size=2)
             )
+        raw = json.dumps(doc, ensure_ascii=data.draw(st.booleans())).encode("utf-8", "surrogatepass")
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:i] + bytes([data.draw(st.sampled_from(b'\x00\x80\xc3\xff"\\'))]) + raw[i + 1 :]
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(raw)
         instance = "--instance=" + ",".join(values)  # one argument even when it starts with "-"
-        code = main([command[0], "--model", str(path), instance, *command[1:]])
+        form = data.draw(st.sampled_from(["text", "json"]))
+        code = main([command[0], "--model", str(path), instance, "--format", form, *command[1:]])
         err = capsys.readouterr().err
         assert code in (0, 2), err

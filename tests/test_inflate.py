@@ -1,8 +1,10 @@
 """Growing explanations to maximal value sets, and shrinking contrastive ones."""
 
+import ast
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,7 @@ from xinflate.model import (
     IntervalUnion,
     Ordinal,
     INTEGER,
+    full_set,
     interval_union,
     singleton_set,
     vs_contains,
@@ -51,6 +54,7 @@ from xinflate.model import (
     vs_subset,
     vs_union,
 )
+from xinflate.serialize import load_model, parse_point
 
 F = Fraction
 
@@ -310,6 +314,116 @@ class TestCellInflation:
         boundary = {F(0), F(3), F(6), F(9)}
         for iv in expl.set_for(1).intervals:
             assert iv.lo in boundary and iv.hi in boundary
+
+
+def _probe_log(problem):
+    """problem with sufficiency_holds wrapped; the returned list collects
+    (index of the probed atom's bit, outcome) for each atom-mask probe."""
+    log, decide = [], problem.sufficiency_holds
+
+    def logged(box):
+        holds = decide(box)
+        log.extend((e.bit_length() - 1, holds) for e in box.values() if e.__class__ is int)
+        return holds
+
+    problem.sufficiency_holds = logged
+    return log
+
+
+class TestInflateAtoms:
+    """One growth path for labels and cells, probing in the orders the label
+    and cell searches it replaces used (pinned from them)."""
+
+    def test_labels_are_probed_in_domain_order(self):
+        problem = _risk_problem()
+        log = _probe_log(problem)
+        grown = inflate_module.inflate_atoms(problem, 2, {1: problem.pin(1)})
+        assert grown == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
+        assert log == [(1, True), (2, True), (3, False), (4, True), (5, False)]
+        assert problem.oracle.stats.calls == 5
+        assert inflate_module.inflate_atoms(problem, 1, {2: problem.pin(2)}) == CatSet(
+            frozenset({"Junior", "Senior"})
+        )
+        assert problem.oracle.stats.calls == 5 + 2
+
+    def test_forest_cells_above_then_below(self):
+        mf = load_model(Path(__file__).resolve().parent.parent / "models" / "bench_forest.json")
+        point = parse_point(mf.space, "7,7,7,8,3,2.5,high,green")
+        problem = ExplanationProblem.from_point(mf.classifier, mf.space, point)
+        assert find_axp(problem) == (1, 3, 7)
+        log = _probe_log(problem)
+        grown = inflate_module.inflate_atoms(problem, 1, {3: problem.pin(3), 7: problem.pin(7)})
+        assert grown == interval_union(mf.space.domain(1), [Interval(F(5, 4), F(8))])
+        assert log == [(17, True), (18, True)] + [(k, True) for k in range(15, 1, -1)] + [(1, False), (0, False)]
+        for j, others, expected, calls in (
+            (3, (1, 7), interval_union(mf.space.domain(3), [Interval(F(13, 4), F(8))]), 14),
+            (7, (1, 3), CatSet(frozenset({"high"})), 2),
+        ):
+            before = problem.oracle.stats.calls
+            assert inflate_module.inflate_atoms(problem, j, {k: problem.pin(k) for k in others}) == expected
+            assert problem.oracle.stats.calls - before == calls
+
+    def test_a_monotone_model_is_refused(self):
+        # each feature's one atom is its whole domain, which is not sufficient here
+        problem = _grade_problem()
+        with pytest.raises(ValidationError, match="monotone"):
+            inflate_module.inflate_atoms(problem, 1, {2: problem.pin(2)})
+        assert problem.oracle.stats.calls == 0
+        assert not problem.sufficiency_holds({1: full_set(problem.space.domain(1)), 2: problem.pin(2)})
+
+    def test_it_is_the_only_caller_of_grow_in_the_module(self):
+        tree = ast.parse(Path(inflate_module.__file__).read_text())
+        callers = {
+            f.name
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for call in ast.walk(f)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "grow"
+        }
+        assert callers == {"inflate_atoms"}
+
+
+def _beta_repro(point):
+    space = FeatureSpace((Ordinal(F(0), F(10), INTEGER), Ordinal(F(0), F(10), INTEGER)))
+    clf = MonotonicClassifier((F(1), F(1)), (F(2),), ("lo", "hi"))
+    return ExplanationProblem.from_point(clf, space, point)
+
+
+class TestOneBetaCheck:
+    """beta 3/2 is a multiple of delta 1/2 but not of the integer step 1: it is
+    refused before any growth probe, whichever instance is inflated."""
+
+    CONFIG = InflationConfig(delta=F(1, 2), beta=F(3, 2))
+
+    @pytest.mark.parametrize("point", [(F(1), F(1)), (F(4), F(4))])
+    @pytest.mark.parametrize("trusted", [False, True])
+    def test_refused_alike_after_find_axp(self, point, trusted):
+        problem = _beta_repro(point)
+        axp = find_axp(problem)
+        assert problem.oracle.stats.calls == 2
+        with pytest.raises(ValidationError) as refusal:
+            inflate_axp(problem, axp, self.CONFIG, trusted=trusted)
+        assert str(refusal.value) == "beta 3/2 is not a multiple of the effective step 1"
+        assert problem.oracle.stats.calls == (2 if trusted else 3)  # the untrusted check's call only
+
+    def test_features_outside_the_explanation_are_checked_too(self):
+        space = FeatureSpace((Ordinal(F(0), F(10)), Ordinal(F(0), F(10), INTEGER)))
+        clf = MonotonicClassifier((F(1), F(0)), (F(2),), ("lo", "hi"))
+        problem = ExplanationProblem.from_point(clf, space, (F(5), F(5)))
+        with pytest.raises(ValidationError, match="effective step 1"):
+            inflate_axp(problem, (1,), self.CONFIG, trusted=True)
+        assert problem.oracle.stats.calls == 0
+
+    def test_inflate_ordinal_refuses_before_its_first_probe(self):
+        problem = _beta_repro((F(4), F(4)))
+        with pytest.raises(ValidationError, match="effective step 1"):
+            inflate_module.inflate_ordinal(problem, 2, {}, self.CONFIG)
+        assert problem.oracle.stats.calls == 0
+
+    def test_a_beta_on_the_step_is_accepted(self):
+        problem = _beta_repro((F(4), F(4)))
+        expl = inflate_axp(problem, (2,), InflationConfig(delta=F(1, 2), beta=F(2)), trusted=True)
+        assert expl.set_for(2) == interval_union(problem.space.domain(2), [Interval(F(2), F(10))])
 
 
 class TestInflateFromFull:

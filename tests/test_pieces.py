@@ -28,8 +28,8 @@ from xinflate.classifiers import (
 )
 from xinflate.duality import _axp_feature_options, _counts, enumerate_iaxps
 from xinflate.errors import BudgetExceededError, ValidationError
-from xinflate.explain import ExplanationProblem, enumerate_all, find_cxp
-from xinflate.inflate import InflationConfig, _contrast_pieces, _feature_pieces, shrink_cxp
+from xinflate.explain import ExplanationProblem, enumerate_all, find_axp, find_cxp
+from xinflate.inflate import InflationConfig, _contrast_pieces, _feature_pieces, inflate_axp, shrink_cxp
 from xinflate.model import (
     CONTINUOUS,
     INTEGER,
@@ -86,16 +86,19 @@ def _literal(draw, space: FeatureSpace, j: int):
     return SetMember(j, IntervalUnion((Interval(a, b, True, closed),)))
 
 
+def _split(draw, space: FeatureSpace, j: int, left, right):
+    domain = space.domain(j)
+    if isinstance(domain, Categorical):
+        return LabelSplit(j, draw(st.sampled_from(domain.labels)), left, right)
+    return OrdinalSplit(j, draw(st.sampled_from(_halves(domain)[1:])), left, right)
+
+
 def _node(draw, space: FeatureSpace, depth: int, classes):
     if depth == 0 or draw(st.integers(0, 5)) == 0:
         return Leaf(draw(st.sampled_from(classes)))
     j = draw(st.integers(1, space.m))
-    domain = space.domain(j)
     left = _node(draw, space, depth - 1, classes)
-    right = _node(draw, space, depth - 1, classes)
-    if isinstance(domain, Categorical):
-        return LabelSplit(j, draw(st.sampled_from(domain.labels)), left, right)
-    return OrdinalSplit(j, draw(st.sampled_from(_halves(domain)[1:])), left, right)
+    return _split(draw, space, j, left, _node(draw, space, depth - 1, classes))
 
 
 def _monotone(draw, space: FeatureSpace) -> MonotonicClassifier:
@@ -129,6 +132,21 @@ def problems(draw):
         clf = TreeEnsemble(trees, classes)
     else:
         clf = _monotone(draw, space)
+    config = InflationConfig(delta=draw(st.sampled_from((F(1, 2), F(1), F(3, 2)))))
+    return _problem(draw, clf, space), config
+
+
+def _fractional(domain) -> bool:
+    return domain.lo.denominator != 1 or domain.hi.denominator != 1
+
+
+def _points(domain) -> list:
+    """The domain's bounds and the halves and thirds strictly between them."""
+    inner = {F(k, d) for d in (2, 3) for k in range(int(d * domain.lo), int(d * domain.hi) + 1)}
+    return sorted({domain.lo, domain.hi} | {v for v in inner if domain.lo < v < domain.hi})
+
+
+def _problem(draw, clf, space: FeatureSpace) -> ExplanationProblem:
     point = []
     for domain in space.domains:
         if isinstance(domain, Categorical):
@@ -136,13 +154,37 @@ def problems(draw):
         elif domain.kind == INTEGER:
             point.append(F(draw(st.integers(int(domain.lo), int(domain.hi)))))
         else:
-            point.append(draw(st.sampled_from(_halves(domain))))
+            point.append(draw(st.sampled_from(_points(domain) if _fractional(domain) else _halves(domain))))
     try:
-        problem = ExplanationProblem.from_point(clf, space, point)
+        return ExplanationProblem.from_point(clf, space, point)
     except ValidationError:  # a constant classifier
         assume(False)
-    config = InflationConfig(delta=draw(st.sampled_from((F(1, 2), F(1), F(3, 2)))))
-    return problem, config
+
+
+@st.composite
+def engine_problems(draw, monotone: bool = True):
+    """A model the engine decides by its harder paths, and an instance: a
+    3-class forest of 2 or 4 trees, whose votes can tie; a tree or a
+    two-tree forest in which one subtree has two parents; or a monotone
+    model over bounds that are not integers."""
+    family = draw(st.sampled_from(("tied-forest", "shared", "fractional-monotone")[: 2 + monotone]))
+    if family == "fractional-monotone":
+        bounds = st.tuples(st.sampled_from((F(0), F(1, 3), F(1, 2))), st.sampled_from((F(5, 2), F(7, 3), F(4))))
+        space = FeatureSpace(tuple(Ordinal(lo, hi) for lo, hi in draw(st.lists(bounds, min_size=1, max_size=3))))
+        return _problem(draw, _monotone(draw, space), space)
+    space = _space(draw, False)
+    if family == "tied-forest":
+        trees = (DecisionTree(_node(draw, space, 2, CLASSES), CLASSES) for _ in range(draw(st.sampled_from((2, 4)))))
+        return _problem(draw, TreeEnsemble(tuple(trees), CLASSES), space)
+    classes, feature = CLASSES[:2], st.integers(1, space.m)
+    shared = _node(draw, space, 2, classes)
+    inner = _split(draw, space, draw(feature), _node(draw, space, 1, classes), shared)
+    trees = [DecisionTree(_split(draw, space, draw(feature), shared, inner), classes)]
+    if draw(st.booleans()):
+        leaf = Leaf(draw(st.sampled_from(classes)))
+        trees.append(DecisionTree(_split(draw, space, draw(feature), leaf, shared), classes))
+    clf = trees[0] if len(trees) == 1 else TreeEnsemble(tuple(trees), classes)
+    return _problem(draw, clf, space)
 
 
 def _grid_points(problem, j: int, config) -> list:
@@ -234,3 +276,64 @@ class TestPieceProperties:
                 for j in axp:
                     for larger in _one_step_larger(problem, j, sets[j], config):
                         assert not bf_forces(clf, space, {**sets, j: larger}, target), (j, larger)
+
+
+def _box(draw, problem) -> tuple[dict, dict]:
+    """A box over some of the features, each given either as a value set or
+    as a compiled entry (an atom mask, or a monotone model's ends), and the
+    same box as value sets."""
+    model, box, sets = problem.oracle.model, {}, {}
+    for j in problem.space.features():
+        form = draw(st.sampled_from(("absent", "set", "entry")))
+        domain = problem.space.domain(j)
+        if form == "absent":
+            continue
+        if form == "entry" and not model.monotone:
+            bits = draw(st.lists(st.sampled_from(list(model.atoms[j - 1])), min_size=1, unique=True))
+            box[j], sets[j] = sum(bits), vs_union(domain, *(model.atoms[j - 1][b] for b in bits))
+            continue
+        if isinstance(domain, Categorical):
+            labels = draw(st.lists(st.sampled_from(domain.labels), min_size=1, unique=True))
+            box[j] = sets[j] = CatSet(frozenset(labels))
+            continue
+        if domain.kind == INTEGER:
+            points = [F(k) for k in range(int(domain.lo), int(domain.hi) + 1)]
+        else:
+            points = _points(domain)
+        lo, hi = sorted(draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+        closed = lo == hi or domain.kind == INTEGER or draw(st.booleans())
+        sets[j] = IntervalUnion((Interval(lo, hi, True, closed),))
+        box[j] = (*lo.as_integer_ratio(), *hi.as_integer_ratio(), closed) if form == "entry" else sets[j]
+    return box, sets
+
+
+ANY_PROBLEM = st.one_of(engine_problems(), problems().map(lambda drawn: drawn[0]))
+
+
+class TestEngineAgainstBruteForce:
+    """The engine's decisions on drawn boxes, and the atoms inflation leaves
+    out, checked with `bf_forces`."""
+
+    @PROPERTY
+    @given(problem=ANY_PROBLEM, data=st.data())
+    def test_decisions_match_the_scan(self, problem, data):
+        box, sets = _box(data.draw, problem)
+        clf, space, target = problem.classifier, problem.space, problem.target
+        forced = bf_forces(clf, space, sets, target)
+        assert problem.oracle.holds_sufficiency(box, target) == forced, (box, sets)
+        assert problem.oracle.counterexample_in(box, target) == (not forced)
+
+    @PROPERTY
+    @given(problem=st.one_of(engine_problems(monotone=False), problems().map(lambda drawn: drawn[0])))
+    def test_every_atom_left_out_has_a_counterexample(self, problem):
+        model = problem.oracle.model
+        assume(not model.monotone)
+        clf, space, target = problem.classifier, problem.space, problem.target
+        axp = find_axp(problem)
+        sets = dict(inflate_axp(problem, axp, trusted=True).sets)
+        assert bf_forces(clf, space, sets, target)
+        for j in axp:
+            domain = space.domain(j)
+            for atom in model.atoms[j - 1].values():
+                if not vs_subset(domain, atom, sets[j]):
+                    assert not bf_forces(clf, space, {**sets, j: vs_union(domain, sets[j], atom)}, target)

@@ -1,5 +1,6 @@
-"""The repository's own checking scripts."""
+"""The repository's own checking scripts, and the README's Python example."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -76,3 +77,19 @@ def test_src_has_no_dead_private_helpers():
     paths = check_dead_helpers.modules()
     assert all(path.relative_to(ROOT).parts[0] == "src" for path in paths)
     assert check_dead_helpers.dead_helpers(paths) == []
+
+
+def test_readme_python_example_shows_what_it_prints(capsys):
+    """The README's Python API block, run as written: each comment line holds
+    the next line it prints, and each `name = ...  # value` comment the repr
+    of that name."""
+    section = (ROOT / "README.md").read_text().split("## Python API", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    printed = [line[2:] for line in lines if line.startswith("# ")]
+    values = [m.groups() for line in lines if (m := re.match(r"(\w+) = .*#\s*(.+)$", line))]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.splitlines() == printed
+    assert {name: repr(namespace[name]) for name, _ in values} == dict(values)
+    assert printed and values
