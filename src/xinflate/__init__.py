@@ -60,7 +60,6 @@ from .inflate import (
     InflationConfig,
     inflate_atoms,
     inflate_axp,
-    inflate_from_full,
     inflate_ordinal,
     shrink_cxp,
 )

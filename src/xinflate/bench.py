@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classifiers import Classifier, validate_classifier
+from .classifiers import Classifier
 from .errors import ValidationError
 from .explain import ExplanationProblem, find_axp
 from .inflate import InflationConfig, _extract, inflate_axp
@@ -34,7 +34,7 @@ from .model import (
     singleton_set,
     vs_pieces,
 )
-from .oracle import classifier_is_constant
+from .oracle import classifier_is_constant, discretize
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def run_bench(
     if labels is not None and len(labels) != len(rows):
         raise ValidationError("labels and rows differ in length")
     config = config or InflationConfig()
-    validate_classifier(classifier, space)
+    discretize(classifier, space)  # refuses a malformed pair before any predict
     if classifier_is_constant(classifier, space):
         raise ValidationError("the classifier is constant; nothing to explain")
     points = [space.validate_point(row) for row in rows]

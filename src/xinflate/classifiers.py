@@ -8,6 +8,7 @@ family maps threshold counts to classes positionally.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,8 @@ from .model import (
     Categorical,
     FeatureSpace,
     CatSet,
+    INTEGER,
+    IntervalUnion,
     Ordinal,
     Value,
     ValueSet,
@@ -210,21 +213,37 @@ def _iter_nodes(node: Node):
             stack.extend((n.left, n.right))
 
 
-def _check_ordinal_literal(values: ValueSet, domain: Ordinal, where: str) -> None:
-    # Interval literals must be threshold shaped: closed-below, open-above,
-    # except that an interval reaching the domain maximum may close there.
-    # This keeps rule conditions unions of whole discretization cells.
+def _literal_cuts(values: IntervalUnion, domain: Ordinal, where: str = "interval literal") -> list:
+    """The cuts that make an interval literal a union of whole cells, each
+    closed below and open above (a cut outside (lo, hi] bounds no cell).  On
+    a continuous domain an interval must hold its lower end, which cuts, and
+    its upper end only at the domain maximum; an open upper end cuts.  On an
+    integer domain any interval holds the integers a <= x < b, a and b being
+    its ends, each moved to the next integer up when a is open or b closed,
+    and cuts at a and b."""
+    cuts = []
     for iv in values.intervals:
+        if domain.kind == INTEGER:
+            cuts.append(iv.lo if iv.lo_closed else math.floor(iv.lo) + 1)
+            cuts.append(math.floor(iv.hi) + 1 if iv.hi_closed else iv.hi)
+            continue
         if not iv.lo_closed:
             raise ValidationError(f"{where}: interval must include its lower endpoint")
         if iv.hi_closed and iv.hi != domain.hi:
             raise ValidationError(
                 f"{where}: interval must exclude its upper endpoint unless it is the domain maximum"
             )
+        cuts.append(iv.lo)
+        if not iv.hi_closed:
+            cuts.append(iv.hi)
+    return cuts
 
 
 def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
-    """Check that the classifier is well formed over the feature space."""
+    """Check that the classifier is well formed over the feature space, so that
+    `predict` agrees with `oracle.CompiledModel`, which runs this check."""
+    if len(set(classifier.classes)) != len(classifier.classes):
+        raise ValidationError("duplicate class ids")
     if isinstance(classifier, MonotonicClassifier):
         if len(classifier.weights) != space.m:
             raise ValidationError(
@@ -254,7 +273,7 @@ def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
                 else:
                     if not isinstance(domain, Ordinal):
                         raise ValidationError(f"{where}: interval set over a categorical feature")
-                    _check_ordinal_literal(lit.values, domain, where)
+                    _literal_cuts(lit.values, domain, where)
         return
 
     trees = classifier.trees if isinstance(classifier, TreeEnsemble) else (classifier,)

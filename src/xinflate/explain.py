@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Sequence
 
-from .classifiers import Classifier, validate_classifier
+from .classifiers import Classifier
 from .errors import BudgetExceededError, ValidationError
 from .model import FeatureSpace, Instance, Value, ValueSet, singleton_set
-from .oracle import Entry, Oracle, classifier_is_constant
+from .oracle import Entry, Oracle, classifier_is_constant, discretize
 
 DEFAULT_SUBSET_BUDGET = 4096
 
@@ -29,10 +29,11 @@ DEFAULT_SUBSET_BUDGET = 4096
 class ExplanationProblem:
     """One instance of one classifier, with the oracle session it uses.
 
-    The instance's class must match the classifier's prediction, and the
-    classifier must not be constant; both are checked on construction
-    unless skip_checks is set (the benchmark sets it after checking the
-    shared classifier once).
+    The oracle refuses a malformed (classifier, space) pair when it
+    compiles it.  The instance's class must match the classifier's
+    prediction, and the classifier must not be constant; these two are
+    checked on construction unless skip_checks is set (the benchmark sets
+    it after checking the shared classifier once).
     """
 
     classifier: Classifier
@@ -45,8 +46,8 @@ class ExplanationProblem:
     def __post_init__(self):
         values = self.space.validate_point(self.instance.values)
         self.instance = Instance(values, self.instance.class_id)
+        self.oracle = Oracle(self.classifier, self.space)
         if not self.skip_checks:
-            validate_classifier(self.classifier, self.space)
             got = self.classifier.predict(values)
             if got != self.instance.class_id:
                 raise ValidationError(
@@ -54,7 +55,6 @@ class ExplanationProblem:
                 )
             if classifier_is_constant(self.classifier, self.space):
                 raise ValidationError("constant classifier: nothing to explain")
-        self.oracle = Oracle(self.classifier, self.space)
         # built once, so every box that pins feature j passes the same object
         self._pins = tuple(map(singleton_set, self.space.domains, values))
 
@@ -63,6 +63,7 @@ class ExplanationProblem:
         cls, classifier: Classifier, space: FeatureSpace, values: Sequence[Value]
     ) -> "ExplanationProblem":
         point = space.validate_point(values)
+        discretize(classifier, space)  # refuses a malformed pair before predict reads it
         return cls(classifier, space, Instance(point, classifier.predict(point)))
 
     @property

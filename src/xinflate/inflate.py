@@ -46,7 +46,6 @@ from .model import (
     Ordinal,
     ValueSet,
     rational,
-    vs_is_full,
     vs_union,
 )
 from .oracle import Entry
@@ -316,26 +315,6 @@ def inflate_axp(
         else:
             current[j] = inflate_atoms(problem, j, current)
     return InflatedExplanation(ABDUCTIVE, feats, dict(current), order, grid_delta(problem, config))
-
-
-def inflate_from_full(
-    problem: ExplanationProblem,
-    config: Optional[InflationConfig] = None,
-) -> InflatedExplanation:
-    """Inflate starting from every feature pinned; drop the ones that free up.
-
-    A feature whose set grows to the whole domain constrains nothing and
-    leaves the explanation (a full set and an absent feature give the
-    oracle the same box).  The surviving sets are sufficient and each is
-    maximal given the others; the surviving feature set is not guaranteed
-    to be subset-minimal for every model, so extract an explanation first
-    when minimality matters.
-    """
-    expl = inflate_axp(problem, problem.space.features(), config, trusted=True)
-    sets = {
-        j: s for j, s in expl.sets.items() if not vs_is_full(problem.space.domain(j), s)
-    }
-    return InflatedExplanation(ABDUCTIVE, tuple(sorted(sets)), sets, expl.probe_order, expl.delta)
 
 
 # ---------------------------------------------------------------------------

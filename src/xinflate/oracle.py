@@ -32,16 +32,17 @@ same nodes as a tree: a rule's literals chain right to its class, and a
 failed literal goes left to the next rule, ending at the default class.
 All of this depends only on the classifier and the space, so it lives in a
 `CompiledModel`, built eagerly by `discretize`, which keeps the last one it
-built and returns it again while the same two objects come back; every
-`Oracle` over them shares it and adds its own decision count and one slot
-per feature.  `ValueSet` and `Fraction` appear only where a box is
-converted, to masks or to monotone extremes, and a session converts a
-feature's set only when it is not the object the feature's slot holds
-from the previous conversion; every decision after that is integer
-arithmetic.  A box may also give a feature in its compiled form: an atom
-mask, or monotone extremes as an `_ends` tuple.  The explanation searches
-probe that way, so the feature they change is never converted, and the
-others are the same set objects probe after probe, which the slots spare.
+built and returns it again while the same two objects come back, after
+`validate_classifier` accepts them; every `Oracle` over them shares it
+and adds its own decision count and one slot per feature.  `ValueSet` and
+`Fraction` appear only where a box is converted, to masks or to monotone
+extremes, and a session converts a feature's set only when it is not the
+object the feature's slot holds from the previous conversion; every
+decision after that is integer arithmetic.  A box may also give a
+feature in its compiled form: an atom mask, or monotone extremes as an
+`_ends` tuple.  The explanation searches probe that way, so the feature
+they change is never converted, and the others are the same set objects
+probe after probe, which the slots spare.
 
 A single tree or list is decided by one walk without recursion over the
 paths the box reaches, stopping at the first leaf of another class.  Where
@@ -86,6 +87,7 @@ from .classifiers import (
     SetMember,
     TreeEnsemble,
     _iter_nodes,
+    _literal_cuts,
     validate_classifier,
 )
 from .errors import ValidationError
@@ -124,12 +126,11 @@ def _thresholds(classifier: Classifier, space: FeatureSpace) -> tuple[tuple[Frac
         for rule in classifier.rules:
             for lit in rule.condition:
                 if isinstance(lit, SetMember) and isinstance(lit.values, IntervalUnion):
-                    domain = space.domain(lit.feature)
-                    for iv in lit.values.intervals:
-                        if iv.lo > domain.lo:
-                            vals.setdefault(lit.feature, set()).add(iv.lo)
-                        if not iv.hi_closed:
-                            vals.setdefault(lit.feature, set()).add(iv.hi)
+                    cuts = _literal_cuts(lit.values, space.domain(lit.feature))
+                    vals.setdefault(lit.feature, set()).update(cuts)
+        for j, cuts in vals.items():  # a cut outside (lo, hi] bounds no cell
+            domain = space.domain(j)
+            vals[j] = {t for t in cuts if domain.lo < t <= domain.hi}
     elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
         trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
         for tree in trees:
@@ -183,17 +184,15 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 
 class CompiledModel:
     """Everything the box decisions need that depends only on (classifier,
-    space); `discretize` builds it and shares it between problems."""
+    space), built once a pair passes `validate_classifier`; `discretize`
+    builds it and shares it between problems."""
 
     def __init__(self, classifier: Classifier, space: FeatureSpace):
-        if classifier.classes and len(set(classifier.classes)) != len(classifier.classes):
-            raise ValidationError("duplicate class ids")
+        validate_classifier(classifier, space)
         self.classifier = classifier
         self.space = space
         self.monotone = isinstance(classifier, MonotonicClassifier)
         if self.monotone:
-            # one weight per feature, every feature ordinal
-            validate_classifier(classifier, space)
             # the score and thresholds over one common denominator, as integers;
             # a zero weight has no say in the score
             rationals = (*classifier.weights, *classifier.thresholds)
@@ -614,7 +613,8 @@ def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
 
     Two predicts first: when the lowest and the highest corner differ the
     answer is no, and nothing is compiled.  Otherwise the box engine proves
-    or refutes that the whole space gets the corners' class.
+    or refutes that the whole space gets the corners' class.  A malformed
+    pair may fail in `predict` first: check it with `validate_classifier`.
     """
     base = tuple(d.labels[0] if isinstance(d, Categorical) else d.lo for d in space.domains)
     tops = tuple(d.labels[-1] if isinstance(d, Categorical) else d.hi for d in space.domains)

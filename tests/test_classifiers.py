@@ -19,15 +19,21 @@ from xinflate.classifiers import (
 )
 from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
+from xinflate.explain import ExplanationProblem, find_axp
+from xinflate.inflate import inflate_axp
 from xinflate.model import (
+    INTEGER,
     CatSet,
     Categorical,
     FeatureSpace,
     Interval,
+    IntervalUnion,
     Ordinal,
     interval_union,
+    singleton_set,
 )
-from xinflate.oracle import classifier_is_constant
+from xinflate.oracle import Oracle, classifier_is_constant
+from xinflate.serialize import ModelFile, load_model, save_model
 
 F = Fraction
 UNIT = Ordinal(F(0), F(10))
@@ -106,6 +112,29 @@ class TestDecisionList:
         clf = DecisionList((Rule((lit,), "in"),), "out", ("in", "out"))
         validate_classifier(clf, space)
 
+    def test_integer_literal_of_any_shape_compiles_to_its_integers(self, tmp_path):
+        digits = Ordinal(F(0), F(4), INTEGER)
+        space = FeatureSpace((digits, COLORS))
+        # [1, 3) snaps to [1, 2], closed at an end that is not the maximum
+        lit = SetMember(1, interval_union(digits, [Interval(F(1), F(3), True, False)]))
+        assert lit.values.intervals == (Interval(F(1), F(2)),)
+        clf = DecisionList((Rule((lit,), "b"),), "a", ("a", "b"))
+        validate_classifier(clf, space)
+        target = tmp_path / "m.json"
+        save_model(ModelFile("m", space, clf), target)
+        assert load_model(target).classifier == clf
+        problem = ExplanationProblem.from_point(clf, space, (F(3), "red"))
+        assert problem.oracle.holds_sufficiency({1: singleton_set(digits, F(3))}, "a")
+        axp = find_axp(problem)
+        assert axp == (1,)
+        expl = inflate_axp(problem, axp, trusted=True)
+        assert expl.set_for(1) == interval_union(digits, [Interval(F(0), F(0)), Interval(F(3), F(4))])
+        # the other shapes of the same integers cut the feature at the same points
+        for lo, hi, lo_closed, hi_closed in ((F(1, 2), F(5, 2), False, True), (F(0), F(3), False, False)):
+            raw = SetMember(1, IntervalUnion((Interval(lo, hi, lo_closed, hi_closed),)))
+            same = DecisionList((Rule((raw,), "b"),), "a", ("a", "b"))
+            assert Oracle(same, space).model.splits == problem.oracle.model.splits == ((F(1), F(3)), ())
+
     def test_unknown_rule_class_rejected(self):
         with pytest.raises(ValidationError):
             DecisionList((Rule((), "ghost"),), "out", ("in", "out"))
@@ -159,6 +188,8 @@ MALFORMED = [
 def test_validate_classifier_refuses_malformed_objects(clf, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         validate_classifier(clf, MIXED)
+    with pytest.raises(ValidationError, match=f"^{message}$"):  # checked where it is compiled
+        Oracle(clf, MIXED)
     if isinstance(clf, DecisionTree):  # an ensemble names the tree the same way
         with pytest.raises(ValidationError, match=f"^{message}$"):
             validate_classifier(TreeEnsemble((clf,), clf.classes), MIXED)

@@ -32,6 +32,8 @@ from xinflate.model import (
     CatSet,
     FeatureSpace,
     InflatedExplanation,
+    Interval,
+    IntervalUnion,
     Ordinal,
     full_set,
     vs_union,
@@ -86,6 +88,23 @@ class TestEnumerateInflatedFamilies:
             {2: CatSet(frozenset({"Silver"}))},
             {2: CatSet(frozenset({"White"}))},
         ]
+
+    def test_monotone_witnesses_are_every_flipping_grid_combination(self):
+        clf, space = grade_model()  # class A from Q + R >= 12
+        problem = ExplanationProblem.from_point(clf, space, (F(1), F(1)))
+        assert enumerate_all(problem)[1] == ((1, 2),)
+        families = enumerate_icxps(problem, (1, 2), InflationConfig(delta=F(1, 2)))
+        found = set()
+        for expl in families:
+            sets = [expl.set_for(j) for j in (1, 2)]
+            point = tuple(s.intervals[0].lo for s in sets)  # each set is one grid point
+            assert sets == [IntervalUnion((Interval(v, v),)) for v in point]
+            assert clf.predict(point) != problem.target
+            found.add(point)
+        # the grid of 1 at step 1/2 on [0, 10] is every half; the instance's is left out
+        grid = [F(k, 2) for k in range(21) if k != 2]
+        flips = {(q, r) for q in grid for r in grid if clf.predict((q, r)) != problem.target}
+        assert len(families) == len(found) and found == flips
 
     def test_greedy_inflation_lands_on_an_enumerated_family(self):
         for clf, space, point in categorical_pool(15, seed=112):

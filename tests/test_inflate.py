@@ -35,7 +35,6 @@ from xinflate.inflate import (
     LINEAR,
     InflationConfig,
     inflate_axp,
-    inflate_from_full,
     shrink_cxp,
 )
 from xinflate.model import (
@@ -424,21 +423,6 @@ class TestOneBetaCheck:
         problem = _beta_repro((F(4), F(4)))
         expl = inflate_axp(problem, (2,), InflationConfig(delta=F(1, 2), beta=F(2)), trusted=True)
         assert expl.set_for(2) == interval_union(problem.space.domain(2), [Interval(F(2), F(10))])
-
-
-class TestInflateFromFull:
-    def test_risk_full_pin_drops_nothing_but_widens(self):
-        problem = _risk_problem()
-        expl = inflate_from_full(problem)
-        assert expl.features == (1, 2)
-        assert expl.set_for(1) == CatSet(frozenset({"Junior", "Senior"}))
-        assert expl.set_for(2) == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
-
-    def test_sufficiency_holds_for_the_surviving_sets(self):
-        problem = _grade_problem()
-        expl = inflate_from_full(problem, InflationConfig(delta=F(1, 2)))
-        sets = {j: expl.set_for(j) for j in expl.features}
-        assert bf_forces(problem.classifier, problem.space, sets, problem.target)
 
 
 class TestShrinkCxp:

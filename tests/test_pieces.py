@@ -70,7 +70,7 @@ def _space(draw, monotone: bool) -> FeatureSpace:
     return FeatureSpace(tuple(domains))
 
 
-def _literal(draw, space: FeatureSpace, j: int):
+def _literal(draw, space: FeatureSpace, j: int, any_shape: bool = False):
     domain = space.domain(j)
     if isinstance(domain, Categorical):
         labels = draw(st.lists(st.sampled_from(domain.labels), min_size=1, unique=True))
@@ -79,11 +79,27 @@ def _literal(draw, space: FeatureSpace, j: int):
         if len(labels) == 1 and draw(st.booleans()):
             return LabelEq(j, labels[0])
         return SetMember(j, CatSet(frozenset(labels)))
+    if any_shape and domain.kind == INTEGER:  # unsnapped, open or closed at either end
+        ends = [F(k, 2) for k in range(int(2 * domain.lo) - 2, int(2 * domain.hi) + 3)]
+        pieces = []
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = sorted(draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+            pieces.append(Interval(a, b, draw(st.booleans()), draw(st.booleans())))
+        return SetMember(j, IntervalUnion(tuple(pieces)))
     ends = _halves(domain)  # threshold shaped and unsnapped, as in the pools
     a = draw(st.sampled_from(ends[:-1]))
     b = draw(st.sampled_from([e for e in ends if e > a]))
     closed = b == domain.hi and draw(st.booleans())
     return SetMember(j, IntervalUnion((Interval(a, b, True, closed),)))
+
+
+def _list(draw, space: FeatureSpace, classes, any_shape: bool = False) -> DecisionList:
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        feats = draw(st.lists(st.integers(1, space.m), min_size=1, max_size=2, unique=True))
+        condition = tuple(_literal(draw, space, j, any_shape) for j in sorted(feats))
+        rules.append(Rule(condition, draw(st.sampled_from(classes))))
+    return DecisionList(tuple(rules), draw(st.sampled_from(classes)), classes)
 
 
 def _split(draw, space: FeatureSpace, j: int, left, right):
@@ -119,12 +135,7 @@ def problems(draw):
     space = _space(draw, family == "monotone")
     classes = CLASSES[:2]
     if family == "list":
-        rules = []
-        for _ in range(draw(st.integers(1, 4))):
-            feats = draw(st.lists(st.integers(1, space.m), min_size=1, max_size=2, unique=True))
-            condition = tuple(_literal(draw, space, j) for j in sorted(feats))
-            rules.append(Rule(condition, draw(st.sampled_from(classes))))
-        clf = DecisionList(tuple(rules), draw(st.sampled_from(classes)), classes)
+        clf = _list(draw, space, classes)
     elif family == "tree":
         clf = DecisionTree(_node(draw, space, 3, classes), classes)
     elif family == "forest":
@@ -157,7 +168,9 @@ def _problem(draw, clf, space: FeatureSpace) -> ExplanationProblem:
             point.append(draw(st.sampled_from(_points(domain) if _fractional(domain) else _halves(domain))))
     try:
         return ExplanationProblem.from_point(clf, space, point)
-    except ValidationError:  # a constant classifier
+    except ValidationError as err:  # only a constant classifier is skipped
+        if "constant classifier" not in str(err):
+            raise
         assume(False)
 
 
@@ -166,8 +179,14 @@ def engine_problems(draw, monotone: bool = True):
     """A model the engine decides by its harder paths, and an instance: a
     3-class forest of 2 or 4 trees, whose votes can tie; a tree or a
     two-tree forest in which one subtree has two parents; or a monotone
-    model over bounds that are not integers."""
-    family = draw(st.sampled_from(("tied-forest", "shared", "fractional-monotone")[: 2 + monotone]))
+    model over bounds that are not integers; or a list whose literals over
+    integer features are any intervals, unsnapped."""
+    families = ("tied-forest", "shared", "integer-list", "fractional-monotone")
+    family = draw(st.sampled_from(families[: 3 + monotone]))
+    if family == "integer-list":
+        highs = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        space = FeatureSpace(tuple(Ordinal(F(0), F(hi), INTEGER) for hi in highs))
+        return _problem(draw, _list(draw, space, CLASSES[:2], any_shape=True), space)
     if family == "fractional-monotone":
         bounds = st.tuples(st.sampled_from((F(0), F(1, 3), F(1, 2))), st.sampled_from((F(5, 2), F(7, 3), F(4))))
         space = FeatureSpace(tuple(Ordinal(lo, hi) for lo, hi in draw(st.lists(bounds, min_size=1, max_size=3))))

@@ -79,6 +79,41 @@ def test_src_has_no_dead_private_helpers():
     assert check_dead_helpers.dead_helpers(paths) == []
 
 
+def test_dead_public_names_are_found(tmp_path):
+    first, second, user = tmp_path / "a.py", tmp_path / "b.py", tmp_path / "user.py"
+    first.write_text(
+        "def used_here():\n"
+        "    return 1\n"
+        "def documented():\n"
+        "    return 2\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else used_here()\n"
+        "class Unused:\n"
+        "    def method(self):\n"
+        "        return 0\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    second.write_text("def imported():\n    return 3\ndef only_in_tests():\n    pass\n")
+    user.write_text("from b import imported\nx = imported()\n")
+    readme = "Call `documented()`; `documented_too` is another name."
+    found = check_dead_helpers.dead_public_names([first, second], [first, second, user], readme)
+    assert [(path.name, line, name) for path, line, name in found] == [
+        ("a.py", 5, "recursive"),
+        ("a.py", 7, "Unused"),
+        ("b.py", 3, "only_in_tests"),
+    ]
+
+
+def test_src_has_no_dead_public_names():
+    checked, users = check_dead_helpers.public_paths()
+    names = {path.name for path in checked}
+    assert "synthetic.py" not in names and "__init__.py" not in names and "oracle.py" in names
+    assert any(path.relative_to(ROOT).parts[0] == "benchmark" for path in users)
+    readme = (ROOT / "README.md").read_text()
+    assert check_dead_helpers.dead_public_names(checked, users, readme) == []
+
+
 def test_readme_python_example_shows_what_it_prints(capsys):
     """The README's Python API block, run as written: each comment line holds
     the next line it prints, and each `name = ...  # value` comment the repr

@@ -109,6 +109,13 @@ class TestTrainer:
         validate_classifier(forest, ds.space)
         assert model_accuracy(forest, ds) == 1
 
+    def test_single_tree_learns_a_separable_table_exactly(self):
+        ds = load_dataset(DATA / "stump.csv")
+        tree = train_tree(ds, depth=2)
+        validate_classifier(tree, ds.space)
+        assert model_accuracy(tree, ds) == 1
+        assert train_tree(ds, depth=2) == tree  # the same data gives the same tree
+
     def test_single_tree_fits_bench_reasonably(self):
         ds = load_dataset(DATA / "bench.csv")
         tree = train_tree(ds, depth=4)
