@@ -5,8 +5,9 @@ Run from the repository root:
     python3 scripts/decision_digest.py
 
 Each problem of the `tests/pools.py` pools (lists, forests, monotone,
-categorical, integer-domain, and monotone over integer and over
-non-integral domains, whose boxes end on clip and snap boundaries) runs
+categorical, integer-domain, monotone over integer and over non-integral
+domains, whose boxes end on clip and snap boundaries, and single trees
+over continuous and categorical features, some sharing a subtree) runs
 `find_axp` + `inflate_axp`, `find_cxp` + `shrink_cxp`, and the duality
 round trip: `icxp_from_iaxps` on that inflated AXp (one ICXp per feature),
 then `iaxp_from_icxps` back from those.  A problem with at most six
@@ -50,6 +51,7 @@ from pools import (
     integer_pool,
     make_problem,
     monotone_pool,
+    tree_pool,
 )
 from xinflate.duality import enumerate_iaxps, enumerate_icxps, iaxp_from_icxps, icxp_from_iaxps
 from xinflate.errors import XInflateError
@@ -133,6 +135,7 @@ def main() -> int:
         + integer_pool()
         + integer_monotone_pool()
         + fractional_monotone_pool()
+        + tree_pool()
     )
     sha = hashlib.sha256()
     decisions = 0

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .explain import ExplanationProblem, _check_order
 from .model import (
     ABDUCTIVE,
@@ -52,6 +52,7 @@ from .oracle import Entry
 
 LINEAR = "linear"
 BINARY = "binary"
+MAX_GRID_POINTS = 2**20  # the most grid points of one feature that shrinking or enumeration lists
 
 
 @dataclass(frozen=True)
@@ -326,6 +327,8 @@ def _feature_pieces(problem: ExplanationProblem, j: int, config: InflationConfig
     `grid` points on a monotone model, else the atom bits."""
     if problem.oracle.model.monotone:
         below, above, point = grid(problem, j, config)
+        if below + above - 1 > MAX_GRID_POINTS:  # refused before the list is built
+            raise BudgetExceededError(f"feature {j}: {below + above - 1} grid points exceed {MAX_GRID_POINTS}")
         return [point(k) for k in range(1 - below, above)], below - 1
     return _atom_bits(problem, j)
 

@@ -27,8 +27,8 @@ feature's mask stands for its label i or cell i, so every value set becomes
 an `int` whose bits are atoms (a cell that is no atom is never set): a box
 is one mask per feature, an `OrdinalSplit` sends the cells at or above its
 threshold right, a `LabelSplit` sends its label's bit right, and a list
-literal sends the atoms it covers right.  A decision list compiles to the
-same nodes as a tree: a rule's literals chain right to its class, and a
+literal sends the atoms it covers right.  A decision list compiles to a
+chain of such tests: a rule's literals chain right to its class, and a
 failed literal goes left to the next rule, ending at the default class.
 All of this depends only on the classifier and the space, so it lives in a
 `CompiledModel`, built eagerly by `discretize`, which keeps the last one it
@@ -44,28 +44,30 @@ feature in its compiled form: an atom mask, or monotone extremes as an
 they change is never converted, and the others are the same set objects
 probe after probe, which the slots spare.
 
-A single tree or list is decided by one walk without recursion over the
-paths the box reaches, stopping at the first leaf of another class.  Where
-a list's paths meet again at a next rule, the walk first bounds the classes
-reachable from there and skips the region when the target is the only one.
+A list is decided by one walk without recursion over the paths the box
+reaches, stopping at the first leaf of another class.  Where its paths
+meet again at a next rule, the walk first bounds the classes reachable
+from there and skips the region when the target is the only one.
 
-An ensemble decides every tree at once, on its leaves: the root-to-leaf
-paths some atom follows.  Tree t's leaves are bits t*W .. t*W + W - 1 of
-one `int` (W a power of two), and the leaves a box reaches are one AND,
-over its features, of the OR of the sets of leaves each of its atoms gets
-through.  A search node folds each class's reached leaves to one bit per
-tree: bit counts give each class's ceiling (the trees that can vote for
-it) and sure votes (the trees that can vote for nothing else), ties going
-to the lowest class index.  The node holds when no class can catch the
-target's sure votes and fails when some class's sure votes beat the
-target's ceiling.  Otherwise it splits the feature on which most reached
-leaves of two-way trees shut out an atom of the box, into the lower and
-the upper half of its atoms.  The halves partition the box, so the outcome
-equals literal enumeration; only the visit order differs.
+Trees, one or many, are decided on their leaves: the root-to-leaf paths
+some atom follows.  Tree t's leaves are bits t*W .. t*W + W - 1 of one
+`int` (W a power of two), and the leaves a box reaches are one AND, over
+its features, of the OR of the sets of leaves each of its atoms gets
+through.  A path's region is the product of its atoms, so one tree is
+decided by that AND alone.  For more, a search node folds each class's
+reached leaves to one bit per tree: bit counts give each class's ceiling
+(the trees that can vote for it) and sure votes (the trees that can vote
+for nothing else), ties going to the lowest class index.  The node holds
+when no class can catch the target's sure votes and fails when some
+class's sure votes beat the target's ceiling.  Otherwise it splits the
+feature on which most reached leaves of two-way trees shut out an atom of
+the box, into the lower and the upper half of its atoms.  The halves
+partition the box, so the outcome equals literal enumeration; only the
+visit order differs.
 
 Every top-level decision increments `OracleStats.calls` once, which is what
 the per-instance call accounting in the benchmark reports; `OracleStats.nodes`
-counts the nodes of the ensemble search.
+counts the nodes of the search, which a single tree never needs.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ from .classifiers import (
     LabelEq,
     Leaf,
     MonotonicClassifier,
-    Node,
     OrdinalSplit,
     SetMember,
     TreeEnsemble,
@@ -176,10 +177,10 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 # ---------------------------------------------------------------------------
 # The compiled model
 #
-# Compiled tree and list nodes are either a class index (a leaf) or a tuple
+# A compiled list's nodes are either a class index (a leaf) or a tuple
 # (f0, right mask, left node, right node): a point goes right when its atom
-# of feature f0 is in the right mask.  An ensemble's trees are also kept
-# as leaf bitsets (see `_compile_votes`).
+# of feature f0 is in the right mask.  Trees are kept as leaf bitsets (see
+# `_compile_votes`).
 
 
 class CompiledModel:
@@ -208,8 +209,8 @@ class CompiledModel:
         labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)
         self.labels = [{label: 1 << i for i, label in enumerate(ls)} for ls in labels]
         self.class_index = {c: i for i, c in enumerate(classifier.classes)}
-        self.shared: set[int] = set()  # ids of nodes that several tests lead to
-        self.roots = []
+        self.shared: set[int] = set()  # ids of a list's nodes that several tests lead to
+        self.root = None  # a list's compiled chain
         if isinstance(classifier, DecisionList):
             # every literal of a rule fails over to the same next-rule node
             node = self.class_index[classifier.default_class]
@@ -225,14 +226,12 @@ class CompiledModel:
                         m = self.set_mask(f0, lit.values)
                     hit = (f0, m, node, hit)
                 node = hit
-            self.roots = [node]
+            self.root = node
         elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
             trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
             # the right mask of each threshold: the cells at or above it
             above = [{t: -1 << (k + 1) for k, t in enumerate(sj)} for sj in self.splits]
-            self.roots = [self._compile_tree(t.root, above) for t in trees]
-            if len(self.roots) > 1:
-                self._compile_votes()
+            self._compile_votes(trees, above)
 
     def cells_for(self, j: int) -> tuple[Interval, ...]:
         return self.cells[j - 1]
@@ -289,8 +288,8 @@ class CompiledModel:
         ti = self.class_index[target]
         if self.monotone:
             return _forces_monotone(self.weights, self.thresholds, box, ti)
-        if len(self.roots) == 1:
-            return _forces_tree(self.roots[0], box, ti, self.shared)
+        if self.root is not None:
+            return _forces_tree(self.root, box, ti, self.shared)
         return self._votes(box, ti, stats or OracleStats())
 
     def _checked(self, f0: int, entry):
@@ -327,53 +326,34 @@ class CompiledModel:
             mask |= _interval_mask(self.space.domains[f0], self.splits[f0], iv)
         return mask
 
-    def _compile_tree(self, root: Node, above: list[dict[Fraction, int]]):
-        """The compiled form of a tree, built bottom-up without recursion."""
-        done: dict[int, object] = {}
-        stack = [(root, False)]
-        while stack:
-            n, children_done = stack.pop()
-            if id(n) in done:
-                continue
-            if isinstance(n, Leaf):
-                done[id(n)] = self.class_index[n.class_id]
-                continue
-            if not children_done:
-                stack.extend(((n, True), (n.left, False), (n.right, False)))
-                continue
-            f0 = n.feature - 1
-            if isinstance(n, OrdinalSplit):
-                right = above[f0][n.threshold]
-            else:
-                right = self.labels[f0][n.label]
-            done[id(n)] = (f0, right, done[id(n.left)], done[id(n.right)])
-        return done[id(root)]
+    # -- trees ----------------------------------------------------------------
 
-    # -- ensembles ------------------------------------------------------------
-
-    def _compile_votes(self) -> None:
+    def _compile_votes(self, trees: Sequence[DecisionTree], above: list[dict[Fraction, int]]) -> None:
         """Every tree's leaves as bits of one int (see the module docstring):
         the leaves of each class, and per feature and atom, the leaves whose
-        path lets that atom through."""
-        trees = []
-        for root in self.roots:
+        path lets that atom through.  above[f0][t] is the mask of the cells
+        at or above threshold t.  A subtree reached twice is walked twice."""
+        paths = []
+        for tree in trees:
             leaves = []  # (class, atom mask per feature) of each path some atom follows
-            stack = [(root, tuple(self.valid))]
+            stack = [(tree.root, tuple(self.valid))]
             while stack:
                 n, masks = stack.pop()
-                if n.__class__ is int:
-                    leaves.append((n, masks))
+                if isinstance(n, Leaf):
+                    leaves.append((self.class_index[n.class_id], masks))
                     continue
-                f0, rm, left, right = n
-                for side, part in ((right, masks[f0] & rm), (left, masks[f0] & ~rm)):
+                f0 = n.feature - 1
+                rm = above[f0][n.threshold] if isinstance(n, OrdinalSplit) else self.labels[f0][n.label]
+                # the left side is popped first, so a tree's leaves are numbered left to right
+                for side, part in ((n.right, masks[f0] & rm), (n.left, masks[f0] & ~rm)):
                     if part:
                         stack.append((side, masks[:f0] + (part,) + masks[f0 + 1 :]))
-            trees.append(leaves)
-        width = 1 << (max(map(len, trees)) - 1).bit_length()
+            paths.append(leaves)
+        width = 1 << (max(map(len, paths)) - 1).bit_length()
         self.class_bits = [0] * len(self.classifier.classes)
         self.admits = [[0] * v.bit_length() for v in self.valid]
         groups: dict[tuple[int, int], int] = {}  # (f0, path mask) -> leaves
-        for t, leaves in enumerate(trees):
+        for t, leaves in enumerate(paths):
             for i, (ci, masks) in enumerate(leaves):
                 bit = 1 << (t * width + i)
                 self.class_bits[ci] |= bit
@@ -389,7 +369,7 @@ class CompiledModel:
         # the leaves that test it
         self.shuts = [[self.leaves & ~bits for bits in row] for row in self.admits]
         self.tests = [_union(row, v) for row, v in zip(self.shuts, self.valid)]
-        self.low = sum(1 << (t * width) for t in range(len(trees)))  # each slot's first bit
+        self.low = sum(1 << (t * width) for t in range(len(paths)))  # each slot's first bit
         self.fill = (1 << width) - 1
         self.folds = [1 << k for k in range(width.bit_length() - 1)]
 
@@ -400,6 +380,8 @@ class CompiledModel:
         for f0, a in enumerate(box):
             if a != valid[f0]:
                 reached &= _union(admits[f0], a)
+        if self.low == 1:  # one tree: reached is exactly the leaves the box reaches
+            return not reached & ~self.class_bits[ti]
         stack = [(reached, box)]
         while stack:
             reached, box = stack.pop()
@@ -543,7 +525,7 @@ def _forces_monotone(
 
 
 def _forces_tree(node, box: list[int], ti: int, shared: set[int]) -> bool:
-    """Whether every leaf of one compiled tree or list that the box reaches is class ti.
+    """Whether every leaf of a compiled list that the box reaches is class ti.
 
     A walk without recursion over regions of the box: a region follows its
     decided tests, and a straddled test splits it in two, narrowed to the
@@ -580,8 +562,8 @@ def _forces_tree(node, box: list[int], ti: int, shared: set[int]) -> bool:
 def _reaches_only(node, box: list[int], ti: int) -> bool:
     """Whether ti is the only class below node when each test reads the whole
     box, without narrowing: the leaves this reaches include every leaf the
-    box reaches, so True is exact.  Each node is visited once; on a list this
-    scans the rules that can fire, up to the first one the box entails.
+    box reaches, so True is exact.  Each node is visited once, so this scans
+    the rules that can fire, up to the first one the box entails.
     """
     seen = set()
     stack = [node]

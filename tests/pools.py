@@ -11,7 +11,16 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from xinflate.classifiers import DecisionList, LabelEq, MonotonicClassifier, Rule, SetMember
+from xinflate.classifiers import (
+    DecisionList,
+    DecisionTree,
+    LabelEq,
+    LabelSplit,
+    MonotonicClassifier,
+    OrdinalSplit,
+    Rule,
+    SetMember,
+)
 from xinflate.explain import ExplanationProblem
 from xinflate.model import (
     INTEGER,
@@ -66,6 +75,38 @@ def forest_pool(n: int = 150, seed: int = 202, n_trees_max: int = 7, depth: int 
             lattice_step=Fraction(1),
         )
         return forest, space
+
+    return tuple(random_problem(rng, maker) for _ in range(n))
+
+
+def _split(r: random.Random, space: FeatureSpace, left, right):
+    """A split on a random feature: a label, or a half step inside (lo, hi]."""
+    j = r.choice(list(space.features()))
+    domain = space.domain(j)
+    if isinstance(domain, Categorical):
+        return LabelSplit(j, r.choice(domain.labels), left, right)
+    cuts = range(int(2 * domain.lo) + 1, int(2 * domain.hi) + 1)
+    return OrdinalSplit(j, Fraction(r.choice(cuts), 2), left, right)
+
+
+@lru_cache(maxsize=None)
+def tree_pool(n: int = 60, seed: int = 909):
+    """Single trees of depth 3-4 over two or three classes, on continuous
+    [0, 4] and categorical features, half-step thresholds.
+
+    About a third of the trees reuse one subtree object under two parents,
+    as a tree built in Python may; a file always writes each path out.
+    """
+    rng = random.Random(seed)
+
+    def maker(r):
+        space = random_space(r, r.randint(2, 4), categorical_share=0.4, max_labels=3, hi_choices=(4,))
+        classes = ("0", "1", "2")[: r.choice((2, 3))]
+        if r.random() < 1 / 3:
+            shared = random_tree(r, space, classes, depth=2).root
+            other = random_tree(r, space, classes, depth=1).root
+            return DecisionTree(_split(r, space, shared, _split(r, space, other, shared)), classes), space
+        return random_tree(r, space, classes, depth=r.randint(3, 4)), space
 
     return tuple(random_problem(rng, maker) for _ in range(n))
 

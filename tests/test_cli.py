@@ -223,6 +223,14 @@ class TestEnumerateAndDual:
         assert out == ""
         assert err == "error: feature 2 has no value but the instance's to contrast with\n"
 
+    def test_shrink_cxp_refuses_a_grid_too_large_to_build(self, capsys):
+        code, out, err = run(
+            capsys, "shrink-cxp", "--model", GRADE, "--instance", "3,5", "--delta", "1/1000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: feature 1: 10000000001 grid points exceed 1048576\n"
+
     def test_shrink_cxp_extracts_in_order(self, capsys):
         code, out, err = run(
             capsys,

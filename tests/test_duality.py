@@ -7,6 +7,7 @@ import pytest
 
 from bruteforce import bf_forces
 from pools import categorical_pool, dl_pool, forest_pool, integer_pool, make_problem, monotone_pool
+from xinflate import inflate
 from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit
 from xinflate.duality import (
     ExplanationSets,
@@ -20,7 +21,7 @@ from xinflate.duality import (
 )
 from xinflate.errors import BudgetExceededError, DualityConstructionError, ValidationError
 from xinflate.examples import grade_model, risk_list
-from xinflate.explain import ExplanationProblem, enumerate_all
+from xinflate.explain import ExplanationProblem, enumerate_all, find_cxp
 from xinflate.inflate import (
     InflationConfig,
     _contrast_pieces,
@@ -143,6 +144,31 @@ class TestCountsBeforeBuilding:
             tracemalloc.stop()
         assert str(err.value) == "1000000 witness combinations exceed the cap of 10"
         assert peak < 1 << 20
+
+    def test_shrinking_refuses_a_grid_too_large_to_build(self):
+        # delta 1/10**9 puts 10**10 + 1 grid points on Q's [0, 10]
+        clf, space = grade_model()
+        problem = ExplanationProblem.from_point(clf, space, (F(3), F(5)))
+        cxp = find_cxp(problem)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                shrink_cxp(problem, cxp, InflationConfig(delta=F(1, 10**9)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "feature 1: 10000000001 grid points exceed 1048576"
+        assert peak < 1 << 20
+
+    def test_grid_limit_counts_every_point(self, monkeypatch):
+        clf, space = grade_model()
+        problem = ExplanationProblem.from_point(clf, space, (F(3), F(5)))
+        config = InflationConfig(delta=F(1, 2))  # 21 points on Q's [0, 10]
+        monkeypatch.setattr(inflate, "MAX_GRID_POINTS", 21)
+        assert len(_feature_pieces(problem, 1, config)[0]) == 21
+        monkeypatch.setattr(inflate, "MAX_GRID_POINTS", 20)
+        with pytest.raises(BudgetExceededError, match="^feature 1: 21 grid points exceed 20$"):
+            _feature_pieces(problem, 1, config)
 
     def test_counts_equal_the_entries_built(self):
         pools = (dl_pool(20), forest_pool(20), integer_pool(20), monotone_pool(20))

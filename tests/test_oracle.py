@@ -384,7 +384,11 @@ class TestOracleContract:
             calls += axp.oracle.stats.calls + cxp.oracle.stats.calls
             nodes += axp.oracle.stats.nodes + cxp.oracle.stats.nodes
         assert calls == 655  # top-level decisions only, as before nodes were counted
-        assert nodes > calls
+        assert nodes == 3324
+        # one tree is decided by the leaves its boxes reach, without a search node
+        single = ExplanationProblem.from_point(mf.classifier.trees[0], mf.space, rows[0][: mf.space.m])
+        inflate_axp(single, find_axp(single), trusted=True)
+        assert single.oracle.stats.calls > 0 and single.oracle.stats.nodes == 0
 
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()

@@ -178,11 +178,13 @@ def _problem(draw, clf, space: FeatureSpace) -> ExplanationProblem:
 def engine_problems(draw, monotone: bool = True):
     """A model the engine decides by its harder paths, and an instance: a
     3-class forest of 2 or 4 trees, whose votes can tie; a tree or a
-    two-tree forest in which one subtree has two parents; or a monotone
-    model over bounds that are not integers; or a list whose literals over
-    integer features are any intervals, unsnapped."""
-    families = ("tied-forest", "shared", "integer-list", "fractional-monotone")
-    family = draw(st.sampled_from(families[: 3 + monotone]))
+    two-tree forest in which one subtree has two parents; a 3-class tree,
+    bare or as a forest of one tree, which the engine decides by the leaves
+    a box reaches; or a monotone model over bounds that are not integers;
+    or a list whose literals over integer features are any intervals,
+    unsnapped."""
+    families = ("tied-forest", "shared", "integer-list", "three-class-tree", "one-tree-forest")
+    family = draw(st.sampled_from(families + ("fractional-monotone",) * monotone))
     if family == "integer-list":
         highs = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
         space = FeatureSpace(tuple(Ordinal(F(0), F(hi), INTEGER) for hi in highs))
@@ -192,6 +194,9 @@ def engine_problems(draw, monotone: bool = True):
         space = FeatureSpace(tuple(Ordinal(lo, hi) for lo, hi in draw(st.lists(bounds, min_size=1, max_size=3))))
         return _problem(draw, _monotone(draw, space), space)
     space = _space(draw, False)
+    if family in ("three-class-tree", "one-tree-forest"):
+        tree = DecisionTree(_node(draw, space, 3, CLASSES), CLASSES)
+        return _problem(draw, tree if family == "three-class-tree" else TreeEnsemble((tree,), CLASSES), space)
     if family == "tied-forest":
         trees = (DecisionTree(_node(draw, space, 2, CLASSES), CLASSES) for _ in range(draw(st.sampled_from((2, 4)))))
         return _problem(draw, TreeEnsemble(tuple(trees), CLASSES), space)

@@ -1,6 +1,7 @@
 """The repository's own checking scripts, and the README's Python example."""
 
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,6 +113,13 @@ def test_src_has_no_dead_public_names():
     assert any(path.relative_to(ROOT).parts[0] == "benchmark" for path in users)
     readme = (ROOT / "README.md").read_text()
     assert check_dead_helpers.dead_public_names(checked, users, readme) == []
+
+
+def test_decision_digest_prints_its_pinned_line():
+    script = ROOT / "scripts" / "decision_digest.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (ROOT / "scripts" / "decision_digest.json").read_text()
 
 
 def test_readme_python_example_shows_what_it_prints(capsys):
