@@ -6,8 +6,9 @@ Run from the repository root:
 
 Each problem of the `tests/pools.py` pools (lists, forests, monotone,
 categorical, integer-domain, monotone over integer and over non-integral
-domains, whose boxes end on clip and snap boundaries, and single trees
-over continuous and categorical features, some sharing a subtree) runs
+domains, whose boxes end on clip and snap boundaries, single trees
+over continuous and categorical features, some sharing a subtree, and
+three-class lists whose rules test a feature more than once or nothing) runs
 `find_axp` + `inflate_axp`, `find_cxp` + `shrink_cxp`, and the duality
 round trip: `icxp_from_iaxps` on that inflated AXp (one ICXp per feature),
 then `iaxp_from_icxps` back from those.  A problem with at most six
@@ -52,6 +53,7 @@ from pools import (
     make_problem,
     monotone_pool,
     tree_pool,
+    wide_list_pool,
 )
 from xinflate.duality import enumerate_iaxps, enumerate_icxps, iaxp_from_icxps, icxp_from_iaxps
 from xinflate.errors import XInflateError
@@ -136,6 +138,7 @@ def main() -> int:
         + integer_monotone_pool()
         + fractional_monotone_pool()
         + tree_pool()
+        + wide_list_pool()
     )
     sha = hashlib.sha256()
     decisions = 0

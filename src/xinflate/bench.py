@@ -14,10 +14,12 @@ are identical to the sequential order.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .classifiers import Classifier
@@ -121,15 +123,6 @@ def widening(space: FeatureSpace, j: int, value: Value, expl: InflatedExplanatio
     return vs_pieces(s)
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(classifier, space, config):
-    _WORKER["classifier"] = classifier
-    _WORKER["space"] = space
-    _WORKER["config"] = config
-
-
 def _explain_one(classifier, space, config, index: int, values) -> BenchRecord:
     t0 = time.perf_counter()
     instance = Instance(tuple(values), classifier.predict(values))
@@ -146,11 +139,6 @@ def _explain_one(classifier, space, config, index: int, values) -> BenchRecord:
         oracle_calls=problem.oracle.stats.calls,
         wall_time_s=wall,
     )
-
-
-def _worker_task(args) -> BenchRecord:
-    index, values = args
-    return _explain_one(_WORKER["classifier"], _WORKER["space"], _WORKER["config"], index, values)
 
 
 def run_bench(
@@ -173,15 +161,12 @@ def run_bench(
     if classifier_is_constant(classifier, space):
         raise ValidationError("the classifier is constant; nothing to explain")
     points = [space.validate_point(row) for row in rows]
-    if workers <= 1:
-        records = [_explain_one(classifier, space, config, i, p) for i, p in enumerate(points)]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(classifier, space, config),
-        ) as pool:
-            records = list(pool.map(_worker_task, list(enumerate(points))))
+    explain, indexes = partial(_explain_one, classifier, space, config), range(len(points))
+    if workers == 1:
+        records = list(map(explain, indexes, points))
+    else:  # one chunk per worker, so each unpickles the model once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(explain, indexes, points, chunksize=math.ceil(len(points) / workers)))
     accuracy = None
     if labels is not None:
         hits = sum(1 for r, l in zip(records, labels) if r.class_id == l)

@@ -27,9 +27,8 @@ feature's mask stands for its label i or cell i, so every value set becomes
 an `int` whose bits are atoms (a cell that is no atom is never set): a box
 is one mask per feature, an `OrdinalSplit` sends the cells at or above its
 threshold right, a `LabelSplit` sends its label's bit right, and a list
-literal sends the atoms it covers right.  A decision list compiles to a
-chain of such tests: a rule's literals chain right to its class, and a
-failed literal goes left to the next rule, ending at the default class.
+literal passes the atoms it covers.  A decision list compiles to its rules,
+each a class and one (feature, mask) per literal, and its default class.
 All of this depends only on the classifier and the space, so it lives in a
 `CompiledModel`, built eagerly by `discretize`, which keeps the last one it
 built and returns it again while the same two objects come back, after
@@ -44,10 +43,11 @@ feature in its compiled form: an atom mask, or monotone extremes as an
 they change is never converted, and the others are the same set objects
 probe after probe, which the slots spare.
 
-A list is decided by one walk without recursion over the paths the box
-reaches, stopping at the first leaf of another class.  Where its paths
-meet again at a next rule, the walk first bounds the classes reachable
-from there and skips the region when the target is the only one.
+A list is decided by one walk without recursion over regions of the box
+and the rules they reach, stopping at the first rule of another class
+that a region fires.  Where the regions of a rule's several literals meet
+again at the next rule, the walk first scans the rules from there for the
+classes a region can reach and drops it when the target is the only one.
 
 Trees, one or many, are decided on their leaves: the root-to-leaf paths
 some atom follows.  Tree t's leaves are bits t*W .. t*W + W - 1 of one
@@ -176,11 +176,6 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 
 # ---------------------------------------------------------------------------
 # The compiled model
-#
-# A compiled list's nodes are either a class index (a leaf) or a tuple
-# (f0, right mask, left node, right node): a point goes right when its atom
-# of feature f0 is in the right mask.  Trees are kept as leaf bitsets (see
-# `_compile_votes`).
 
 
 class CompiledModel:
@@ -209,24 +204,19 @@ class CompiledModel:
         labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)
         self.labels = [{label: 1 << i for i, label in enumerate(ls)} for ls in labels]
         self.class_index = {c: i for i, c in enumerate(classifier.classes)}
-        self.shared: set[int] = set()  # ids of a list's nodes that several tests lead to
-        self.root = None  # a list's compiled chain
+        self.rules = None  # a list's rules: (class index, ((f0, mask of the atoms it passes), ...))
         if isinstance(classifier, DecisionList):
-            # every literal of a rule fails over to the same next-rule node
-            node = self.class_index[classifier.default_class]
-            for rule in reversed(classifier.rules):
-                if len(rule.condition) > 1:
-                    self.shared.add(id(node))
-                hit = self.class_index[rule.class_id]
-                for lit in reversed(rule.condition):
+            self.rules = []
+            for rule in classifier.rules:
+                literals = []
+                for lit in rule.condition:
                     f0 = lit.feature - 1
                     if isinstance(lit, LabelEq):
-                        m = self.labels[f0].get(lit.label, 0)
+                        literals.append((f0, self.labels[f0].get(lit.label, 0)))
                     else:
-                        m = self.set_mask(f0, lit.values)
-                    hit = (f0, m, node, hit)
-                node = hit
-            self.root = node
+                        literals.append((f0, self.set_mask(f0, lit.values)))
+                self.rules.append((self.class_index[rule.class_id], tuple(literals)))
+            self.default = self.class_index[classifier.default_class]
         elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
             trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
             # the right mask of each threshold: the cells at or above it
@@ -288,8 +278,8 @@ class CompiledModel:
         ti = self.class_index[target]
         if self.monotone:
             return _forces_monotone(self.weights, self.thresholds, box, ti)
-        if self.root is not None:
-            return _forces_tree(self.root, box, ti, self.shared)
+        if self.rules is not None:
+            return _forces_list(self.rules, self.default, box, ti)
         return self._votes(box, ti, stats or OracleStats())
 
     def _checked(self, f0: int, entry):
@@ -524,66 +514,61 @@ def _forces_monotone(
     return True
 
 
-def _forces_tree(node, box: list[int], ti: int, shared: set[int]) -> bool:
-    """Whether every leaf of a compiled list that the box reaches is class ti.
+def _forces_list(rules: list[tuple], default: int, box: list[int], ti: int) -> bool:
+    """Whether a compiled list sends every point of the box to class ti.
 
-    A walk without recursion over regions of the box: a region follows its
-    decided tests, and a straddled test splits it in two, narrowed to the
-    test's atoms and to the rest; the caller's box is never changed.  Paths
-    multiply only at nodes that several tests lead to (a list's next rule),
-    so a region starting at one of these shared nodes is dropped at once
-    when `_reaches_only` shows that it reaches no class but ti.
+    A walk without recursion over (rule index, region): a rule reads its
+    literals in order, the part of the region a literal fails goes on to
+    the next rule, and the region narrows to the part it passes (a region
+    that fails a literal whole goes on whole).  A region that passes every
+    literal gets the rule's class, and one past the last rule the default
+    class; the caller's box is never changed.  Regions multiply only at a
+    rule after one of several literals, so a region reaching one of these
+    is dropped at once when `_reaches_only` shows that it reaches no class
+    but ti.
     """
-    stack = [(node, list(box))]
+    stack = [(0, list(box))]
     while stack:
-        n, b = stack.pop()
-        if id(n) in shared and _reaches_only(n, b, ti):
-            continue
-        while n.__class__ is not int:
-            f0, rm, left, right = n
-            a = b[f0]
-            r = a & rm
-            if not r:
-                n = left
-            elif r == a:
-                n = right
+        i, b = stack.pop()
+        while i < len(rules):
+            if i and len(rules[i - 1][1]) > 1 and _reaches_only(rules, default, i, b, ti):
+                break
+            ci, literals = rules[i]
+            i += 1
+            for f0, m in literals:
+                a = b[f0]
+                r = a & m
+                if r != a:
+                    if not r:
+                        break
+                    rest = list(b)
+                    rest[f0] = a ^ r
+                    stack.append((i, rest))
+                    b[f0] = r
             else:
-                nb = list(b)
-                nb[f0] = r
-                b[f0] = a ^ r
-                stack += ((right, nb), (left, b))
+                if ci != ti:
+                    return False
                 break
         else:
-            if n != ti:
+            if default != ti:
                 return False
     return True
 
 
-def _reaches_only(node, box: list[int], ti: int) -> bool:
-    """Whether ti is the only class below node when each test reads the whole
-    box, without narrowing: the leaves this reaches include every leaf the
-    box reaches, so True is exact.  Each node is visited once, so this scans
-    the rules that can fire, up to the first one the box entails.
+def _reaches_only(rules: list[tuple], default: int, i: int, box: list[int], ti: int) -> bool:
+    """Whether ti is the only class a list reaches from rule i when each
+    literal reads the whole box, without narrowing: a rule's class is
+    reachable when every literal meets the box, and the next rule when some
+    literal can fail.  This covers every class the box reaches, so True is
+    exact.  One scan over the rules that follow, up to the first one the
+    box entails.
     """
-    seen = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.__class__ is int:
-            if n != ti:
-                return False
-            continue
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        f0, rm, left, right = n
-        a = box[f0]
-        r = a & rm
-        if r:
-            stack.append(right)
-        if r != a:
-            stack.append(left)
-    return True
+    for ci, literals in rules[i:]:
+        if ci != ti and all(box[f0] & m for f0, m in literals):
+            return False
+        if not any(box[f0] & ~m for f0, m in literals):
+            return True
+    return default == ti
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,15 @@ from xinflate.classifiers import (
 )
 from xinflate.explain import ExplanationProblem
 from xinflate.model import (
+    CONTINUOUS,
     INTEGER,
+    CatSet,
     Categorical,
     FeatureSpace,
     Interval,
     IntervalUnion,
     Ordinal,
+    interval_union,
 )
 from xinflate.oracle import classifier_is_constant
 from xinflate.synthetic import (
@@ -56,6 +59,55 @@ def dl_pool(n: int = 200, seed: int = 101):
         return random_decision_list(r, space, max_rules=6), space
 
     return tuple(random_problem(rng, maker) for _ in range(n))
+
+
+def _steps(domain: Ordinal) -> list:
+    """The half steps of a [0, hi] domain, or its integers when it is integer."""
+    step = 1 if domain.kind == INTEGER else 2
+    return [Fraction(k, step) for k in range(int(domain.hi) * step + 1)]
+
+
+def _wide_literal(r: random.Random, space: FeatureSpace, j: int):
+    """A label, a label set, or a union of one or two intervals ending on steps."""
+    domain = space.domain(j)
+    if isinstance(domain, Categorical):
+        if r.random() < 0.5:
+            return LabelEq(j, r.choice(domain.labels))
+        return SetMember(j, CatSet(frozenset(r.sample(domain.labels, r.randint(1, len(domain.labels) - 1)))))
+    pieces = []
+    for _ in range(r.randint(1, 2)):
+        a, b = sorted(r.sample(_steps(domain), 2))
+        pieces.append(Interval(a, b, True, b == domain.hi and r.random() < 0.5))
+    return SetMember(j, interval_union(domain, pieces))
+
+
+@lru_cache(maxsize=None)
+def wide_list_pool(n: int = 80, seed: int = 1010):
+    """Three-class decision lists of 1-6 rules with 0-3 literals each.
+
+    A rule may test one feature more than once: with a label and a label
+    set, or with two interval unions, over categorical, continuous and
+    integer [0, 4] features.  A rule with no literal always fires.  Points
+    are steps (see `_steps`).
+    """
+    rng = random.Random(seed)
+    classes = ("0", "1", "2")
+    out = []
+    while len(out) < n:
+        kinds = [rng.choice(("categorical", CONTINUOUS, INTEGER)) for _ in range(rng.randint(1, 3))]
+        space = FeatureSpace(tuple(
+            Categorical(("red", "blue", "green")) if kind == "categorical" else Ordinal(Fraction(0), Fraction(4), kind)
+            for kind in kinds
+        ))
+        rules = []
+        for _ in range(rng.randint(1, 6)):
+            feats = sorted(rng.choice(list(space.features())) for _ in range(rng.randint(0, 3)))
+            rules.append(Rule(tuple(_wide_literal(rng, space, j) for j in feats), rng.choice(classes)))
+        clf = DecisionList(tuple(rules), rng.choice(classes), classes)
+        if not classifier_is_constant(clf, space):
+            point = (rng.choice(d.labels if isinstance(d, Categorical) else _steps(d)) for d in space.domains)
+            out.append((clf, space, tuple(point)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from pools import (
     integer_pool,
     monotone_pool,
     multiclass_forest_pool,
+    wide_list_pool,
 )
 from xinflate.classifiers import (
     DecisionList,
@@ -189,7 +190,7 @@ class TestBruteForceEquivalence:
         assert not disagreements, disagreements[:3]
 
     def test_decision_lists_agree(self):
-        self._check_pool(dl_pool(60, seed=71), random.Random(1), 7)
+        self._check_pool(dl_pool(60, seed=71) + wide_list_pool(), random.Random(1), 7)
 
     def test_forests_agree(self):
         self._check_pool(forest_pool(40, seed=72), random.Random(2), 7)
@@ -236,6 +237,7 @@ class TestBruteForceEquivalence:
             forest_pool(40, seed=72),
             integer_pool(),
             monotone_pool(40, seed=73),
+            wide_list_pool(),
         )
         for seed, pool in enumerate(pools):
             self._check_pool(pool, random.Random(20 + seed), 10, _boundary_assignment)

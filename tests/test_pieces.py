@@ -182,8 +182,9 @@ def engine_problems(draw, monotone: bool = True):
     bare or as a forest of one tree, which the engine decides by the leaves
     a box reaches; or a monotone model over bounds that are not integers;
     or a list whose literals over integer features are any intervals,
-    unsnapped."""
-    families = ("tied-forest", "shared", "integer-list", "three-class-tree", "one-tree-forest")
+    unsnapped; or a 3-class list of up to 6 rules whose rules test no
+    feature or one feature more than once."""
+    families = ("tied-forest", "shared", "integer-list", "three-class-tree", "one-tree-forest", "wide-list")
     family = draw(st.sampled_from(families + ("fractional-monotone",) * monotone))
     if family == "integer-list":
         highs = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
@@ -193,6 +194,8 @@ def engine_problems(draw, monotone: bool = True):
         bounds = st.tuples(st.sampled_from((F(0), F(1, 3), F(1, 2))), st.sampled_from((F(5, 2), F(7, 3), F(4))))
         space = FeatureSpace(tuple(Ordinal(lo, hi) for lo, hi in draw(st.lists(bounds, min_size=1, max_size=3))))
         return _problem(draw, _monotone(draw, space), space)
+    if family == "wide-list":
+        return draw(wide_lists())
     space = _space(draw, False)
     if family in ("three-class-tree", "one-tree-forest"):
         tree = DecisionTree(_node(draw, space, 3, CLASSES), CLASSES)
@@ -209,6 +212,25 @@ def engine_problems(draw, monotone: bool = True):
         trees.append(DecisionTree(_split(draw, space, draw(feature), leaf, shared), classes))
     clf = trees[0] if len(trees) == 1 else TreeEnsemble(tuple(trees), classes)
     return _problem(draw, clf, space)
+
+
+@st.composite
+def wide_lists(draw):
+    """A 3-class list of 1-6 rules of 0-3 literals, and an instance.  A rule
+    may test one feature more than once, with a label and a label set, or
+    with intervals of any shape on an integer feature."""
+    space = _space(draw, False)
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        condition = []
+        for j in sorted(draw(st.lists(st.integers(1, space.m), max_size=3))):
+            domain = space.domain(j)
+            if isinstance(domain, Categorical) and draw(st.booleans()):
+                condition.append(LabelEq(j, draw(st.sampled_from(domain.labels))))
+            else:
+                condition.append(_literal(draw, space, j, any_shape=True))
+        rules.append(Rule(tuple(condition), draw(st.sampled_from(CLASSES))))
+    return _problem(draw, DecisionList(tuple(rules), draw(st.sampled_from(CLASSES)), CLASSES), space)
 
 
 def _grid_points(problem, j: int, config) -> list:
@@ -331,6 +353,15 @@ def _box(draw, problem) -> tuple[dict, dict]:
     return box, sets
 
 
+def _check_decision(problem, data) -> None:
+    """Both decisions on a drawn box against `bf_forces`."""
+    box, sets = _box(data.draw, problem)
+    clf, space, target = problem.classifier, problem.space, problem.target
+    forced = bf_forces(clf, space, sets, target)
+    assert problem.oracle.holds_sufficiency(box, target) == forced, (box, sets)
+    assert problem.oracle.counterexample_in(box, target) == (not forced)
+
+
 ANY_PROBLEM = st.one_of(engine_problems(), problems().map(lambda drawn: drawn[0]))
 
 
@@ -341,11 +372,12 @@ class TestEngineAgainstBruteForce:
     @PROPERTY
     @given(problem=ANY_PROBLEM, data=st.data())
     def test_decisions_match_the_scan(self, problem, data):
-        box, sets = _box(data.draw, problem)
-        clf, space, target = problem.classifier, problem.space, problem.target
-        forced = bf_forces(clf, space, sets, target)
-        assert problem.oracle.holds_sufficiency(box, target) == forced, (box, sets)
-        assert problem.oracle.counterexample_in(box, target) == (not forced)
+        _check_decision(problem, data)
+
+    @PROPERTY
+    @given(problem=wide_lists(), data=st.data())
+    def test_list_decisions_match_the_scan(self, problem, data):
+        _check_decision(problem, data)
 
     @PROPERTY
     @given(problem=st.one_of(engine_problems(monotone=False), problems().map(lambda drawn: drawn[0])))

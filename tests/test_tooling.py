@@ -9,6 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import check_dead_helpers  # noqa: E402
+import mutation_gate  # noqa: E402
 from check_unused_imports import CHECKED, modules, unused_imports  # noqa: E402
 
 
@@ -113,6 +114,21 @@ def test_src_has_no_dead_public_names():
     assert any(path.relative_to(ROOT).parts[0] == "benchmark" for path in users)
     readme = (ROOT / "README.md").read_text()
     assert check_dead_helpers.dead_public_names(checked, users, readme) == []
+
+
+def test_mutation_catalog_edits_match_once():
+    assert mutation_gate.CATALOG
+    assert mutation_gate.unmatched() == []
+    names = [name for name, *_ in mutation_gate.CATALOG]
+    assert len(set(names)) == len(names)
+    assert all(old != new for _, _, old, new in mutation_gate.CATALOG)
+
+
+def test_mutation_catalog_reports_an_edit_that_does_not_match(tmp_path):
+    for _, path, *_ in mutation_gate.CATALOG:
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text("")
+    assert len(mutation_gate.unmatched(tmp_path)) == len(mutation_gate.CATALOG)
 
 
 def test_decision_digest_prints_its_pinned_line():
