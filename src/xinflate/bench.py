@@ -131,14 +131,18 @@ def _explain_one(classifier, space, config, index: int, values) -> BenchRecord:
     expl = inflate_axp(problem, axp, config, trusted=True)
     wall = time.perf_counter() - t0
     added = tuple((j, widening(space, j, instance.values[j - 1], expl)) for j in expl.features)
-    return BenchRecord(
-        index=index,
-        class_id=instance.class_id,
-        axp=axp,
-        added=added,
-        oracle_calls=problem.oracle.stats.calls,
-        wall_time_s=wall,
-    )
+    return BenchRecord(index, instance.class_id, axp, added, problem.oracle.stats.calls, wall)
+
+
+_KEPT: list = []  # a pool worker's explain function, set once by its initializer
+
+
+def _keep_explain(explain) -> None:
+    _KEPT.append(explain)
+
+
+def _explain_kept(index: int, values) -> BenchRecord:
+    return _KEPT[0](index, values)
 
 
 def run_bench(
@@ -164,9 +168,10 @@ def run_bench(
     explain, indexes = partial(_explain_one, classifier, space, config), range(len(points))
     if workers == 1:
         records = list(map(explain, indexes, points))
-    else:  # one chunk per worker, so each unpickles the model once
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(explain, indexes, points, chunksize=math.ceil(len(points) / workers)))
+    else:  # the model goes to each worker once; rows go in four chunks per worker
+        with ProcessPoolExecutor(workers, initializer=_keep_explain, initargs=(explain,)) as pool:
+            chunk = math.ceil(len(points) / (4 * workers))
+            records = list(pool.map(_explain_kept, indexes, points, chunksize=chunk))
     accuracy = None
     if labels is not None:
         hits = sum(1 for r, l in zip(records, labels) if r.class_id == l)

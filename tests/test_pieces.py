@@ -353,15 +353,6 @@ def _box(draw, problem) -> tuple[dict, dict]:
     return box, sets
 
 
-def _check_decision(problem, data) -> None:
-    """Both decisions on a drawn box against `bf_forces`."""
-    box, sets = _box(data.draw, problem)
-    clf, space, target = problem.classifier, problem.space, problem.target
-    forced = bf_forces(clf, space, sets, target)
-    assert problem.oracle.holds_sufficiency(box, target) == forced, (box, sets)
-    assert problem.oracle.counterexample_in(box, target) == (not forced)
-
-
 ANY_PROBLEM = st.one_of(engine_problems(), problems().map(lambda drawn: drawn[0]))
 
 
@@ -372,12 +363,11 @@ class TestEngineAgainstBruteForce:
     @PROPERTY
     @given(problem=ANY_PROBLEM, data=st.data())
     def test_decisions_match_the_scan(self, problem, data):
-        _check_decision(problem, data)
-
-    @PROPERTY
-    @given(problem=wide_lists(), data=st.data())
-    def test_list_decisions_match_the_scan(self, problem, data):
-        _check_decision(problem, data)
+        box, sets = _box(data.draw, problem)
+        clf, space, target = problem.classifier, problem.space, problem.target
+        forced = bf_forces(clf, space, sets, target)
+        assert problem.oracle.holds_sufficiency(box, target) == forced, (box, sets)
+        assert problem.oracle.counterexample_in(box, target) == (not forced)
 
     @PROPERTY
     @given(problem=st.one_of(engine_problems(monotone=False), problems().map(lambda drawn: drawn[0])))

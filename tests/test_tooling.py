@@ -131,6 +131,18 @@ def test_mutation_catalog_reports_an_edit_that_does_not_match(tmp_path):
     assert len(mutation_gate.unmatched(tmp_path)) == len(mutation_gate.CATALOG)
 
 
+def test_mutation_gate_reports_a_survivor(tmp_path, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "m.py").write_text("def double(x):\n    return x + x\n")
+    (tmp_path / "tests" / "test_m.py").write_text("import m\n\n\ndef test_double():\n    assert m.double(3) == 6\n")
+    catalog = (("same answers", "src/m.py", "x + x", "2 * x"), ("wrong answers", "src/m.py", "x + x", "x * x"))
+    assert mutation_gate.main(tmp_path, catalog) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["SURVIVED", "killed", "1"]
+    assert lines[-1] == "1 of 2 mutants killed"
+
+
 def test_decision_digest_prints_its_pinned_line():
     script = ROOT / "scripts" / "decision_digest.py"
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
