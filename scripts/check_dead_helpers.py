@@ -16,8 +16,7 @@ A public name is a top-level function or class of a module of `src/`
 whose name does not start with an underscore.  It counts as used, in the
 same way, when some module of `src/` or `benchmark/` names it, or when
 `README.md` does.  The package's `__init__.py` only re-exports, so its
-names do not count, and the data generators of `synthetic.py` are not
-checked.
+names do not count.
 
 The script prints one `path:line: name` per unused helper or public name
 and exits 1 when there is any, else 0.
@@ -96,8 +95,7 @@ def modules() -> list[Path]:
 def public_paths() -> tuple[list[Path], list[Path]]:
     """The modules whose public names are checked, and those whose uses count."""
     package = [path for path in modules() if path.name != "__init__.py"]
-    checked = [path for path in package if path.name != "synthetic.py"]
-    return checked, package + sorted((ROOT / "benchmark").rglob("*.py"))
+    return package, package + sorted((ROOT / "benchmark").rglob("*.py"))
 
 
 def main() -> int:

@@ -20,7 +20,10 @@ Only non-equivalent mutants belong here: an edit that changes no answer
 survives every test and says nothing about them.  Reading `any` for `all`
 in the prune's test whether a rule can fire only weakens the prune, except
 on a rule with no literal, which always fires; that is the mutant kept.
-An entry changes only when the code it edits is deleted or rewritten.
+Dropping the trainer's stop at a node of one class only costs time: every
+split of such a node has impurity 0, no gain, so the node still becomes a
+leaf; that mutant is left out.  An entry changes only when the code it
+edits is deleted or rewritten.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ TIER1 += ("--deselect", "tests/test_tooling.py::test_mutation_catalog_edits_matc
 SKIPPED = (".git", ".bench_out", ".benchmarks", ".hypothesis", ".pytest_cache", "__pycache__")
 
 ORACLE = "src/xinflate/oracle.py"
+TRAINER = "src/xinflate/trainer.py"
+CLASSIFIERS = "src/xinflate/classifiers.py"
 
 # (name, path, old text, new text)
 CATALOG = (
@@ -84,6 +89,36 @@ CATALOG = (
         ORACLE,
         "    return default == ti\n",
         "    return True\n",
+    ),
+    (
+        "trainer breaks a split tie toward the last split tried",
+        TRAINER,
+        "if best is None or score < best[0]:",
+        "if best is None or score <= best[0]:",
+    ),
+    (
+        "trainer takes a split without gain",
+        TRAINER,
+        "best[0] >= _gini(labels)",
+        "best[0] > _gini(labels)",
+    ),
+    (
+        "trainer puts an ordinal pivot on the upper value, not the midpoint",
+        TRAINER,
+        "((a + b) / 2 for a, b in",
+        "(b for a, b in",
+    ),
+    (
+        "trainer keeps a split whose two leaves agree",
+        TRAINER,
+        "        return left\n    return kind(",
+        "        pass\n    return kind(",
+    ),
+    (
+        "vote ties go to the highest class index",
+        CLASSIFIERS,
+        "max(classes, key=counts.__getitem__)",
+        "max(reversed(classes), key=counts.__getitem__)",
     ),
 )
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
 from .model import (
@@ -191,10 +192,13 @@ class TreeEnsemble:
                 raise ValidationError(f"tree {i} carries a different class list")
 
     def predict(self, values: Sequence[Value]) -> str:
-        counts = {c: 0 for c in self.classes}
-        for tree in self.trees:
-            counts[_eval_node(tree.root, values)] += 1
-        return max(self.classes, key=lambda c: (counts[c], -self.classes.index(c)))
+        return plurality((_eval_node(tree.root, values) for tree in self.trees), self.classes)
+
+
+def plurality(votes: Iterable[str], classes: Sequence[str]) -> str:
+    """The class with the most votes; ties go to the lowest class index."""
+    counts = Counter(votes)
+    return max(classes, key=counts.__getitem__)  # max keeps the first of equals
 
 
 Classifier = Union[MonotonicClassifier, DecisionList, DecisionTree, TreeEnsemble]

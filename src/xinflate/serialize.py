@@ -256,7 +256,10 @@ def _classifier_from(doc, path, space: FeatureSpace, classes) -> Classifier:
 def model_from_dict(doc: dict) -> ModelFile:
     """Read a model document, refusing its first bad element with its path.
     Each distinct threshold string of a feature's splits is parsed and
-    checked against the domain once per call; repeats reuse the value."""
+    checked against the domain once per call; repeats reuse the value.  The
+    readers check every tree node, but not a monotone model's weight count
+    and feature kinds or an interval literal's cuts, so `validate_classifier`
+    checks a monotone model or a list whole."""
     path = "$"
     schema = _want_str(doc, path, "schema")
     if schema != MODEL_SCHEMA:
@@ -282,7 +285,8 @@ def model_from_dict(doc: dict) -> ModelFile:
     classifier = _classifier_from(
         _want(doc, path, "classifier", dict, "an object"), f"{path}.classifier", space, tuple(classes)
     )
-    _built(f"{path}.classifier", validate_classifier, classifier, space)
+    if isinstance(classifier, (MonotonicClassifier, DecisionList)):
+        _built(f"{path}.classifier", validate_classifier, classifier, space)
     return ModelFile(name, space, classifier)
 
 

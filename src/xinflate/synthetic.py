@@ -1,4 +1,4 @@
-"""Random models, random points, and rule-based example datasets.
+"""Random spaces, points, lists, trees and monotone models.
 
 Everything here is seeded and deterministic.  Ordinal values and split
 thresholds live on a half-integer lattice so discretized cells never get
@@ -8,11 +8,9 @@ without changing any semantics.
 
 from __future__ import annotations
 
-import csv
 import random
 from fractions import Fraction
-from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 from .classifiers import (
     DecisionList,
@@ -25,7 +23,6 @@ from .classifiers import (
     OrdinalSplit,
     Rule,
     SetMember,
-    TreeEnsemble,
 )
 from .model import (
     CatSet,
@@ -35,9 +32,7 @@ from .model import (
     Ordinal,
     Value,
     interval_union,
-    rational_str,
 )
-from .oracle import classifier_is_constant
 
 _LABEL_POOL = ("red", "blue", "green", "amber", "violet", "gray")
 
@@ -139,20 +134,6 @@ def random_tree(
     return DecisionTree(_random_node(rng, space, classes, depth, lattice_step), tuple(classes))
 
 
-def random_forest(
-    rng: random.Random,
-    space: FeatureSpace,
-    classes: Sequence[str] = ("0", "1"),
-    n_trees: int = 3,
-    depth: int = 3,
-    lattice_step: Fraction = Fraction(1, 2),
-) -> TreeEnsemble:
-    trees = tuple(
-        random_tree(rng, space, classes, depth, lattice_step) for _ in range(n_trees)
-    )
-    return TreeEnsemble(trees, tuple(classes))
-
-
 def random_monotone(
     rng: random.Random,
     m: int,
@@ -167,82 +148,3 @@ def random_monotone(
     thresholds = tuple(sorted(rng.sample(pool, n_classes - 1)))
     classes = tuple(f"c{i}" for i in range(n_classes))
     return MonotonicClassifier(tuple(weights), thresholds, classes), space
-
-
-def random_problem(
-    rng: random.Random,
-    maker,
-    *,
-    max_tries: int = 50,
-):
-    """Draw (classifier, space, point) with a non-constant classifier.
-
-    ``maker(rng)`` must return a (classifier, space) pair.  Raises after
-    ``max_tries`` constant draws in a row.
-    """
-    for _ in range(max_tries):
-        classifier, space = maker(rng)
-        if not classifier_is_constant(classifier, space):
-            return classifier, space, random_point(rng, space)
-    raise RuntimeError("could not draw a non-constant classifier")
-
-
-# ---------------------------------------------------------------------------
-# Rule-based datasets for the trainer and the benchmark harness
-
-
-def stump_dataset(n: int = 80, seed: int = 7):
-    """Two ordinal features on [0, 10]; label pos iff x1 >= 5."""
-    rng = random.Random(seed)
-    domain = Ordinal(Fraction(0), Fraction(10))
-    points = _lattice(domain)
-    names = ("x1", "x2")
-    rows = []
-    labels = []
-    for _ in range(n):
-        x1, x2 = rng.choice(points), rng.choice(points)
-        rows.append((x1, x2))
-        labels.append("pos" if x1 >= 5 else "neg")
-    return names, tuple(rows), tuple(labels)
-
-
-def bench_dataset(n: int = 300, seed: int = 11):
-    """Six ordinal features on [0, 8] plus two categoricals.
-
-    Label "1" iff x1 + x2 >= 9, or size is high and x3 >= 5.
-    """
-    rng = random.Random(seed)
-    domain = Ordinal(Fraction(0), Fraction(8))
-    points = _lattice(domain)
-    sizes = ("low", "mid", "high")
-    hues = ("red", "green", "blue")
-    names = ("x1", "x2", "x3", "x4", "x5", "x6", "size", "hue")
-    rows = []
-    labels = []
-    for _ in range(n):
-        xs = [rng.choice(points) for _ in range(6)]
-        size = rng.choice(sizes)
-        hue = rng.choice(hues)
-        rows.append(tuple(xs) + (size, hue))
-        positive = xs[0] + xs[1] >= 9 or (size == "high" and xs[2] >= 5)
-        labels.append("1" if positive else "0")
-    return names, tuple(rows), tuple(labels)
-
-
-def write_csv(
-    path: Union[str, Path],
-    names: Sequence[str],
-    rows: Sequence[Sequence[Value]],
-    labels: Sequence[str],
-    label_name: str = "label",
-) -> None:
-    def cell(v: Value) -> str:
-        if isinstance(v, str):
-            return v
-        return rational_str(Fraction(v))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_name])
-        for row, label in zip(rows, labels):
-            writer.writerow([cell(v) for v in row] + [label])

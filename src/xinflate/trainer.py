@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .classifiers import (
     Classifier,
@@ -28,6 +28,7 @@ from .classifiers import (
     Node,
     OrdinalSplit,
     TreeEnsemble,
+    plurality,
 )
 from .errors import ValidationError
 from .model import Categorical, FeatureSpace, Ordinal, Value, rational
@@ -120,80 +121,54 @@ def load_dataset(path: Union[str, Path]) -> Dataset:
 # CART
 
 
-def _gini(counts: dict) -> Fraction:
-    total = sum(counts.values())
-    if total == 0:
-        return Fraction(0)
-    acc = Fraction(0)
-    for c in counts.values():
-        acc += Fraction(c, total) ** 2
-    return 1 - acc
-
-
-def _majority(labels: Sequence[str], classes: Sequence[str]) -> str:
-    counts = Counter(labels)
-    return max(classes, key=lambda c: (counts[c], -classes.index(c)))
-
-
-def _split_score(left_labels, right_labels) -> Optional[Fraction]:
-    nl, nr = len(left_labels), len(right_labels)
-    if nl == 0 or nr == 0:
-        return None
-    n = nl + nr
-    return Fraction(nl, n) * _gini(Counter(left_labels)) + Fraction(nr, n) * _gini(
-        Counter(right_labels)
-    )
+def _gini(labels: Sequence[str]) -> Fraction:
+    return 1 - sum(Fraction(c, len(labels)) ** 2 for c in Counter(labels).values())
 
 
 def _best_split(rows, labels, space: FeatureSpace):
-    best = None  # (impurity, feature, selector description)
+    """The split of least weighted Gini impurity that sends rows both ways, as
+    (impurity, node class, feature, pivot, whether each row goes left); ties go
+    to the first tried, features in order and pivots ascending.  None when no
+    split sends rows both ways."""
+    best = None
     for j in space.features():
         domain = space.domain(j)
         col = [row[j - 1] for row in rows]
         if isinstance(domain, Ordinal):
             distinct = sorted(set(col))
-            for a, b in zip(distinct, distinct[1:]):
-                t = (a + b) / 2
-                left = [l for v, l in zip(col, labels) if v < t]
-                right = [l for v, l in zip(col, labels) if v >= t]
-                score = _split_score(left, right)
-                if score is not None and (best is None or score < best[0]):
-                    best = (score, j, ("threshold", t), left, right)
+            pivots = ((a + b) / 2 for a, b in zip(distinct, distinct[1:]))
+            splits = ((OrdinalSplit, t, [v < t for v in col]) for t in pivots)
         else:
-            for label in domain.labels:
-                left = [l for v, l in zip(col, labels) if v != label]
-                right = [l for v, l in zip(col, labels) if v == label]
-                score = _split_score(left, right)
-                if score is not None and (best is None or score < best[0]):
-                    best = (score, j, ("label", label), left, right)
+            splits = ((LabelSplit, label, [v != label for v in col]) for label in domain.labels)
+        for kind, pivot, mask in splits:
+            left = [l for l, m in zip(labels, mask) if m]
+            right = [l for l, m in zip(labels, mask) if not m]
+            if not left or not right:
+                continue
+            score = (len(left) * _gini(left) + len(right) * _gini(right)) / len(labels)
+            if best is None or score < best[0]:
+                best = (score, kind, j, pivot, mask)
     return best
 
 
 def _grow(rows, labels, space: FeatureSpace, classes, depth: int) -> Node:
     if depth < 0:
         raise ValidationError(f"depth must be non-negative, got {depth}")
-    counts = Counter(labels)
-    if depth == 0 or len(counts) <= 1:
-        return Leaf(_majority(labels, classes))
+    if depth == 0 or len(set(labels)) <= 1:
+        return Leaf(plurality(labels, classes))
     best = _best_split(rows, labels, space)
-    if best is None or best[0] >= _gini(counts):
-        return Leaf(_majority(labels, classes))
-    _, j, (kind, pivot), _, _ = best
-    if kind == "threshold":
-        mask = [row[j - 1] < pivot for row in rows]
-    else:
-        mask = [row[j - 1] != pivot for row in rows]
-    left_rows = [r for r, m in zip(rows, mask) if m]
-    left_labels = [l for l, m in zip(labels, mask) if m]
-    right_rows = [r for r, m in zip(rows, mask) if not m]
-    right_labels = [l for l, m in zip(labels, mask) if not m]
-    left = _grow(left_rows, left_labels, space, classes, depth - 1)
-    right = _grow(right_rows, right_labels, space, classes, depth - 1)
+    if best is None or best[0] >= _gini(labels):
+        return Leaf(plurality(labels, classes))
+    _, kind, j, pivot, mask = best
+    sides = {True: ([], []), False: ([], [])}  # left, right: (rows, labels)
+    for row, label, m in zip(rows, labels, mask):
+        sides[m][0].append(row)
+        sides[m][1].append(label)
+    left = _grow(*sides[True], space, classes, depth - 1)
+    right = _grow(*sides[False], space, classes, depth - 1)
     if isinstance(left, Leaf) and isinstance(right, Leaf) and left.class_id == right.class_id:
         return left
-    if kind == "threshold":
-        return OrdinalSplit(j, pivot, left, right)
-    return LabelSplit(j, pivot, left, right)
+    return kind(j, pivot, left, right)
 
 
 def train_tree(dataset: Dataset, depth: int = 4) -> DecisionTree:

@@ -86,6 +86,21 @@ def candidate_values(classifier, space: FeatureSpace, j: int, s: ValueSet) -> li
     return [v for v in ordered + mids if vs_contains(s, v)]
 
 
+def grid_step(domain: Ordinal, config) -> Fraction:
+    """The grid step of config on an ordinal domain: delta, rounded up to a
+    whole number of at least 1 on an integer domain."""
+    return Fraction(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
+
+
+def grid_points(domain: Ordinal, v: Fraction, config) -> list:
+    """The grid of config around the value v, ascending, built with `Fraction`:
+    both domain bounds and every v + k*step inside the domain."""
+    step = grid_step(domain, config)
+    below = math.floor((v - domain.lo) / step)
+    above = math.floor((domain.hi - v) / step)
+    return sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
+
+
 def _grid(classifier, space: FeatureSpace, assignment: Mapping[int, ValueSet]):
     axes = []
     for j in space.features():

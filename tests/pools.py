@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from xinflate.classifiers import (
     DecisionList,
@@ -20,7 +21,9 @@ from xinflate.classifiers import (
     OrdinalSplit,
     Rule,
     SetMember,
+    TreeEnsemble,
 )
+from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem
 from xinflate.model import (
     CONTINUOUS,
@@ -36,17 +39,59 @@ from xinflate.model import (
 from xinflate.oracle import classifier_is_constant
 from xinflate.synthetic import (
     random_decision_list,
-    random_forest,
     random_monotone,
     random_point,
-    random_problem,
     random_space,
     random_tree,
 )
 
 
+def random_forest(
+    rng: random.Random,
+    space: FeatureSpace,
+    classes: Sequence[str] = ("0", "1"),
+    n_trees: int = 3,
+    depth: int = 3,
+    lattice_step: Fraction = Fraction(1, 2),
+) -> TreeEnsemble:
+    trees = tuple(
+        random_tree(rng, space, classes, depth, lattice_step) for _ in range(n_trees)
+    )
+    return TreeEnsemble(trees, tuple(classes))
+
+
+def random_problem(
+    rng: random.Random,
+    maker,
+    *,
+    max_tries: int = 50,
+):
+    """Draw (classifier, space, point) with a non-constant classifier.
+
+    ``maker(rng)`` must return a (classifier, space) pair.  Raises after
+    ``max_tries`` constant draws in a row.
+    """
+    for _ in range(max_tries):
+        classifier, space = maker(rng)
+        if not classifier_is_constant(classifier, space):
+            return classifier, space, random_point(rng, space)
+    raise RuntimeError("could not draw a non-constant classifier")
+
+
 def make_problem(classifier, space, point) -> ExplanationProblem:
     return ExplanationProblem.from_point(classifier, space, point)
+
+
+def risk_problem() -> ExplanationProblem:
+    """The risk list at (Junior, Red), which it predicts 1."""
+    clf, space = risk_list()
+    return ExplanationProblem.from_point(clf, space, ("Junior", "Red"))
+
+
+def grade_problem() -> ExplanationProblem:
+    """The grade model at (3, 5), which it predicts B."""
+    clf, space = grade_model()
+    return ExplanationProblem.from_point(clf, space, (Fraction(3), Fraction(5)))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import bf_forces
-from pools import categorical_pool, dl_pool, forest_pool, integer_pool, make_problem, monotone_pool
+from pools import (
+    categorical_pool,
+    dl_pool,
+    forest_pool,
+    grade_problem,
+    integer_pool,
+    make_problem,
+    monotone_pool,
+    risk_problem,
+)
 from xinflate import inflate
 from xinflate.classifiers import DecisionTree, Leaf, OrdinalSplit
 from xinflate.duality import (
@@ -20,7 +29,7 @@ from xinflate.duality import (
     icxp_from_iaxps,
 )
 from xinflate.errors import BudgetExceededError, DualityConstructionError, ValidationError
-from xinflate.examples import grade_model, risk_list
+from xinflate.examples import grade_model
 from xinflate.explain import ExplanationProblem, enumerate_all, find_cxp
 from xinflate.inflate import (
     InflationConfig,
@@ -43,18 +52,13 @@ from xinflate.model import (
 F = Fraction
 
 
-def _risk_problem():
-    clf, space = risk_list()
-    return ExplanationProblem.from_point(clf, space, ("Junior", "Red"))
-
-
 def _risk_iaxp(problem):
     return inflate_axp(problem, (1, 2), trusted=True)
 
 
 class TestExplanationSets:
     def test_worked_example_is_mutually_dual(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         sets = ExplanationSets(*enumerate_all(problem))
         assert sets.axps == ((1, 2),)
         assert sets.cxps == ((1,), (2,))
@@ -71,7 +75,7 @@ class TestExplanationSets:
 
 class TestEnumerateInflatedFamilies:
     def test_risk_has_one_locally_maximal_family(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         families = enumerate_iaxps(problem, (1, 2))
         assert len(families) == 1
         expl = families[0]
@@ -79,7 +83,7 @@ class TestEnumerateInflatedFamilies:
         assert expl.set_for(2) == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
 
     def test_risk_contrastive_witness_families(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         found = []
         for y in ((1,), (2,)):
             for expl in enumerate_icxps(problem, y):
@@ -120,7 +124,7 @@ class TestEnumerateInflatedFamilies:
                 ), "greedy result must be one of the locally maximal families"
 
     def test_negative_cap_rejected(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         for enumerate_family, feats in ((enumerate_iaxps, (1, 2)), (enumerate_icxps, (1,))):
             with pytest.raises(ValidationError, match="non-negative"):
                 enumerate_family(problem, feats, max_candidates=-1)
@@ -132,8 +136,7 @@ class TestCountsBeforeBuilding:
 
     def test_witness_cap_refuses_before_building_the_grid(self):
         # delta 1/100000 puts 1,000,000 off-instance grid points on Q
-        clf, space = grade_model()
-        problem = ExplanationProblem.from_point(clf, space, (F(3), F(5)))
+        problem = grade_problem()
         config = InflationConfig(delta=F(1, 100000))
         tracemalloc.start()
         try:
@@ -147,8 +150,7 @@ class TestCountsBeforeBuilding:
 
     def test_shrinking_refuses_a_grid_too_large_to_build(self):
         # delta 1/10**9 puts 10**10 + 1 grid points on Q's [0, 10]
-        clf, space = grade_model()
-        problem = ExplanationProblem.from_point(clf, space, (F(3), F(5)))
+        problem = grade_problem()
         cxp = find_cxp(problem)
         tracemalloc.start()
         try:
@@ -161,8 +163,7 @@ class TestCountsBeforeBuilding:
         assert peak < 1 << 20
 
     def test_grid_limit_counts_every_point(self, monkeypatch):
-        clf, space = grade_model()
-        problem = ExplanationProblem.from_point(clf, space, (F(3), F(5)))
+        problem = grade_problem()
         config = InflationConfig(delta=F(1, 2))  # 21 points on Q's [0, 10]
         monkeypatch.setattr(inflate, "MAX_GRID_POINTS", 21)
         assert len(_feature_pieces(problem, 1, config)[0]) == 21
@@ -231,7 +232,7 @@ class TestEnumerationRefusals:
 
 class TestCheckHits:
     def test_worked_pairs_expose_a_blocking_feature(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         iaxp = _risk_iaxp(problem)
         icxp_a = enumerate_icxps(problem, (1,))[0]
         icxp_c = enumerate_icxps(problem, (2,))[0]
@@ -239,13 +240,13 @@ class TestCheckHits:
         assert check_hits(problem, iaxp, icxp_c) == 2
 
     def test_kind_mismatch_rejected(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         iaxp = _risk_iaxp(problem)
         with pytest.raises(ValidationError):
             check_hits(problem, iaxp, iaxp)
 
     def test_no_hit_returns_none(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         iaxp = _risk_iaxp(problem)
         overlapping = InflatedExplanation(
             kind="contrastive", features=(1,), sets={1: CatSet(frozenset({"Senior"}))}
@@ -255,24 +256,24 @@ class TestCheckHits:
 
 class TestContrastiveFromAbductive:
     def test_selector_one_yields_adult(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         icxp = icxp_from_iaxps(problem, [_risk_iaxp(problem)], [1])
         assert icxp.features == (1,)
         assert icxp.set_for(1) == CatSet(frozenset({"Adult"}))
 
     def test_selector_two_yields_silver_and_white(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         icxp = icxp_from_iaxps(problem, [_risk_iaxp(problem)], [2])
         assert icxp.features == (2,)
         assert icxp.set_for(2) == CatSet(frozenset({"Silver", "White"}))
 
     def test_callable_selector(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         icxp = icxp_from_iaxps(problem, [_risk_iaxp(problem)], lambda expl: 2)
         assert icxp.features == (2,)
 
     def test_full_set_complement_is_an_error(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         fake = InflatedExplanation(
             kind="abductive",
             features=(1,),
@@ -282,14 +283,14 @@ class TestContrastiveFromAbductive:
             icxp_from_iaxps(problem, [fake], [1])
 
     def test_selector_must_pick_member_features(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         with pytest.raises(ValidationError):
             icxp_from_iaxps(problem, [_risk_iaxp(problem)], [3])
 
 
 class TestAbductiveFromContrastive:
     def test_reconstructs_the_paper_sets(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         icxps = [
             enumerate_icxps(problem, (1,))[0],
             enumerate_icxps(problem, (2,))[0],
@@ -319,8 +320,39 @@ class TestAbductiveFromContrastive:
                 if grown != sets[j]:
                     assert not bf_forces(clf, space, {**sets, j: grown}, problem.target), (j, atom)
 
+    @staticmethod
+    def _icxp(j, labels):
+        return InflatedExplanation("contrastive", (j,), {j: CatSet(frozenset(labels))})
+
+    def test_complements_with_empty_intersection_are_an_error(self):
+        # both pick A: the complements {Junior, Senior} and {Adult} share no label
+        problem = risk_problem()
+        icxps = [self._icxp(1, {"Adult"}), self._icxp(1, {"Junior", "Senior"})]
+        with pytest.raises(DualityConstructionError) as err:
+            iaxp_from_icxps(problem, icxps, [1, 1])
+        assert str(err.value) == "feature 1: the selected complements have empty intersection"
+        assert err.value.candidate == ((1, 1), {1: CatSet(frozenset({"Junior", "Senior"}))})
+
+    def test_a_set_without_the_instance_value_is_an_error(self):
+        # the complement of {Red} leaves out the instance's colour
+        problem = risk_problem()
+        with pytest.raises(DualityConstructionError) as err:
+            iaxp_from_icxps(problem, [self._icxp(2, {"Red"})], [2])
+        assert str(err.value) == "feature 2: constructed set omits the instance value"
+        rest = CatSet(frozenset({"Blue", "Green", "Silver", "Black", "White"}))
+        assert err.value.candidate == ((2,), {2: rest})
+
+    def test_insufficient_sets_are_an_error(self):
+        # the complement of {Silver} still holds White, which predicts 0
+        problem = risk_problem()
+        with pytest.raises(DualityConstructionError) as err:
+            iaxp_from_icxps(problem, [self._icxp(2, {"Silver"})], [2])
+        assert str(err.value) == "constructed sets are not sufficient for the prediction"
+        rest = CatSet(frozenset({"Red", "Blue", "Green", "Black", "White"}))
+        assert err.value.candidate == InflatedExplanation("abductive", (2,), {2: rest})
+
     def test_round_trip_through_both_constructions(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         iaxp = _risk_iaxp(problem)
         icxp1 = icxp_from_iaxps(problem, [iaxp], [1])
         icxp2 = icxp_from_iaxps(problem, [iaxp], [2])
@@ -332,7 +364,7 @@ class TestAbductiveFromContrastive:
 
 class TestPlainContrast:
     def test_weak_form_holds_for_risk_witnesses(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         iaxp = _risk_iaxp(problem)
         for y in ((1,), (2,)):
             for icxp in enumerate_icxps(problem, y):

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import bf_forces
-from pools import dl_pool, monotone_pool
+from pools import dl_pool, grade_problem, monotone_pool, risk_problem
 from xinflate.classifiers import DecisionList
 from xinflate.errors import BudgetExceededError, ValidationError
-from xinflate.examples import grade_model, risk_list
+from xinflate.examples import risk_list
 from xinflate.explain import (
     ExplanationProblem,
     enumerate_all,
@@ -22,20 +22,10 @@ from xinflate.model import FeatureSpace, Instance, Ordinal, singleton_set
 F = Fraction
 
 
-def _risk_problem():
-    clf, space = risk_list()
-    return ExplanationProblem.from_point(clf, space, ("Junior", "Red"))
-
-
-def _grade_problem():
-    clf, space = grade_model()
-    return ExplanationProblem.from_point(clf, space, (F(3), F(5)))
-
-
 class TestProblemSetup:
     def test_prediction_is_the_target(self):
-        assert _risk_problem().target == "1"
-        assert _grade_problem().target == "B"
+        assert risk_problem().target == "1"
+        assert grade_problem().target == "B"
 
     def test_mispredicted_instance_rejected(self):
         clf, space = risk_list()
@@ -55,7 +45,7 @@ class TestProblemSetup:
             ExplanationProblem.from_point(clf, space, ("Junior", "Mauve"))
 
     def test_pins_are_built_once_and_checked(self):
-        for problem in (_risk_problem(), _grade_problem()):
+        for problem in (risk_problem(), grade_problem()):
             m = problem.space.m
             for j in (0, m + 1):
                 with pytest.raises(ValidationError, match="out of range"):
@@ -67,19 +57,19 @@ class TestProblemSetup:
 
 class TestFindAxp:
     def test_risk_axp_needs_both_features(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         assert find_axp(problem) == (1, 2)
         assert problem.oracle.stats.calls == 2
 
     def test_grade_axp(self):
-        assert find_axp(_grade_problem()) == (1, 2)
+        assert find_axp(grade_problem()) == (1, 2)
 
     def test_axp_respects_order(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         assert find_axp(problem, order=(2, 1)) == (1, 2)
 
     def test_order_must_be_permutation(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         with pytest.raises(ValidationError):
             find_axp(problem, order=(1, 1))
         with pytest.raises(ValidationError):
@@ -96,14 +86,14 @@ class TestFindAxp:
 
 class TestFindCxp:
     def test_risk_cxp_depends_on_retention_order(self):
-        assert find_cxp(_risk_problem(), order=(1, 2)) == (1,)
-        assert find_cxp(_risk_problem(), order=(2, 1)) == (2,)
+        assert find_cxp(risk_problem(), order=(1, 2)) == (1,)
+        assert find_cxp(risk_problem(), order=(2, 1)) == (2,)
 
     def test_grade_cxp(self):
-        assert find_cxp(_grade_problem()) == (1,)
+        assert find_cxp(grade_problem()) == (1,)
 
     def test_cxp_predicate_and_minimality(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         cxp = find_cxp(problem)
         assert problem.wcxp_holds(cxp)
         for t in cxp:
@@ -141,12 +131,12 @@ class TestPredicatesAgainstBruteForce:
 
 class TestEnumerateAll:
     def test_risk_families(self):
-        axps, cxps = enumerate_all(_risk_problem())
+        axps, cxps = enumerate_all(risk_problem())
         assert axps == ((1, 2),)
         assert cxps == ((1,), (2,))
 
     def test_grade_families(self):
-        axps, cxps = enumerate_all(_grade_problem())
+        axps, cxps = enumerate_all(grade_problem())
         assert axps == ((1, 2),)
         assert cxps == ((1,), (2,))
 
@@ -166,7 +156,7 @@ class TestEnumerateAll:
                     assert not problem.wcxp_holds(tuple(j for j in y if j != t))
 
     def test_budget_trip_reports_partials(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         with pytest.raises(BudgetExceededError) as err:
             enumerate_all(problem, max_subsets=2)
         partial = err.value.partial
@@ -176,7 +166,7 @@ class TestEnumerateAll:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
-            enumerate_all(_risk_problem(), max_subsets=-1)
+            enumerate_all(risk_problem(), max_subsets=-1)
 
 
 class TestMinimalHittingSets:
@@ -209,7 +199,7 @@ class TestMinimalHittingSets:
             assert str(err.value) == f"hitting set search exceeded {budget} tests"
 
     def test_duality_on_worked_example(self):
-        axps, cxps = enumerate_all(_risk_problem())
+        axps, cxps = enumerate_all(risk_problem())
         assert minimal_hitting_sets(cxps) == axps
         assert minimal_hitting_sets(axps) == cxps
 

@@ -8,16 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from bruteforce import bf_forces
+from bruteforce import bf_forces, grid_points, grid_step
 from pools import (
     categorical_pool,
     dl_pool,
     forest_pool,
     fractional_monotone_pool,
+    grade_problem,
     integer_monotone_pool,
     integer_pool,
     make_problem,
     monotone_pool,
+    risk_problem,
 )
 from xinflate import duality as duality_module, inflate as inflate_module
 from xinflate.classifiers import DecisionTree, LabelSplit, Leaf, OrdinalSplit, MonotonicClassifier
@@ -28,7 +30,7 @@ from xinflate.duality import (
     icxp_from_iaxps,
 )
 from xinflate.errors import BudgetExceededError, DualityConstructionError, ValidationError
-from xinflate.examples import grade_model, risk_list
+from xinflate.examples import risk_list
 from xinflate.explain import ExplanationProblem, enumerate_all, find_axp, find_cxp
 from xinflate.inflate import (
     BINARY,
@@ -58,16 +60,6 @@ from xinflate.serialize import load_model, parse_point
 F = Fraction
 
 
-def _risk_problem():
-    clf, space = risk_list()
-    return ExplanationProblem.from_point(clf, space, ("Junior", "Red"))
-
-
-def _grade_problem():
-    clf, space = grade_model()
-    return ExplanationProblem.from_point(clf, space, (F(3), F(5)))
-
-
 class TestConfig:
     def test_defaults(self):
         config = InflationConfig()
@@ -93,7 +85,7 @@ class TestConfig:
 
 class TestCategoricalInflation:
     def test_risk_worked_sets(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         axp = find_axp(problem)
         expl = inflate_axp(problem, axp, trusted=True)
         assert expl.kind == "abductive"
@@ -103,19 +95,19 @@ class TestCategoricalInflation:
         assert expl.set_for(2) == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
 
     def test_probe_budget_is_domain_sizes(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         axp = find_axp(problem)
         before = problem.oracle.stats.calls
         inflate_axp(problem, axp, trusted=True)
         assert problem.oracle.stats.calls - before == (3 - 1) + (6 - 1)
 
     def test_untrusted_input_is_checked(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         with pytest.raises(ValidationError):
             inflate_axp(problem, (1,))
 
     def test_feature_atoms_reject_an_index_out_of_range(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         bits, at = inflate_module._atom_bits(problem, 1)
         assert problem.oracle.model.atoms[0][bits[at]] == CatSet(frozenset({"Junior"}))
         for j in (0, 3):
@@ -123,14 +115,14 @@ class TestCategoricalInflation:
                 inflate_module._atom_bits(problem, j)
 
     def test_explicit_order_is_recorded(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         expl = inflate_axp(problem, (1, 2), InflationConfig(order=(2, 1)), trusted=True)
         assert expl.probe_order == (2, 1)
         assert expl.set_for(1) == CatSet(frozenset({"Junior", "Senior"}))
         assert expl.set_for(2) == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
 
     def test_maximality_under_single_label_additions(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         clf, space = problem.classifier, problem.space
         expl = inflate_axp(problem, (1, 2), trusted=True)
         for j in expl.features:
@@ -226,7 +218,7 @@ class TestGrowth:
 
 class TestOrdinalGridInflation:
     def test_grade_worked_intervals(self):
-        problem = _grade_problem()
+        problem = grade_problem()
         expl = inflate_axp(problem, (1, 2), InflationConfig(delta=F(1, 2)), trusted=True)
         assert expl.delta == F(1, 2)
         assert expl.set_for(1) == interval_union(
@@ -237,7 +229,7 @@ class TestOrdinalGridInflation:
         )
 
     def test_grade_maximality_at_delta(self):
-        problem = _grade_problem()
+        problem = grade_problem()
         clf, space = problem.classifier, problem.space
         delta = F(1, 2)
         expl = inflate_axp(problem, (1, 2), InflationConfig(delta=delta), trusted=True)
@@ -334,7 +326,7 @@ class TestInflateAtoms:
     and cell searches it replaces used (pinned from them)."""
 
     def test_labels_are_probed_in_domain_order(self):
-        problem = _risk_problem()
+        problem = risk_problem()
         log = _probe_log(problem)
         grown = inflate_module.inflate_atoms(problem, 2, {1: problem.pin(1)})
         assert grown == CatSet(frozenset({"Red", "Blue", "Green", "Black"}))
@@ -364,7 +356,7 @@ class TestInflateAtoms:
 
     def test_a_monotone_model_is_refused(self):
         # each feature's one atom is its whole domain, which is not sufficient here
-        problem = _grade_problem()
+        problem = grade_problem()
         with pytest.raises(ValidationError, match="monotone"):
             inflate_module.inflate_atoms(problem, 1, {2: problem.pin(2)})
         assert problem.oracle.stats.calls == 0
@@ -427,20 +419,20 @@ class TestOneBetaCheck:
 
 class TestShrinkCxp:
     def test_risk_single_feature_witnesses(self):
-        expl = shrink_cxp(_risk_problem(), (1,))
+        expl = shrink_cxp(risk_problem(), (1,))
         assert expl.kind == "contrastive"
         assert expl.set_for(1) == CatSet(frozenset({"Adult"}))
-        expl = shrink_cxp(_risk_problem(), (2,))
+        expl = shrink_cxp(risk_problem(), (2,))
         assert expl.set_for(2) == CatSet(frozenset({"White"}))
 
     def test_instance_value_is_excluded(self):
-        problem = _grade_problem()
+        problem = grade_problem()
         expl = shrink_cxp(problem, (1,), InflationConfig(delta=F(1, 2)))
         assert not vs_contains(expl.set_for(1), F(3))
         assert vs_pieces(expl.set_for(1)) == 1
 
     def test_witness_set_actually_flips(self):
-        problem = _grade_problem()
+        problem = grade_problem()
         expl = shrink_cxp(problem, (1,), InflationConfig(delta=F(1, 2)))
         sets = {2: singleton_set(problem.space.domain(2), F(5)), 1: expl.set_for(1)}
         assert not bf_forces(problem.classifier, problem.space, sets, problem.target)
@@ -480,26 +472,10 @@ def _slicing_deletion_pass(items, holds, floor=0):
     return kept
 
 
-def _fraction_step(domain, config):
-    return F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
-
-
-def _fraction_grid(problem, j, config):
-    """The grid v + k*step inside feature j's domain and both domain bounds, ascending,
-    when feature j grows on a grid (an ordinal feature of a monotone model), else None."""
-    domain = problem.space.domain(j)
-    if not (isinstance(domain, Ordinal) and isinstance(problem.classifier, MonotonicClassifier)):
-        return None
-    v, step = problem.value_of(j), _fraction_step(domain, config)
-    below = math.floor((v - domain.lo) / step)
-    above = math.floor((domain.hi - v) / step)
-    return sorted({domain.lo, domain.hi}.union(v + k * step for k in range(-below, above + 1)))
-
-
 def _value_set_pieces(problem, j, config):
-    points = _fraction_grid(problem, j, config)
-    if points is not None:
-        return [IntervalUnion((Interval(p, p),)) for p in points if p != problem.value_of(j)]
+    if isinstance(problem.classifier, MonotonicClassifier):  # feature j grows on a grid
+        v = problem.value_of(j)
+        return [IntervalUnion((Interval(p, p),)) for p in grid_points(problem.space.domain(j), v, config) if p != v]
     atoms, seed = _value_set_atoms(problem, j)
     return atoms[:seed] + atoms[seed + 1 :]
 
@@ -509,9 +485,9 @@ def _value_set_options(problem, j, config):
     interval around the instance value, or every union of atoms holding
     the instance's atom, by size."""
     domain = problem.space.domain(j)
-    points = _fraction_grid(problem, j, config)
-    if points is not None:
+    if isinstance(problem.classifier, MonotonicClassifier):
         v = problem.value_of(j)
+        points = grid_points(domain, v, config)
         return [IntervalUnion((Interval(a, b),)) for a in points if a <= v for b in points if b >= v]
     atoms, seed = _value_set_atoms(problem, j)
     rest = atoms[:seed] + atoms[seed + 1 :]
@@ -525,9 +501,9 @@ def _value_set_options(problem, j, config):
 def _value_set_one_step_larger(problem, j, s, config):
     """The sets one atom, or one grid step at either end, larger than s."""
     domain = problem.space.domain(j)
-    if _fraction_grid(problem, j, config) is not None:
+    if isinstance(problem.classifier, MonotonicClassifier):
         iv = s.intervals[0]
-        step = _fraction_step(domain, config)
+        step = grid_step(domain, config)
         if iv.hi < domain.hi:
             yield IntervalUnion((Interval(iv.lo, min(domain.hi, iv.hi + step)),))
         if iv.lo > domain.lo:
@@ -673,8 +649,7 @@ class TestCompiledProbes:
 def _fraction_grid_inflate_ordinal(problem, j, current, config):
     """inflate_ordinal probing with a `Fraction` grid and interval sets, as a reference."""
     domain = problem.space.domain(j)
-    v = problem.value_of(j)
-    step = F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
+    v, step = problem.value_of(j), grid_step(domain, config)
 
     def holds(lo, hi):
         return problem.sufficiency_holds({**current, j: IntervalUnion((Interval(lo, hi),))})

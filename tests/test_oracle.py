@@ -19,6 +19,7 @@ from pools import (
     integer_pool,
     monotone_pool,
     multiclass_forest_pool,
+    random_forest,
     wide_list_pool,
 )
 from xinflate.classifiers import (
@@ -54,13 +55,7 @@ from xinflate.model import (
 from xinflate import oracle as oracle_module
 from xinflate.oracle import Oracle, classifier_is_constant, discretize
 from xinflate.serialize import load_model
-from xinflate.synthetic import (
-    random_decision_list,
-    random_forest,
-    random_monotone,
-    random_space,
-    random_tree,
-)
+from xinflate.synthetic import random_decision_list, random_monotone, random_space, random_tree
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent

@@ -7,13 +7,12 @@ them; here every claim about a result is checked with the plain predictor
 or with `bf_forces`, which does not use the oracle.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from bruteforce import bf_forces
+from bruteforce import bf_forces, grid_points
 from xinflate.classifiers import (
     DecisionList,
     DecisionTree,
@@ -233,21 +232,11 @@ def wide_lists(draw):
     return _problem(draw, DecisionList(tuple(rules), draw(st.sampled_from(CLASSES)), CLASSES), space)
 
 
-def _grid_points(problem, j: int, config) -> list:
-    """Feature j's grid on a monotone model, ascending: the domain bounds and
-    every v + k*step strictly between them, built with `Fraction`."""
-    domain, v = problem.space.domain(j), problem.value_of(j)
-    step = F(max(1, math.ceil(config.delta))) if domain.kind == INTEGER else config.delta
-    below = range(1, math.ceil((v - domain.lo) / step))
-    above = range(1, math.ceil((domain.hi - v) / step))
-    inner = {v - k * step for k in below} | {v} | {v + k * step for k in above}
-    return sorted(inner | {domain.lo, domain.hi})
-
-
 def _pieces(problem, j: int, config) -> list:
     """Feature j's pieces as value sets, ascending."""
     if isinstance(problem.classifier, MonotonicClassifier):
-        return [IntervalUnion((Interval(p, p),)) for p in _grid_points(problem, j, config)]
+        points = grid_points(problem.space.domain(j), problem.value_of(j), config)
+        return [IntervalUnion((Interval(p, p),)) for p in points]
     return list(problem.oracle.model.atoms[j - 1].values())
 
 
@@ -266,7 +255,7 @@ def _one_step_larger(problem, j: int, s, config):
     if not isinstance(problem.classifier, MonotonicClassifier):
         atoms = _pieces(problem, j, config)
         return [vs_union(domain, s, a) for a in atoms if not vs_subset(domain, a, s)]
-    points, iv = _grid_points(problem, j, config), s.intervals[0]
+    points, iv = grid_points(domain, problem.value_of(j), config), s.intervals[0]
     lo, hi = points.index(iv.lo), points.index(iv.hi)
     ends = [(lo, hi + 1)] * (hi + 1 < len(points)) + [(lo - 1, hi)] * (lo > 0)
     return [IntervalUnion((Interval(points[a], points[b]),)) for a, b in ends]

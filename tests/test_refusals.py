@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from pools import risk_problem
 from xinflate.classifiers import DecisionTree, Leaf, MonotonicClassifier, OrdinalSplit, TreeEnsemble
 from xinflate.duality import icxp_from_iaxps
 from xinflate.errors import ValidationError
@@ -20,16 +21,6 @@ from xinflate.oracle import Oracle
 F = Fraction
 UNIT = Ordinal(F(0), F(10))
 OUTSIDE = IntervalUnion((Interval(F(11), F(12)),))  # no point of [0, 10]
-
-
-def _risk_problem():
-    clf, space = risk_list()
-    return ExplanationProblem.from_point(clf, space, ("Junior", "Red"))
-
-
-def _grade_problem():
-    clf, space = grade_model()
-    return ExplanationProblem.from_point(clf, space, (F(3), F(5)))
 
 
 def _stump_oracle():
@@ -51,7 +42,7 @@ def _not_minimal_cxp():
 
 
 def _icxp(expls, selector):
-    problem = _risk_problem()
+    problem = risk_problem()
     icxp_from_iaxps(problem, expls(problem), selector)
 
 
@@ -74,7 +65,7 @@ REFUSALS = {
         "interval union is empty within the domain",
     ),
     "grid growth on a categorical feature": (
-        lambda: inflate_ordinal(_risk_problem(), 1, {}, InflationConfig()),
+        lambda: inflate_ordinal(risk_problem(), 1, {}, InflationConfig()),
         "feature 1 is not ordinal",
     ),
     "a contrastive set that is not minimal": (

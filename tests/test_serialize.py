@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pools import dl_pool
+from xinflate import serialize
 from xinflate.classifiers import DecisionTree, LabelSplit, Leaf, OrdinalSplit
 from xinflate.errors import SchemaError, ValidationError
 from xinflate.examples import grade_model, risk_list
@@ -456,6 +457,21 @@ class TestThresholdsReadOncePerLoad:
     def test_bundled_forest_loads_to_its_own_document(self):
         path = MODELS / "bench_forest.json"
         assert model_to_dict(load_model(path)) == json.loads(path.read_text())
+
+
+class TestWholeModelCheckAtLoad:
+    """`validate_classifier` runs at load only on the families with a rule
+    that no reader checks: monotone models and lists."""
+
+    @pytest.mark.parametrize(
+        "name, calls", [("bench_forest.json", 0), ("grade.json", 1), ("risk_list.json", 1)]
+    )
+    def test_calls_per_load(self, monkeypatch, name, calls):
+        seen = []
+        check = serialize.validate_classifier
+        monkeypatch.setattr(serialize, "validate_classifier", lambda *args: seen.append(check(*args)))
+        load_model(MODELS / name)
+        assert len(seen) == calls
 
 
 class TestExplanationDocuments:

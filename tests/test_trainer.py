@@ -8,7 +8,7 @@ import pytest
 from xinflate.classifiers import Leaf, validate_classifier
 from xinflate.errors import ValidationError
 from xinflate.model import Categorical, Ordinal
-from xinflate.serialize import model_to_dict, ModelFile
+from xinflate.serialize import load_model, model_to_dict, ModelFile
 from xinflate.trainer import load_dataset, model_accuracy, read_table, train_forest, train_tree
 
 F = Fraction
@@ -155,6 +155,18 @@ class TestTrainer:
         assert isinstance(tree.root, Leaf)
         forest = train_forest(ds, n_trees=2, depth=0, seed=1)
         assert all(isinstance(t.root, Leaf) for t in forest.trees)
+
+    def test_a_split_without_gain_is_not_taken(self, tmp_path):
+        # on xor every single split leaves Gini at 1/2, so CART stops at the root,
+        # and the 2-2 vote goes to the first class
+        ds = load_dataset(_write(tmp_path, "a,b,y\n0,0,n\n0,1,p\n1,0,p\n1,1,n\n"))
+        assert train_tree(ds, depth=2).root == Leaf("n")
+
+    def test_bench_seed_reproduces_the_bundled_forest(self):
+        # the first five trees of models/bench_forest.json, drawn by the same generator
+        bundled = load_model(DATA.parent / "models" / "bench_forest.json").classifier
+        forest = train_forest(load_dataset(DATA / "bench.csv"), n_trees=5, depth=4, seed=0)
+        assert forest.trees == bundled.trees[:5]
 
     def test_labels_survive_into_predictions(self):
         ds = load_dataset(DATA / "stump.csv")
