@@ -5,16 +5,21 @@ Run from the repository root:
     python3 scripts/mutation_gate.py
 
 Each catalog entry is one exact edit of one file under `src/`: an old
-text that must occur exactly once and the new text that replaces it.
-The repository, without its git data and caches, is copied once to a
-temporary directory, and tier-1 must pass there unmutated: otherwise every
-mutant would look killed.  Then each mutant is written there in turn,
-tier-1 runs with `-x` against it, and the file is restored.  The test that
-every catalog edit matches once is left out of these runs: it reads the
-mutated file, so it would fail on every mutant and kill each one itself.
-A mutant is killed when tier-1 fails or runs past `TIMEOUT_S`.  The script
-prints one line per mutant and exits 1 when an edit does not match exactly
-once, tier-1 fails on the copy, or a mutant survives, else 0.
+text that must occur exactly once and the new text that replaces it,
+followed by the test nodes expected to kill it.  The repository, without
+its git data and caches, is copied once to a temporary directory, and
+tier-1 and every named test must pass there unmutated: otherwise every
+mutant would look killed.  Then each mutant is written there in turn, its
+named tests run with `-x`, then all of tier-1 with `-x` only when they
+pass, and the file is restored.  The test that every catalog edit matches
+once is left out of these runs: it reads the mutated file, so it would
+fail on every mutant and kill each one itself.  A mutant is killed when a
+run fails or runs past `TIMEOUT_S`; it survives only when all of tier-1
+passes.  An entry whose named tests miss it, but which tier-1 kills, is
+stale: it counts as killed, and its line says so.  The script prints one
+line per mutant, with the test that killed it, and exits 1 when an edit
+does not match exactly once, tier-1 or a named test fails on the copy, or
+a mutant survives, else 0.
 
 Only non-equivalent mutants belong here: an edit that changes no answer
 survives every test and says nothing about them.  Reading `any` for `all`
@@ -22,8 +27,12 @@ in the prune's test whether a rule can fire only weakens the prune, except
 on a rule with no literal, which always fires; that is the mutant kept.
 Dropping the trainer's stop at a node of one class only costs time: every
 split of such a node has impurity 0, no gain, so the node still becomes a
-leaf; that mutant is left out.  An entry changes only when the code it
-edits is deleted or rewritten.
+leaf; that mutant is left out.  In the vote search, a split on another
+feature, or a reach that takes in leaves the box does not reach, changes
+the nodes, never an answer: more leaves only loosen the bounds on the
+votes, and the halves of a split are exact again.  Such mutants are
+killed by the pinned node counts.  An entry changes only when the code
+it edits is deleted or rewritten.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
@@ -46,79 +56,144 @@ ORACLE = "src/xinflate/oracle.py"
 TRAINER = "src/xinflate/trainer.py"
 CLASSIFIERS = "src/xinflate/classifiers.py"
 
-# (name, path, old text, new text)
+# (name, path, old text, new text, test nodes expected to kill it...)
 CATALOG = (
     (
         "list walk drops the part of a region that fails a literal",
         ORACLE,
         "                    stack.append((i, rest))\n",
         "",
+        "tests/test_oracle.py::TestListShapes::test_two_literals_on_one_feature",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_decision_lists_agree",
     ),
     (
         "list walk keeps the whole region after a literal splits it",
         ORACLE,
         "                    stack.append((i, rest))\n                    b[f0] = r\n",
         "                    stack.append((i, rest))\n",
+        "tests/test_oracle.py::TestListShapes::test_label_and_label_set_on_one_feature",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_decision_lists_agree",
     ),
     (
         "list walk reads the next literal after one the region fails whole",
         ORACLE,
         "                    if not r:\n                        break\n",
         "                    if not r:\n                        continue\n",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_worked_examples_agree",
+        "tests/test_oracle.py::TestListShapes::test_two_literals_on_one_feature",
     ),
     (
         "list walk skips the class check of a fired rule",
         ORACLE,
         "                if ci != ti:\n                    return False\n                break\n",
         "                break\n",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_worked_examples_agree",
+        "tests/test_oracle.py::TestListShapes::test_two_literals_on_one_feature",
     ),
     (
         "list prune takes a rule with no literal as one that cannot fire",
         ORACLE,
         "        if ci != ti and all(box[f0] & m for f0, m in literals):\n",
         "        if ci != ti and any(box[f0] & m for f0, m in literals):\n",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_decision_lists_agree",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_boundary_boxes_agree",
     ),
     (
         "list prune takes a rule with one entailed literal as entailed",
         ORACLE,
         "        if not any(box[f0] & ~m for f0, m in literals):\n",
         "        if not all(box[f0] & ~m for f0, m in literals):\n",
+        "tests/test_oracle.py::TestListShapes::test_two_literals_on_one_feature",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_decision_lists_agree",
     ),
     (
         "list prune ignores the default class",
         ORACLE,
         "    return default == ti\n",
         "    return True\n",
+        "tests/test_oracle.py::TestListShapes::test_two_literals_on_one_feature",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_decision_lists_agree",
     ),
     (
         "trainer breaks a split tie toward the last split tried",
         TRAINER,
         "if best is None or score < best[0]:",
         "if best is None or score <= best[0]:",
+        "tests/test_trainer.py::TestTrainer::test_bench_seed_reproduces_the_bundled_forest",
     ),
     (
         "trainer takes a split without gain",
         TRAINER,
         "best[0] >= _gini(labels)",
         "best[0] > _gini(labels)",
+        "tests/test_trainer.py::TestTrainer::test_a_split_without_gain_is_not_taken",
     ),
     (
         "trainer puts an ordinal pivot on the upper value, not the midpoint",
         TRAINER,
         "((a + b) / 2 for a, b in",
         "(b for a, b in",
+        "tests/test_trainer.py::TestTrainer::test_bench_seed_reproduces_the_bundled_forest",
     ),
     (
         "trainer keeps a split whose two leaves agree",
         TRAINER,
         "        return left\n    return kind(",
         "        pass\n    return kind(",
+        "tests/test_trainer.py::TestTrainer::test_bench_seed_reproduces_the_bundled_forest",
+    ),
+    (
+        "lane test misses a slot whose last leaf alone is reached",
+        ORACLE,
+        "x = ((((x & body) + body) | x) & high) >> lane",
+        "x = (((x & body) + body) & high) >> lane",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_forests_agree",
+        "tests/test_pieces.py::TestLanesAndRuns::test_decisions_match_the_scan",
+    ),
+    (
+        "vote search gives a tie of sure votes and the target's ceiling to the higher class",
+        ORACLE,
+        "if sure > top or sure == top and ci < ti:",
+        "if sure > top or sure == top and ci > ti:",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_multiclass_forests_agree",
+        "tests/test_pieces.py::TestLanesAndRuns::test_decisions_match_the_scan",
+    ),
+    (
+        "vote search holds when a lower class's ceiling ties the target's sure votes",
+        ORACLE,
+        "holds = ceiling < floor or ceiling == floor and ci > ti",
+        "holds = ceiling < floor or ceiling == floor and ci != ti",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_multiclass_forests_agree",
+        "tests/test_pieces.py::TestLanesAndRuns::test_decisions_match_the_scan",
+    ),
+    (
+        "run reach reads the prefix OR at the run's lowest atom",
+        ORACLE,
+        "return pre[h] & suf[l]",
+        "return pre[l] & suf[l]",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_forests_agree",
+        "tests/test_pieces.py::TestLanesAndRuns::test_decisions_match_the_scan",
+    ),
+    (
+        "run reach takes a mask with a gap for a run",
+        ORACLE,
+        "if a == valid & ((2 << h) - (1 << l)):",
+        "if a:",
+        "tests/test_oracle.py::TestOracleContract::test_panel_decisions_and_nodes_are_pinned",
+    ),
+    (
+        "ordinal meet lets through the leaves of the mask's lowest atom alone",
+        ORACLE,
+        "return rows[(a & -a).bit_length() - 1] & rows[a.bit_length() - 1]",
+        "return rows[(a & -a).bit_length() - 1]",
+        "tests/test_oracle.py::TestOracleContract::test_panel_decisions_and_nodes_are_pinned",
     ),
     (
         "vote ties go to the highest class index",
         CLASSIFIERS,
         "max(classes, key=counts.__getitem__)",
         "max(reversed(classes), key=counts.__getitem__)",
+        "tests/test_classifiers.py::TestTrees::test_tie_breaks_to_lowest_class_index",
     ),
 )
 
@@ -127,30 +202,36 @@ def unmatched(root: Path = ROOT, catalog=CATALOG) -> list[str]:
     """The entries whose old text does not occur exactly once in their file."""
     return [
         f"{name}: {path} holds its old text {count} times"
-        for name, path, old, _ in catalog
+        for name, path, old, *_ in catalog
         if (count := (root / path).read_text().count(old)) != 1
     ]
 
 
-def fails(copy: Path) -> bool:
-    """Whether tier-1 fails, or runs past `TIMEOUT_S`, on the copy."""
+def first_failure(copy: Path, *tests: str) -> Optional[str]:
+    """The first test that fails when the named tests, or all of tier-1
+    when none is named, run on the copy; None when they pass."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run(
-            (sys.executable, *TIER1), cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S
-        )
+        command = (sys.executable, *TIER1, *tests)
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return True
-    return done.returncode != 0
+        return f"a run past {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return None
+    failed = (line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR ")))
+    return next(failed, f"pytest exit {done.returncode}")
 
 
-def killed(copy: Path, path: str, old: str, new: str) -> bool:
-    """Whether tier-1 fails with the edit made in the copy."""
+def killer(copy: Path, path: str, old: str, new: str, named: tuple) -> tuple[Optional[str], bool]:
+    """The test that fails with the edit made in the copy (None when tier-1
+    passes), and whether the named tests missed it."""
     target = copy / path
     original = target.read_text()
     target.write_text(original.replace(old, new, 1))
     try:
-        return fails(copy)
+        if named and (test := first_failure(copy, *named)):
+            return test, False
+        return first_failure(copy), bool(named)
     finally:
         target.write_text(original)
 
@@ -161,18 +242,26 @@ def main(root: Path = ROOT, catalog=CATALOG) -> int:
         print(f"unmatched: {line}")
     if problems:
         return 1
-    survivors = 0
+    survivors = stale = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(root, copy, ignore=shutil.ignore_patterns(*SKIPPED))
-        if fails(copy):
-            print("tier-1 fails on the unmutated copy")
+        named = sorted({test for _, _, _, _, *tests in catalog for test in tests})
+        if (test := first_failure(copy)) or named and (test := first_failure(copy, *named)):
+            print(f"{test} fails on the unmutated copy")
             return 1
-        for name, path, old, new in catalog:
+        for name, path, old, new, *tests in catalog:
             t0 = time.perf_counter()
-            dead = killed(copy, path, old, new)
-            survivors += not dead
-            print(f"{'killed' if dead else 'SURVIVED'} in {time.perf_counter() - t0:.1f} s: {name}")
+            test, missed = killer(copy, path, old, new, tuple(tests))
+            survivors += test is None
+            stale += missed and test is not None
+            took = f"in {time.perf_counter() - t0:.1f} s"
+            if test is None:
+                print(f"SURVIVED {took}: {name}")
+            else:
+                print(f"killed {took} by {test}{' (stale: its named tests pass)' * missed}: {name}")
+    if stale:
+        print(f"{stale} stale entries: name the test that killed each")
     print(f"{len(catalog) - survivors} of {len(catalog)} mutants killed")
     return 1 if survivors else 0
 

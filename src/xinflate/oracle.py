@@ -53,13 +53,20 @@ Trees, one or many, are decided on their leaves: the root-to-leaf paths
 some atom follows.  Tree t's leaves are bits t*W .. t*W + W - 1 of one
 `int` (W a power of two), and the leaves a box reaches are one AND, over
 its features, of the OR of the sets of leaves each of its atoms gets
-through.  A path's region is the product of its atoms, so one tree is
-decided by that AND alone.  For more, a search node folds each class's
-reached leaves to one bit per tree: bit counts give each class's ceiling
-(the trees that can vote for it) and sure votes (the trees that can vote
-for nothing else), ties going to the lowest class index.  The node holds
-when no class can catch the target's sure votes and fails when some
-class's sure votes beat the target's ceiling.  Otherwise it splits the
+through.  A path lets through a run of an ordinal feature's atoms, so the
+OR over a run from atom l to atom h is two lookups, a prefix OR at h AND a
+suffix OR at l, and the leaves that let every atom of a mask through are
+those that let its lowest and its highest through, gap or not; labels, and
+an OR over a mask with a gap, take one step per atom.  A path's region is
+the product of its atoms, so one tree is decided by that AND alone.  For
+more, a search node reduces each class's reached leaves to one bit per
+tree with one lane test: adding the bits below each slot's last bit to its
+reached ones carries into that last bit exactly when one of them is set.
+Bit counts give each class's ceiling (the trees that can vote for it) and
+sure votes (the trees that can vote for nothing else), ties going to the
+lowest class index, and one pass over the other classes decides the node:
+it fails when some class's sure votes beat the target's ceiling, and holds
+when no class can catch the target's sure votes.  Otherwise it splits the
 feature on which most reached leaves of two-way trees shut out an atom of
 the box, into the lower and the upper half of its atoms.  The halves
 partition the box, so the outcome equals literal enumeration; only the
@@ -75,6 +82,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Mapping, Optional, Sequence, Union
 
 from .classifiers import (
@@ -355,53 +364,61 @@ class CompiledModel:
                 mask ^= atom
                 self.admits[f0][atom.bit_length() - 1] |= bits
         self.leaves = sum(self.class_bits)
-        # per feature and atom, the leaves that shut the atom out; per feature,
-        # the leaves that test it
-        self.shuts = [[self.leaves & ~bits for bits in row] for row in self.admits]
-        self.tests = [_union(row, v) for row, v in zip(self.shuts, self.valid)]
+        # per ordinal feature, the prefix and suffix ORs of its row of admits; None for labels
+        self.pre, self.suf = [], []
+        for row, cells in zip(self.admits, self.cells):
+            self.pre.append(list(accumulate(row, or_)) if cells else None)
+            self.suf.append(list(accumulate(row[::-1], or_))[::-1] if cells else None)
+        # per feature, the leaves that test it: those that shut out one of its atoms
+        self.tests = [self.leaves & ~_meet(row, p, v) for row, p, v in zip(self.admits, self.pre, self.valid)]
         self.low = sum(1 << (t * width) for t in range(len(paths)))  # each slot's first bit
         self.fill = (1 << width) - 1
-        self.folds = [1 << k for k in range(width.bit_length() - 1)]
+        self.lane = width - 1
+        self.high = self.low << self.lane  # each slot's last bit
+        self.body = self.low * (self.fill >> 1)  # the bits below it
 
     def _votes(self, box: list[int], ti: int, stats: OracleStats) -> bool:
         """Whether class ti wins the vote at every point of the box."""
-        admits, valid = self.admits, self.valid
+        admits, pre, suf, valid = self.admits, self.pre, self.suf, self.valid
         reached = self.leaves
         for f0, a in enumerate(box):
             if a != valid[f0]:
-                reached &= _union(admits[f0], a)
+                reached &= _reach(admits[f0], pre[f0], suf[f0], valid[f0], a)
         if self.low == 1:  # one tree: reached is exactly the leaves the box reaches
             return not reached & ~self.class_bits[ti]
+        body, high, lane, tests = self.body, self.high, self.lane, self.tests
         stack = [(reached, box)]
         while stack:
             reached, box = stack.pop()
             stats.nodes += 1
             votes = []  # per class, the first bit of each tree that can vote for it
+            seen = two_way = 0
             for bits in self.class_bits:
                 x = reached & bits
-                for shift in self.folds:
-                    x |= x >> shift
-                votes.append(x & self.low)
-            seen = two_way = 0
-            for x in votes:
+                # a slot's last bit is set, or carried into, when any of its bits is
+                x = ((((x & body) + body) | x) & high) >> lane
                 two_way |= seen & x
                 seen |= x
-            ceilings = [x.bit_count() for x in votes]
-            sure = [(x & ~two_way).bit_count() for x in votes]
-            top = ceilings[ti]
-            if any(v > top or (v == top and ci < ti) for ci, v in enumerate(sure)):
-                return False
-            floor = sure[ti]
-            if all(
-                v < floor or (v == floor and ci > ti) for ci, v in enumerate(ceilings) if ci != ti
-            ):
+                votes.append(x)
+            one_way = ~two_way
+            top, floor = votes[ti].bit_count(), (votes[ti] & one_way).bit_count()
+            holds = True  # whether no class can catch the target's sure votes
+            for ci, x in enumerate(votes):
+                if ci != ti:
+                    sure = (x & one_way).bit_count()
+                    if sure > top or sure == top and ci < ti:
+                        return False  # its sure votes beat the target's ceiling
+                    if holds:
+                        ceiling = x.bit_count()
+                        holds = ceiling < floor or ceiling == floor and ci > ti
+            if holds:
                 continue
             # some two-way tree reaches a leaf that shuts out an atom of the box
             live = reached & two_way * self.fill
             split, most = 0, 0
             for f0, a in enumerate(box):
                 if a & (a - 1):
-                    shut = self.tests[f0] if a == valid[f0] else _union(self.shuts[f0], a)
+                    shut = tests[f0] if a == valid[f0] else ~_meet(admits[f0], pre[f0], a)
                     n = (live & shut).bit_count()
                     if n > most:
                         split, most = f0, n
@@ -414,17 +431,36 @@ class CompiledModel:
             for half in (upper, a ^ upper):  # the lower half is searched first
                 child = list(box)
                 child[split] = half
-                stack.append((reached & _union(admits[split], half), child))
+                stack.append((reached & _reach(admits[split], pre[split], suf[split], valid[split], half), child))
         return True
 
 
-def _union(rows: list[int], mask: int) -> int:
-    """The OR of rows[i] over the bits i of mask."""
+def _reach(rows: list[int], pre: Optional[list[int]], suf: Optional[list[int]], valid: int, a: int) -> int:
+    """The OR of rows[i] over the bits i of mask a: the leaves some atom of a
+    gets through, in two lookups when a is a run (see the module docstring)."""
+    if pre is not None:  # an ordinal feature, with the prefix and suffix ORs of rows
+        l, h = (a & -a).bit_length() - 1, a.bit_length() - 1
+        if a == valid & ((2 << h) - (1 << l)):
+            return pre[h] & suf[l]
     out = 0
-    while mask:
-        atom = mask & -mask
-        mask ^= atom
+    while a:
+        atom = a & -a
+        a ^= atom
         out |= rows[atom.bit_length() - 1]
+    return out
+
+
+def _meet(rows: list[int], pre: Optional[list[int]], a: int) -> int:
+    """The AND of rows[i] over the bits i of mask a: the leaves every atom of
+    a gets through, in two lookups on an ordinal feature (pre is not None;
+    see the module docstring)."""
+    if pre is not None:
+        return rows[(a & -a).bit_length() - 1] & rows[a.bit_length() - 1]
+    out = -1
+    while a:
+        atom = a & -a
+        a ^= atom
+        out &= rows[atom.bit_length() - 1]
     return out
 
 

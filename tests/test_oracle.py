@@ -387,6 +387,23 @@ class TestOracleContract:
         inflate_axp(single, find_axp(single), trusted=True)
         assert single.oracle.stats.calls > 0 and single.oracle.stats.nodes == 0
 
+    def test_panel_decisions_and_nodes_are_pinned(self):
+        """The benchmark's 40-row forest panel: decisions and search nodes of
+        extraction with inflation, and of extraction with shrinking."""
+        mf = load_model(ROOT / "models" / "bench_forest.json")
+        with open(ROOT / "data" / "bench.csv", newline="") as fh:
+            rows = [row[: mf.space.m] for row in list(csv.reader(fh))[1:41]]
+        counts = {"axp": [0, 0], "cxp": [0, 0]}
+        for row in rows:
+            axp = ExplanationProblem.from_point(mf.classifier, mf.space, row)
+            inflate_axp(axp, find_axp(axp), trusted=True)
+            cxp = ExplanationProblem.from_point(mf.classifier, mf.space, row)
+            shrink_cxp(cxp, find_cxp(cxp))
+            for kind, problem in (("axp", axp), ("cxp", cxp)):
+                counts[kind][0] += problem.oracle.stats.calls
+                counts[kind][1] += problem.oracle.stats.nodes
+        assert counts == {"axp": [1568, 8584], "cxp": [1111, 6490]}
+
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()
         assert not classifier_is_constant(clf, space)

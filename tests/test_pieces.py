@@ -7,6 +7,7 @@ them; here every claim about a result is checked with the plain predictor
 or with `bf_forces`, which does not use the oracle.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from xinflate.model import (
     vs_subset,
     vs_union,
 )
+from xinflate.oracle import Oracle
 
 F = Fraction
 CLASSES = ("a", "b", "c")
@@ -372,3 +374,75 @@ class TestEngineAgainstBruteForce:
             for atom in model.atoms[j - 1].values():
                 if not vs_subset(domain, atom, sets[j]):
                     assert not bf_forces(clf, space, {**sets, j: vs_union(domain, sets[j], atom)}, target)
+
+
+def _sized(draw, space: FeatureSpace, leaves: int, classes, region: list):
+    """A tree of the given number of leaves, each reached by a point of the
+    region: per feature, the labels, integers or halves a path may take."""
+    if leaves == 1:
+        return Leaf(draw(st.sampled_from(classes)))
+    splits = []  # (feature, label or threshold, the values on the left, those on the right)
+    for j, values in enumerate(region, 1):
+        if isinstance(space.domain(j), Categorical):
+            splits += [(j, v, [u for u in values if u != v], [v]) for v in values if len(values) > 1]
+        else:
+            cuts = [t for t in _halves(space.domain(j))[1:] if values[0] < t <= values[-1]]
+            splits += [(j, t, [u for u in values if u < t], [u for u in values if u >= t]) for t in cuts]
+    j, pivot, *parts = draw(st.sampled_from(splits))
+    sides = [region[: j - 1] + [values] + region[j:] for values in parts]
+    room = [math.prod(map(len, side)) for side in sides]
+    n = draw(st.integers(max(1, leaves - room[1]), min(leaves - 1, room[0])))
+    kind = LabelSplit if isinstance(space.domain(j), Categorical) else OrdinalSplit
+    left, right = (_sized(draw, space, k, classes, side) for k, side in zip((n, leaves - n), sides))
+    return kind(j, pivot, left, right)
+
+
+@st.composite
+def lane_forests(draw):
+    """A forest of 2-4 trees over 2 or 3 classes whose widest tree has 1, 2,
+    3 or 5 leaves, so each tree's slot holds W = 1, 2, 4 or 8 bits, and an
+    oracle over it.  The first feature has an integer domain, where a cell
+    between two thresholds of different trees may hold no integer."""
+    first = Ordinal(F(0), F(draw(st.integers(2, 4))), INTEGER)
+    space = FeatureSpace((first, *_space(draw, False).domains[:2]))
+    region = [
+        list(d.labels) if isinstance(d, Categorical) else _halves(d)[:: 2 if d.kind == INTEGER else 1]
+        for d in space.domains
+    ]
+    classes = CLASSES[: draw(st.sampled_from((2, 3)))]
+    widest = draw(st.sampled_from((1, 2, 3, 5)))
+    others = draw(st.lists(st.integers(1, widest), min_size=1, max_size=3))
+    trees = tuple(DecisionTree(_sized(draw, space, n, classes, region), classes) for n in (widest, *others))
+    clf = TreeEnsemble(trees, classes)
+    oracle = Oracle(clf, space)
+    assert oracle.model.fill == (1 << {1: 1, 2: 2, 3: 4, 5: 8}[widest]) - 1
+    return clf, space, oracle
+
+
+class TestLanesAndRuns:
+    """The vote search's lane test and its run lookups, checked with
+    `bf_forces` on boxes whose masks are runs of a feature's atoms or have
+    gaps; on an integer domain the atoms themselves can have gaps, since a
+    cell such as [1/2, 1) holds no integer."""
+
+    @PROPERTY
+    @given(drawn=lane_forests(), data=st.data())
+    def test_decisions_match_the_scan(self, drawn, data):
+        clf, space, oracle = drawn
+        model = oracle.model
+        masks, sets = {}, {}
+        for j in space.features():
+            bits = sorted(model.atoms[j - 1])
+            form = data.draw(st.sampled_from(("absent", "run", "any")))
+            if form == "run":
+                lo, hi = sorted(data.draw(st.lists(st.integers(0, len(bits) - 1), min_size=2, max_size=2)))
+                chosen = bits[lo : hi + 1]
+            elif form == "any":
+                chosen = data.draw(st.lists(st.sampled_from(bits), min_size=1, unique=True))
+            else:
+                continue
+            masks[j] = sum(chosen)
+            sets[j] = vs_union(space.domain(j), *(model.atoms[j - 1][bit] for bit in chosen))
+        for target in clf.classes:
+            forced = bf_forces(clf, space, sets, target)
+            assert oracle.holds_sufficiency(masks, target) == forced, (masks, target)

@@ -121,7 +121,16 @@ def test_mutation_catalog_edits_match_once():
     assert mutation_gate.unmatched() == []
     names = [name for name, *_ in mutation_gate.CATALOG]
     assert len(set(names)) == len(names)
-    assert all(old != new for _, _, old, new in mutation_gate.CATALOG)
+    assert all(old != new for _, _, old, new, *_ in mutation_gate.CATALOG)
+
+
+def test_mutation_catalog_names_tests_that_exist():
+    for name, _, _, _, *tests in mutation_gate.CATALOG:
+        assert tests, name
+        for test in tests:
+            path, *scopes = test.split("::")
+            source = (ROOT / path).read_text()
+            assert all(re.search(rf"^\s*(def|class) {scope}\b", source, re.M) for scope in scopes), test
 
 
 def test_mutation_catalog_reports_an_edit_that_does_not_match(tmp_path):
@@ -141,6 +150,30 @@ def test_mutation_gate_reports_a_survivor(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["SURVIVED", "killed", "1"]
     assert lines[-1] == "1 of 2 mutants killed"
+
+
+def test_mutation_gate_reports_a_stale_entry(tmp_path, capsys):
+    """A mutant that its named tests miss but tier-1 kills counts as killed,
+    its line names the test that killed it, and a named test that kills
+    its mutant is reported as the killer."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "m.py").write_text("def double(x):\n    return x + x\n")
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "import m\n\n\ndef test_zero():\n    assert m.double(0) == 0\n\n\n"
+        "def test_double():\n    assert m.double(3) == 6\n"
+    )
+    named = "tests/test_m.py::test_zero"
+    catalog = (
+        ("named tests miss it", "src/m.py", "x + x", "x * x", named),
+        ("named tests kill it", "src/m.py", "x + x", "x + 1", named),
+    )
+    assert mutation_gate.main(tmp_path, catalog) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["killed", "killed", "1", "2"]
+    assert "by tests/test_m.py::test_double (stale: its named tests pass): named tests miss it" in lines[0]
+    assert lines[1].endswith(f"by {named}: named tests kill it")
+    assert lines[-1] == "2 of 2 mutants killed"
 
 
 def test_decision_digest_prints_its_pinned_line():
