@@ -31,8 +31,10 @@ leaf; that mutant is left out.  In the vote search, a split on another
 feature, or a reach that takes in leaves the box does not reach, changes
 the nodes, never an answer: more leaves only loosen the bounds on the
 votes, and the halves of a split are exact again.  Such mutants are
-killed by the pinned node counts.  An entry changes only when the code
-it edits is deleted or rewritten.
+killed by the pinned node counts.  So is one that keeps the atoms an
+admitted search has rejected in the nodes still on its stack: those
+nodes are searched for nothing, and no answer changes.  An entry changes
+only when the code it edits is deleted or rewritten.
 """
 
 from __future__ import annotations
@@ -187,6 +189,29 @@ CATALOG = (
         "return rows[(a & -a).bit_length() - 1] & rows[a.bit_length() - 1]",
         "return rows[(a & -a).bit_length() - 1]",
         "tests/test_oracle.py::TestOracleContract::test_panel_decisions_and_nodes_are_pinned",
+    ),
+    (
+        "a losing node of an admitted search rejects only its lowest atom",
+        ORACLE,
+        "                mask &= ~box[f0]\n",
+        "                mask &= ~(box[f0] & -box[f0])\n",
+        "tests/test_pieces.py::TestLanesAndRuns::test_admitted_atoms_match_the_scan",
+        "tests/test_pieces.py::TestSession::test_a_session_answers_as_fresh_oracles",
+    ),
+    (
+        "session memo answers another class from its admitted atoms",
+        ORACLE,
+        "if ci == class_id and box[:j] == seen[:j] and",
+        "if box[:j] == seen[:j] and",
+        "tests/test_pieces.py::TestSession::test_a_session_answers_as_fresh_oracles",
+    ),
+    (
+        "session memo compares no feature after the probed one",
+        ORACLE,
+        "box[:j] == seen[:j] and box[j + 1 :] == seen[j + 1 :]:",
+        "box[:j] == seen[:j]:",
+        "tests/test_oracle.py::TestOracleContract::test_panel_decisions_and_nodes_are_pinned",
+        "tests/test_pieces.py::TestSession::test_a_session_answers_as_fresh_oracles",
     ),
     (
         "vote ties go to the highest class index",

@@ -20,7 +20,7 @@ from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Sequence
 from .classifiers import Classifier
 from .errors import BudgetExceededError, ValidationError
 from .model import FeatureSpace, Instance, Value, ValueSet, singleton_set
-from .oracle import Entry, Oracle, classifier_is_constant, discretize
+from .oracle import Entry, Oracle, classifier_is_constant
 
 DEFAULT_SUBSET_BUDGET = 4096
 
@@ -30,10 +30,11 @@ class ExplanationProblem:
     """One instance of one classifier, with the oracle session it uses.
 
     The oracle refuses a malformed (classifier, space) pair when it
-    compiles it.  The instance's class must match the classifier's
-    prediction, and the classifier must not be constant; these two are
-    checked on construction unless skip_checks is set (the benchmark sets
-    it after checking the shared classifier once).
+    compiles it.  An instance whose class is None takes the classifier's
+    prediction.  Otherwise its class must match that prediction, and the
+    classifier must not be constant; these two are checked on construction
+    unless skip_checks is set (the benchmark sets it after checking the
+    shared classifier once).
     """
 
     classifier: Classifier
@@ -45,16 +46,16 @@ class ExplanationProblem:
 
     def __post_init__(self):
         values = self.space.validate_point(self.instance.values)
-        self.instance = Instance(values, self.instance.class_id)
-        self.oracle = Oracle(self.classifier, self.space)
-        if not self.skip_checks:
+        self.oracle = Oracle(self.classifier, self.space)  # refuses a malformed pair before predict reads it
+        label = self.instance.class_id
+        if label is None or not self.skip_checks:
             got = self.classifier.predict(values)
-            if got != self.instance.class_id:
-                raise ValidationError(
-                    f"instance labeled {self.instance.class_id!r} but the model predicts {got!r}"
-                )
-            if classifier_is_constant(self.classifier, self.space):
-                raise ValidationError("constant classifier: nothing to explain")
+            if label is not None and got != label:
+                raise ValidationError(f"instance labeled {label!r} but the model predicts {got!r}")
+            label = got
+        self.instance = Instance(values, label)
+        if not self.skip_checks and classifier_is_constant(self.classifier, self.space):
+            raise ValidationError("constant classifier: nothing to explain")
         # built once, so every box that pins feature j passes the same object
         self._pins = tuple(map(singleton_set, self.space.domains, values))
 
@@ -62,9 +63,8 @@ class ExplanationProblem:
     def from_point(
         cls, classifier: Classifier, space: FeatureSpace, values: Sequence[Value]
     ) -> "ExplanationProblem":
-        point = space.validate_point(values)
-        discretize(classifier, space)  # refuses a malformed pair before predict reads it
-        return cls(classifier, space, Instance(point, classifier.predict(point)))
+        """The problem of the point, labeled with the classifier's prediction."""
+        return cls(classifier, space, Instance(values, None))
 
     @property
     def target(self) -> str:

@@ -72,6 +72,23 @@ the box, into the lower and the upper half of its atoms.  The halves
 partition the box, so the outcome equals literal enumeration; only the
 visit order differs.
 
+A box is a product, so it forces a class exactly when it does with
+feature j narrowed to each of its atoms alone.  `CompiledModel.admitted`
+returns those atoms of j for a forest of two or more trees, from the same
+search: a node whose sure votes for another class beat the target's
+ceiling loses at every one of its points, so it rejects its atoms of j
+instead of ending the search, and the nodes still on the stack drop the
+rejected atoms.  An `Oracle` session keeps the last box it decided and
+the last such search.  When a forest's box differs from the previous one
+at exactly one feature j, and neither of the two entries at j is j's
+whole domain, the session searches once with j set to its whole domain
+and keeps (class, j, that box, the admitted atoms); this query, and every
+later one of the same class that agrees with that box outside j, is
+answered by whether its atoms of j are all admitted.  Extraction frees or
+pins one feature per query, so one of the two entries is a whole domain
+and nothing is searched ahead; growth and shrinking probe one feature
+with the others fixed, so a run of their probes costs one search.
+
 Every top-level decision increments `OracleStats.calls` once, which is what
 the per-instance call accounting in the benchmark reports; `OracleStats.nodes`
 counts the nodes of the search, which a single tree never needs.
@@ -82,8 +99,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, compress, count
+from operator import ne, or_
 from typing import Mapping, Optional, Sequence, Union
 
 from .classifiers import (
@@ -289,7 +306,7 @@ class CompiledModel:
             return _forces_monotone(self.weights, self.thresholds, box, ti)
         if self.rules is not None:
             return _forces_list(self.rules, self.default, box, ti)
-        return self._votes(box, ti, stats or OracleStats())
+        return self._votes(box, ti, stats or OracleStats()) != 0
 
     def _checked(self, f0: int, entry):
         """entry, once integer tests show it a non-empty part of feature f0's
@@ -377,19 +394,33 @@ class CompiledModel:
         self.high = self.low << self.lane  # each slot's last bit
         self.body = self.low * (self.fill >> 1)  # the bits below it
 
-    def _votes(self, box: list[int], ti: int, stats: OracleStats) -> bool:
-        """Whether class ti wins the vote at every point of the box."""
+    def admitted(self, box: list[int], f0: int, ti: int, stats: OracleStats) -> int:
+        """The atoms a of box[f0] for which class ti wins the vote at every
+        point of the box with f0 = {a}, for two or more trees (see `_votes`)."""
+        return self._votes(box, ti, stats, f0)
+
+    def _votes(self, box: list[int], ti: int, stats: OracleStats, f0: Optional[int] = None) -> int:
+        """With f0 None, 1 when class ti wins the vote at every point of the
+        box, else 0; otherwise the atoms of box[f0] that `admitted` returns.
+        A node that loses rejects its atoms of f0, and the nodes still on the
+        stack drop them; with f0 None, it answers 0.  The box is not changed."""
         admits, pre, suf, valid = self.admits, self.pre, self.suf, self.valid
         reached = self.leaves
-        for f0, a in enumerate(box):
-            if a != valid[f0]:
-                reached &= _reach(admits[f0], pre[f0], suf[f0], valid[f0], a)
+        for f, a in enumerate(box):
+            if a != valid[f]:
+                reached &= _reach(admits[f], pre[f], suf[f], valid[f], a)
         if self.low == 1:  # one tree: reached is exactly the leaves the box reaches
             return not reached & ~self.class_bits[ti]
         body, high, lane, tests = self.body, self.high, self.lane, self.tests
+        mask = 1 if f0 is None else box[f0]  # the atoms of f0 not yet rejected
         stack = [(reached, box)]
         while stack:
             reached, box = stack.pop()
+            if f0 is not None and box[f0] & ~mask:  # drop the atoms rejected since the push
+                if not box[f0] & mask:
+                    continue
+                box[f0] &= mask
+                reached &= _reach(admits[f0], pre[f0], suf[f0], valid[f0], box[f0])
             stats.nodes += 1
             votes = []  # per class, the first bit of each tree that can vote for it
             seen = two_way = 0
@@ -402,26 +433,34 @@ class CompiledModel:
                 votes.append(x)
             one_way = ~two_way
             top, floor = votes[ti].bit_count(), (votes[ti] & one_way).bit_count()
-            holds = True  # whether no class can catch the target's sure votes
+            lost, holds = False, True  # whether the node loses; whether no class can catch the target's sure votes
             for ci, x in enumerate(votes):
                 if ci != ti:
                     sure = (x & one_way).bit_count()
                     if sure > top or sure == top and ci < ti:
-                        return False  # its sure votes beat the target's ceiling
+                        lost = True  # its sure votes beat the target's ceiling at every point of the node
+                        break
                     if holds:
                         ceiling = x.bit_count()
                         holds = ceiling < floor or ceiling == floor and ci > ti
+            if lost:
+                if f0 is None:
+                    return 0
+                mask &= ~box[f0]
+                if not mask:
+                    return 0
+                continue
             if holds:
                 continue
             # some two-way tree reaches a leaf that shuts out an atom of the box
             live = reached & two_way * self.fill
             split, most = 0, 0
-            for f0, a in enumerate(box):
+            for f, a in enumerate(box):
                 if a & (a - 1):
-                    shut = tests[f0] if a == valid[f0] else ~_meet(admits[f0], pre[f0], a)
+                    shut = tests[f] if a == valid[f] else ~_meet(admits[f], pre[f], a)
                     n = (live & shut).bit_count()
                     if n > most:
-                        split, most = f0, n
+                        split, most = f, n
             if not most:  # never: two reached leaves of one tree cannot both cover the box
                 raise AssertionError("an undecided node has no feature to split")
             a = box[split]
@@ -432,7 +471,7 @@ class CompiledModel:
                 child = list(box)
                 child[split] = half
                 stack.append((reached & _reach(admits[split], pre[split], suf[split], valid[split], half), child))
-        return True
+        return mask
 
 
 def _reach(rows: list[int], pre: Optional[list[int]], suf: Optional[list[int]], valid: int, a: int) -> int:
@@ -481,12 +520,18 @@ def discretize(classifier: Classifier, space: FeatureSpace) -> CompiledModel:
 
 class Oracle:
     """One problem's session over the shared compiled model: its decisions,
-    their count, and each feature's last converted set (see `CompiledModel.box`)."""
+    their count, each feature's last converted set (see `CompiledModel.box`),
+    and on a forest its last box and admitted search (see the module docstring)."""
 
     def __init__(self, classifier: Classifier, space: FeatureSpace):
         self.model = discretize(classifier, space)
         self.stats = OracleStats()
         self._converted: list = [None] * space.m
+        model = self.model
+        # whether the vote search decides, over a forest of two or more trees
+        self._search = not model.monotone and model.rules is None and model.low != 1
+        self._previous: Optional[list] = None  # the last box decided
+        self._memo: Optional[tuple] = None  # the last admitted search: (class, j, box, mask)
 
     def holds_sufficiency(self, assignment: Mapping[int, Entry], class_id: str) -> bool:
         """True iff every point of the box predicts class_id."""
@@ -502,6 +547,23 @@ class Oracle:
             raise ValidationError(f"unknown class {class_id!r}")
         box = model.box(assignment, self._converted)
         self.stats.bump()
+        if self._search:
+            previous, self._previous = self._previous, box
+            if self._memo is not None:
+                ci, j, seen, mask = self._memo
+                if ci == class_id and box[:j] == seen[:j] and box[j + 1 :] == seen[j + 1 :]:
+                    return not box[j] & ~mask
+            if previous is not None:
+                changed = list(compress(count(), map(ne, previous, box)))  # the features that moved
+                if len(changed) == 1:
+                    j = changed[0]
+                    whole = model.valid[j]
+                    if previous[j] != whole != box[j]:
+                        seen = list(box)
+                        seen[j] = whole
+                        mask = model.admitted(seen, j, model.class_index[class_id], self.stats)
+                        self._memo = class_id, j, seen, mask
+                        return not box[j] & ~mask
         return model.forces(box, class_id, self.stats)
 
 

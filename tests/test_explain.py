@@ -1,13 +1,16 @@
 """Minimal explanation extraction and family enumeration."""
 
+import csv
 import random
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from bruteforce import bf_forces
 from pools import dl_pool, grade_problem, monotone_pool, risk_problem
-from xinflate.classifiers import DecisionList
+from xinflate.classifiers import DecisionList, TreeEnsemble
 from xinflate.errors import BudgetExceededError, ValidationError
 from xinflate.examples import risk_list
 from xinflate.explain import (
@@ -18,8 +21,10 @@ from xinflate.explain import (
     minimal_hitting_sets,
 )
 from xinflate.model import FeatureSpace, Instance, Ordinal, singleton_set
+from xinflate.serialize import load_model
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestProblemSetup:
@@ -36,8 +41,29 @@ class TestProblemSetup:
     def test_constant_classifier_rejected(self):
         clf = DecisionList((), "d", ("d", "e"))
         space = FeatureSpace((Ordinal(F(0), F(1)),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="constant classifier: nothing to explain"):
             ExplanationProblem(clf, space, Instance((F(0),), "d"))
+        with pytest.raises(ValidationError, match="constant classifier: nothing to explain"):
+            ExplanationProblem.from_point(clf, space, (F(0),))
+
+    def test_from_point_predicts_and_validates_the_point_once(self, monkeypatch):
+        """On the bundled forest: one predict labels the instance, and the
+        constancy check predicts two corners, which differ."""
+        mf = load_model(ROOT / "models" / "bench_forest.json")
+        with open(ROOT / "data" / "bench.csv", newline="") as fh:
+            row = next(islice(csv.reader(fh), 1, None))[: mf.space.m]
+        counts = {"predict": 0, "validate_point": 0}
+        for cls, name in ((TreeEnsemble, "predict"), (FeatureSpace, "validate_point")):
+            def counted(self, *args, _wrapped=getattr(cls, name), _name=name):
+                counts[_name] += 1
+                return _wrapped(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        problem = ExplanationProblem.from_point(mf.classifier, mf.space, row)
+        assert counts == {"predict": 3, "validate_point": 1}
+        monkeypatch.undo()
+        assert problem.target == mf.classifier.predict(mf.space.validate_point(row))
+        assert problem.instance.values == mf.space.validate_point(row)
 
     def test_point_is_validated(self):
         clf, space = risk_list()

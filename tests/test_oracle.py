@@ -381,7 +381,7 @@ class TestOracleContract:
             calls += axp.oracle.stats.calls + cxp.oracle.stats.calls
             nodes += axp.oracle.stats.nodes + cxp.oracle.stats.nodes
         assert calls == 655  # top-level decisions only, as before nodes were counted
-        assert nodes == 3324
+        assert nodes == 2043
         # one tree is decided by the leaves its boxes reach, without a search node
         single = ExplanationProblem.from_point(mf.classifier.trees[0], mf.space, rows[0][: mf.space.m])
         inflate_axp(single, find_axp(single), trusted=True)
@@ -402,7 +402,7 @@ class TestOracleContract:
             for kind, problem in (("axp", axp), ("cxp", cxp)):
                 counts[kind][0] += problem.oracle.stats.calls
                 counts[kind][1] += problem.oracle.stats.nodes
-        assert counts == {"axp": [1568, 8584], "cxp": [1111, 6490]}
+        assert counts == {"axp": [1568, 6851], "cxp": [1111, 3849]}
 
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()

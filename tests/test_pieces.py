@@ -42,7 +42,7 @@ from xinflate.model import (
     vs_subset,
     vs_union,
 )
-from xinflate.oracle import Oracle
+from xinflate.oracle import Oracle, OracleStats
 
 F = Fraction
 CLASSES = ("a", "b", "c")
@@ -419,6 +419,25 @@ def lane_forests(draw):
     return clf, space, oracle
 
 
+def _lane_masks(draw, space: FeatureSpace, model) -> tuple[dict, dict]:
+    """Atom masks over some of the features, each a run of the feature's
+    atoms or any of them, and the same box as value sets."""
+    masks, sets = {}, {}
+    for j in space.features():
+        bits = sorted(model.atoms[j - 1])
+        form = draw(st.sampled_from(("absent", "run", "any")))
+        if form == "run":
+            lo, hi = sorted(draw(st.lists(st.integers(0, len(bits) - 1), min_size=2, max_size=2)))
+            chosen = bits[lo : hi + 1]
+        elif form == "any":
+            chosen = draw(st.lists(st.sampled_from(bits), min_size=1, unique=True))
+        else:
+            continue
+        masks[j] = sum(chosen)
+        sets[j] = vs_union(space.domain(j), *(model.atoms[j - 1][bit] for bit in chosen))
+    return masks, sets
+
+
 class TestLanesAndRuns:
     """The vote search's lane test and its run lookups, checked with
     `bf_forces` on boxes whose masks are runs of a feature's atoms or have
@@ -429,20 +448,70 @@ class TestLanesAndRuns:
     @given(drawn=lane_forests(), data=st.data())
     def test_decisions_match_the_scan(self, drawn, data):
         clf, space, oracle = drawn
-        model = oracle.model
-        masks, sets = {}, {}
-        for j in space.features():
-            bits = sorted(model.atoms[j - 1])
-            form = data.draw(st.sampled_from(("absent", "run", "any")))
-            if form == "run":
-                lo, hi = sorted(data.draw(st.lists(st.integers(0, len(bits) - 1), min_size=2, max_size=2)))
-                chosen = bits[lo : hi + 1]
-            elif form == "any":
-                chosen = data.draw(st.lists(st.sampled_from(bits), min_size=1, unique=True))
-            else:
-                continue
-            masks[j] = sum(chosen)
-            sets[j] = vs_union(space.domain(j), *(model.atoms[j - 1][bit] for bit in chosen))
+        masks, sets = _lane_masks(data.draw, space, oracle.model)
         for target in clf.classes:
             forced = bf_forces(clf, space, sets, target)
             assert oracle.holds_sufficiency(masks, target) == forced, (masks, target)
+
+    @PROPERTY
+    @given(drawn=lane_forests(), data=st.data())
+    def test_admitted_atoms_match_the_scan(self, drawn, data):
+        """`admitted` keeps exactly the atoms of the probed feature that
+        force the class alone, the other features as drawn."""
+        clf, space, oracle = drawn
+        model = oracle.model
+        masks, sets = _lane_masks(data.draw, space, model)
+        f0 = data.draw(st.integers(0, space.m - 1))
+        box = model.box(masks, [None] * space.m)
+        for ti, target in enumerate(clf.classes):
+            stats = OracleStats()
+            mask = model.admitted(box, f0, ti, stats)
+            assert box == model.box(masks, [None] * space.m)  # the caller's box is left as it was
+            assert not mask & ~box[f0] and stats.nodes > 0
+            for bit, atom in model.atoms[f0].items():
+                if bit & box[f0]:
+                    forced = bf_forces(clf, space, {**sets, f0 + 1: atom}, target)
+                    assert bool(mask & bit) == forced, (masks, f0, bit, target)
+
+
+class TestSession:
+    """One oracle session answers a run of queries as fresh sessions do,
+    whatever its memo of the last admitted search holds."""
+
+    @PROPERTY
+    @given(drawn=lane_forests(), data=st.data())
+    def test_a_session_answers_as_fresh_oracles(self, drawn, data):
+        clf, space, oracle = drawn
+        model = oracle.model
+        varied = [j for j in space.features() if len(model.atoms[j - 1]) > 1]
+        assume(varied)
+        j = data.draw(st.sampled_from(varied))
+        others = [k for k in space.features() if k != j]
+        k = data.draw(st.sampled_from(others)) if others else None  # the second feature
+        # the other features pinned to one atom each, as the searches pin them, or free
+        masks = {f: data.draw(st.sampled_from(sorted(model.atoms[f - 1]))) for f in others}
+        masks = {f: mask for f, mask in masks.items() if data.draw(st.integers(0, 3))}
+        bits = sorted(model.atoms[j - 1])
+        target = data.draw(st.sampled_from(clf.classes))
+        steps = ("atom", "atom", "join", "gap", "class", "second")
+        for _ in range(data.draw(st.integers(4, 16))):
+            step = data.draw(st.sampled_from(steps if others else steps[:-1]))
+            if step == "atom":
+                masks[j] = data.draw(st.sampled_from(bits))
+            elif step == "join":  # a run of atoms
+                lo, hi = sorted(data.draw(st.lists(st.integers(0, len(bits) - 1), min_size=2, max_size=2)))
+                masks[j] = sum(bits[lo : hi + 1])
+            elif step == "gap":
+                masks[j] = sum(data.draw(st.lists(st.sampled_from(bits), min_size=1, unique=True)))
+            elif step == "class":
+                target = data.draw(st.sampled_from(clf.classes))
+            else:  # the second feature moves to another atom, or to several, or is freed
+                atoms = sorted(model.atoms[k - 1])
+                chosen = data.draw(st.lists(st.sampled_from(atoms), max_size=2, unique=True))
+                masks.pop(k, None)
+                if chosen:
+                    masks[k] = sum(chosen)
+            calls = oracle.stats.calls
+            expected = Oracle(clf, space).holds_sufficiency(masks, target)
+            assert oracle.holds_sufficiency(masks, target) == expected, (masks, target)
+            assert oracle.stats.calls == calls + 1  # a memo hit is a decision too
