@@ -1,15 +1,17 @@
-"""List the imports a module of the package, its tests or its scripts never uses.
+"""List the imports a module of the package, its tests, its scripts or its
+benchmark never uses.
 
 Run from the repository root:
 
     python3 scripts/check_unused_imports.py
 
-Every module under `src/`, `tests/` and `scripts/` except the
-`__init__.py` files is parsed with `ast`.  A name bound by an import
-counts as used when it appears anywhere in the module as a name, as the
-root of an attribute chain, or inside a quoted annotation.  `from
-__future__` imports are skipped.  The script prints one `path:line: name`
-per unused import and exits 1 when there is any, else 0.
+Every module under `src/`, `tests/`, `scripts/` and `benchmark/` except
+the `__init__.py` files is parsed with `ast`; the files are only read.  A
+name bound by an import counts as used when it appears anywhere in the
+module as a name, as the root of an attribute chain, or inside a quoted
+annotation.  `from __future__` imports are skipped.  The script prints
+one `path:line: name` per unused import and exits 1 when there is any,
+else 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = ("src", "tests", "scripts")
+CHECKED = ("src", "tests", "scripts", "benchmark")
 
 
 def _annotations(tree: ast.AST):

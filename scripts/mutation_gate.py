@@ -220,6 +220,22 @@ CATALOG = (
         "max(reversed(classes), key=counts.__getitem__)",
         "tests/test_classifiers.py::TestTrees::test_tie_breaks_to_lowest_class_index",
     ),
+    (
+        "validation returns only the first tree's thresholds, so a forest does not compile",
+        CLASSIFIERS,
+        "                cuts[key] = node.threshold\n",
+        "                if t == 0:\n                    cuts[key] = node.threshold\n",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_forests_agree",
+        "tests/test_oracle.py::TestOracleContract::test_panel_decisions_and_nodes_are_pinned",
+    ),
+    (
+        "validation returns each feature's thresholds unsorted",
+        CLASSIFIERS,
+        "    return tuple(tuple(sorted(cuts.values())) for cuts in splits)\n",
+        "    return tuple(tuple(cuts.values()) for cuts in splits)\n",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_decision_lists_agree",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_integer_domains_agree",
+    ),
 )
 
 

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .classifiers import Classifier
@@ -62,25 +62,19 @@ class BenchReport:
     strategy: str
     accuracy: Optional[Fraction] = None
 
-    @property
-    def axp_len_avg(self) -> float:
-        return sum(len(r.axp) for r in self.records) / len(self.records)
-
-    @property
-    def time_avg_s(self) -> float:
-        return sum(r.wall_time_s for r in self.records) / len(self.records)
-
-    @property
-    def added_min(self) -> int:
-        return min(r.added_total for r in self.records)
-
-    @property
-    def added_max(self) -> int:
-        return max(r.added_total for r in self.records)
-
-    @property
-    def added_avg(self) -> float:
-        return sum(r.added_total for r in self.records) / len(self.records)
+    @cached_property
+    def aggregates(self) -> dict:
+        """The mean AXp length and wall time, and the min, max and mean of
+        the widening totals, by name."""
+        n = len(self.records)
+        totals = [r.added_total for r in self.records]
+        return {
+            "axp_len_avg": sum(len(r.axp) for r in self.records) / n,
+            "time_avg_s": sum(r.wall_time_s for r in self.records) / n,
+            "added_min": min(totals),
+            "added_max": max(totals),
+            "added_avg": sum(totals) / n,
+        }
 
     def to_dict(self) -> dict:
         doc = {
@@ -88,13 +82,7 @@ class BenchReport:
             "instances": len(self.records),
             "delta": rational_str(self.delta),
             "strategy": self.strategy,
-            "aggregates": {
-                "axp_len_avg": self.axp_len_avg,
-                "time_avg_s": self.time_avg_s,
-                "added_min": self.added_min,
-                "added_max": self.added_max,
-                "added_avg": self.added_avg,
-            },
+            "aggregates": dict(self.aggregates),
             "records": [
                 {
                     "index": r.index,

@@ -217,7 +217,7 @@ def _iter_nodes(node: Node):
             stack.extend((n.left, n.right))
 
 
-def _literal_cuts(values: IntervalUnion, domain: Ordinal, where: str = "interval literal") -> list:
+def _literal_cuts(values: IntervalUnion, domain: Ordinal, where: str) -> list:
     """The cuts that make an interval literal a union of whole cells, each
     closed below and open above (a cut outside (lo, hi] bounds no cell).  On
     a continuous domain an interval must hold its lower end, which cuts, and
@@ -243,9 +243,13 @@ def _literal_cuts(values: IntervalUnion, domain: Ordinal, where: str = "interval
     return cuts
 
 
-def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
+def validate_classifier(classifier: Classifier, space: FeatureSpace) -> tuple[tuple[Fraction, ...], ...]:
     """Check that the classifier is well formed over the feature space, so that
-    `predict` agrees with `oracle.CompiledModel`, which runs this check."""
+    `predict` agrees with `oracle.CompiledModel`, which runs this check, and
+    return the thresholds the classifier tests, where the compile cuts each
+    ordinal domain: per feature, sorted and without repeats, every tree split
+    threshold or every interval-literal cut inside (lo, hi], and () for a
+    categorical feature or a monotone model."""
     if len(set(classifier.classes)) != len(classifier.classes):
         raise ValidationError("duplicate class ids")
     if isinstance(classifier, MonotonicClassifier):
@@ -258,8 +262,12 @@ def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
                 raise ValidationError(
                     f"feature {j}: monotonic classifiers need ordinal features"
                 )
-        return
+        return ((),) * space.m
 
+    # each feature's thresholds so far, keyed by their integer ratio: a pair of
+    # ints hashes faster than a Fraction, and a threshold once taken needs no
+    # second range test
+    splits = [{} for _ in space.domains]
     if isinstance(classifier, DecisionList):
         for r, rule in enumerate(classifier.rules):
             for lit in rule.condition:
@@ -277,10 +285,14 @@ def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
                 else:
                     if not isinstance(domain, Ordinal):
                         raise ValidationError(f"{where}: interval set over a categorical feature")
-                    _literal_cuts(lit.values, domain, where)
-        return
-
-    trees = classifier.trees if isinstance(classifier, TreeEnsemble) else (classifier,)
+                    cuts = splits[lit.feature - 1]
+                    for cut in _literal_cuts(lit.values, domain, where):
+                        key = cut.as_integer_ratio()
+                        if key not in cuts and domain.lo < cut <= domain.hi:
+                            cuts[key] = cut
+        trees = ()
+    else:
+        trees = classifier.trees if isinstance(classifier, TreeEnsemble) else (classifier,)
     for t, tree in enumerate(trees):
         for node in _iter_nodes(tree.root):
             if isinstance(node, Leaf):
@@ -292,12 +304,18 @@ def validate_classifier(classifier: Classifier, space: FeatureSpace) -> None:
             if isinstance(node, OrdinalSplit):
                 if not isinstance(domain, Ordinal):
                     raise ValidationError(f"{where}: threshold split on a categorical feature")
+                cuts = splits[node.feature - 1]
+                key = node.threshold.as_integer_ratio()
+                if key in cuts:
+                    continue
                 if not domain.lo < node.threshold <= domain.hi:
                     raise ValidationError(
                         f"{where}: threshold {node.threshold} outside ({domain.lo}, {domain.hi}]"
                     )
+                cuts[key] = node.threshold
             else:
                 if not isinstance(domain, Categorical):
                     raise ValidationError(f"{where}: label split on an ordinal feature")
                 if node.label not in domain.labels:
                     raise ValidationError(f"{where}: label {node.label!r} not in domain")
+    return tuple(tuple(sorted(cuts.values())) for cuts in splits)

@@ -276,12 +276,13 @@ def _cmd_bench(args) -> int:
     )
     doc = report.to_dict()
     doc["model"] = mf.name
+    agg = report.aggregates
     lines = [
         f"instances: {len(report.records)}",
-        f"mean AXp length: {report.axp_len_avg:.3f}",
-        f"mean wall time: {report.time_avg_s * 1000:.2f} ms",
-        f"widening total per instance: min {report.added_min}, "
-        f"max {report.added_max}, mean {report.added_avg:.3f}",
+        f"mean AXp length: {agg['axp_len_avg']:.3f}",
+        f"mean wall time: {agg['time_avg_s'] * 1000:.2f} ms",
+        f"widening total per instance: min {agg['added_min']}, "
+        f"max {agg['added_max']}, mean {agg['added_avg']:.3f}",
     ]
     if report.accuracy is not None:
         lines.append(f"model accuracy on rows: {float(report.accuracy):.4f}")

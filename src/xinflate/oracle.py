@@ -17,8 +17,9 @@ extremes are kept as integer numerators and denominators, so both sums are
 integer fractions compared with the thresholds by cross-multiplication.
 For lists, trees, and ensembles the ordinal axes are first discretized into
 the half-open cells induced by the model's own thresholds, [lo, d1),
-[d1, d2), ..., [dk, hi]; the prediction is constant on every product of
-cells, so the box predicate is a finite question.
+[d1, d2), ..., [dk, hi]: those that `validate_classifier` returns once it
+has checked them.  The prediction is constant on every product of cells,
+so the box predicate is a finite question.
 
 That question is asked over atoms.  An atom of a feature is one of its
 labels, or one of its cells that holds a point of the domain (on an integer
@@ -111,10 +112,7 @@ from .classifiers import (
     Leaf,
     MonotonicClassifier,
     OrdinalSplit,
-    SetMember,
     TreeEnsemble,
-    _iter_nodes,
-    _literal_cuts,
     validate_classifier,
 )
 from .errors import ValidationError
@@ -144,30 +142,6 @@ class OracleStats:
 
     def bump(self) -> None:
         self.calls += 1
-
-
-def _thresholds(classifier: Classifier, space: FeatureSpace) -> tuple[tuple[Fraction, ...], ...]:
-    """Every ordinal threshold the classifier tests, per feature, sorted."""
-    vals: dict[int, set] = {}
-    if isinstance(classifier, DecisionList):
-        for rule in classifier.rules:
-            for lit in rule.condition:
-                if isinstance(lit, SetMember) and isinstance(lit.values, IntervalUnion):
-                    cuts = _literal_cuts(lit.values, space.domain(lit.feature))
-                    vals.setdefault(lit.feature, set()).update(cuts)
-        for j, cuts in vals.items():  # a cut outside (lo, hi] bounds no cell
-            domain = space.domain(j)
-            vals[j] = {t for t in cuts if domain.lo < t <= domain.hi}
-    elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
-        trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
-        for tree in trees:
-            for n in _iter_nodes(tree.root):
-                if isinstance(n, OrdinalSplit):
-                    vals.setdefault(n.feature, set()).add(n.threshold)
-    return tuple(
-        () if isinstance(space.domain(j), Categorical) else tuple(sorted(vals.get(j, ())))
-        for j in space.features()
-    )
 
 
 def _cells(domain: Domain, splits: Sequence[Fraction]) -> tuple[Interval, ...]:
@@ -210,7 +184,7 @@ class CompiledModel:
     builds it and shares it between problems."""
 
     def __init__(self, classifier: Classifier, space: FeatureSpace):
-        validate_classifier(classifier, space)
+        self.splits = validate_classifier(classifier, space)
         self.classifier = classifier
         self.space = space
         self.monotone = isinstance(classifier, MonotonicClassifier)
@@ -221,7 +195,6 @@ class CompiledModel:
             scale = math.lcm(*(q.denominator for q in rationals))
             self.weights = [(f0, int(w * scale)) for f0, w in enumerate(classifier.weights) if w]
             self.thresholds = [int(t * scale) for t in classifier.thresholds]
-        self.splits = _thresholds(classifier, space)
         self.cells = tuple(_cells(d, sj) for d, sj in zip(space.domains, self.splits))
         self.atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
         self.valid = [sum(feature_atoms) for feature_atoms in self.atoms]
@@ -238,7 +211,7 @@ class CompiledModel:
                 for lit in rule.condition:
                     f0 = lit.feature - 1
                     if isinstance(lit, LabelEq):
-                        literals.append((f0, self.labels[f0].get(lit.label, 0)))
+                        literals.append((f0, self.labels[f0][lit.label]))
                     else:
                         literals.append((f0, self.set_mask(f0, lit.values)))
                 self.rules.append((self.class_index[rule.class_id], tuple(literals)))

@@ -15,12 +15,25 @@ from xinflate.errors import ValidationError
 from xinflate.examples import grade_model, risk_list
 from xinflate.explain import ExplanationProblem
 from xinflate.inflate import InflationConfig, inflate_axp, inflate_ordinal, shrink_cxp
-from xinflate.model import CatSet, FeatureSpace, Interval, IntervalUnion, Ordinal
+from xinflate.model import (
+    CatSet,
+    Categorical,
+    FeatureSpace,
+    InflatedExplanation,
+    Interval,
+    IntervalUnion,
+    Ordinal,
+    rational,
+    singleton_set,
+    vs_union,
+)
 from xinflate.oracle import Oracle
 
 F = Fraction
 UNIT = Ordinal(F(0), F(10))
 OUTSIDE = IntervalUnion((Interval(F(11), F(12)),))  # no point of [0, 10]
+COLORS = Categorical(("red", "blue"))
+RED = CatSet(frozenset({"red"}))
 
 
 def _stump_oracle():
@@ -90,6 +103,33 @@ REFUSALS = {
             (F(1),),
         ),
         "feature index 3 out of range 1..1",
+    ),
+    "an unknown search strategy": (lambda: InflationConfig(strategy="spiral"), "unknown strategy 'spiral'"),
+    "an unknown ordinal kind": (lambda: Ordinal(F(0), F(1), kind="real"), "unknown ordinal kind: 'real'"),
+    "a label that is no string": (lambda: Categorical(("red", 1)), "categorical labels must be strings"),
+    "an interval union of no intervals": (lambda: IntervalUnion(()), "empty interval union"),
+    "a space of no features": (lambda: FeatureSpace(()), "feature space needs at least one feature"),
+    "more names than domains": (lambda: FeatureSpace((UNIT,), ("a", "b")), "2 names for 1 domains"),
+    "an unknown explanation kind": (
+        lambda: InflatedExplanation("partial", (1,), {1: RED}),
+        "unknown explanation kind: 'partial'",
+    ),
+    "explanation features that are not its sets": (
+        lambda: InflatedExplanation("abductive", (1,), {2: RED}),
+        "explanation features and sets disagree",
+    ),
+    "a union of a label set with an interval union": (
+        lambda: vs_union(COLORS, RED, OUTSIDE),
+        "value set IntervalUnion does not fit domain Categorical",
+    ),
+    "a singleton outside its domain": (
+        lambda: singleton_set(UNIT, F(11)),
+        r"value 11 outside domain \[0, 10\]",
+    ),
+    "no value": (lambda: rational(None), "not a rational value: None"),
+    "a monotone prediction of a point of the wrong length": (
+        lambda: MonotonicClassifier((1, 1), (5,), ("lo", "hi")).predict((F(1),)),
+        "point has 1 values, expected 2",
     ),
 }
 

@@ -42,9 +42,10 @@ def test_src_has_no_unused_imports():
 
 
 def test_tests_and_scripts_have_no_unused_imports():
-    assert CHECKED == ("src", "tests", "scripts")
+    assert CHECKED == ("src", "tests", "scripts", "benchmark")
     assert _unused_under("tests") == {}
     assert _unused_under("scripts") == {}
+    assert _unused_under("benchmark") == {}
 
 
 def test_dead_private_helpers_are_found(tmp_path):
