@@ -108,6 +108,9 @@ def main() -> None:
     acc = model_accuracy(forest, dataset)
     save_model(ModelFile("bench-forest", dataset.space, forest), models / "bench_forest.json")
     print(f"bench forest train accuracy: {float(acc):.4f}")
+    # a forest where the vote search dominates a row's time
+    large = train_forest(dataset, n_trees=100, depth=8, seed=1)
+    save_model(ModelFile("forest-large", dataset.space, large), models / "forest_large.json")
     for path in sorted(models.glob("*.json")) + sorted(data.glob("*.csv")):
         print(f"wrote {path.relative_to(ROOT)}")
 

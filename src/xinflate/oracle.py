@@ -140,9 +140,6 @@ class OracleStats:
         self.calls = 0
         self.nodes = 0
 
-    def bump(self) -> None:
-        self.calls += 1
-
 
 def _cells(domain: Domain, splits: Sequence[Fraction]) -> tuple[Interval, ...]:
     """The cells the splits induce on an ordinal domain, none on a categorical
@@ -519,7 +516,7 @@ class Oracle:
         if class_id not in model.class_index:
             raise ValidationError(f"unknown class {class_id!r}")
         box = model.box(assignment, self._converted)
-        self.stats.bump()
+        self.stats.calls += 1
         if self._search:
             previous, self._previous = self._previous, box
             if self._memo is not None:
@@ -652,7 +649,7 @@ def classifier_is_constant(classifier: Classifier, space: FeatureSpace) -> bool:
     Two predicts first: when the lowest and the highest corner differ the
     answer is no, and nothing is compiled.  Otherwise the box engine proves
     or refutes that the whole space gets the corners' class.  A malformed
-    pair may fail in `predict` first: check it with `validate_classifier`.
+    pair may fail in `predict` first: check it with `discretize`.
     """
     base = tuple(d.labels[0] if isinstance(d, Categorical) else d.lo for d in space.domains)
     tops = tuple(d.labels[-1] if isinstance(d, Categorical) else d.hi for d in space.domains)

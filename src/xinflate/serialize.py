@@ -27,7 +27,6 @@ from .classifiers import (
     Rule,
     SetMember,
     TreeEnsemble,
-    validate_classifier,
 )
 from .errors import SchemaError, ValidationError
 from .model import (
@@ -48,6 +47,7 @@ from .model import (
     rational,
     rational_str,
 )
+from .oracle import discretize
 
 MODEL_SCHEMA = "xinflate-model/1"
 
@@ -258,8 +258,9 @@ def model_from_dict(doc: dict) -> ModelFile:
     Each distinct threshold string of a feature's splits is parsed and
     checked against the domain once per call; repeats reuse the value.  The
     readers check every tree node, but not a monotone model's weight count
-    and feature kinds or an interval literal's cuts, so `validate_classifier`
-    checks a monotone model or a list whole."""
+    and feature kinds or an interval literal's cuts, so a monotone model or
+    a list is compiled here by `discretize`, which checks it whole and keeps
+    it for its problems; a tree or forest compiles at its first problem."""
     path = "$"
     schema = _want_str(doc, path, "schema")
     if schema != MODEL_SCHEMA:
@@ -286,7 +287,7 @@ def model_from_dict(doc: dict) -> ModelFile:
         _want(doc, path, "classifier", dict, "an object"), f"{path}.classifier", space, tuple(classes)
     )
     if isinstance(classifier, (MonotonicClassifier, DecisionList)):
-        _built(f"{path}.classifier", validate_classifier, classifier, space)
+        _built(f"{path}.classifier", discretize, classifier, space)
     return ModelFile(name, space, classifier)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xinflate import cli
+from xinflate.classifiers import validate_classifier
 from xinflate.cli import build_parser, main
 from xinflate.explain import ExplanationProblem, find_axp
 from xinflate.serialize import load_model, parse_point
@@ -582,6 +583,31 @@ class TestCachedParser:
         top = _exit_text(capsys, main, ["--help"])[1]
         monkeypatch.setenv("COLUMNS", "60" if columns == "200" else "200")
         assert _exit_text(capsys, main, ["--help"])[1] != top
+
+
+class TestOneCheckPerRequest:
+    """A request checks its model once, whether `load_model` compiles it (a
+    list or a monotone model) or its first problem does (a tree or forest)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dual", "--model", RISK, "--instance", "Junior,Red"),
+            ("predict", "--model", RISK, "--instance", "Junior,Red"),
+            ("inflate", "--model", GRADE, "--instance", "3,5"),
+            ("explain", "--model", FOREST, "--instance", "7,7,7,8,3,2.5,high,green"),
+        ],
+        ids=["dual-list", "predict-list", "inflate-monotone", "explain-forest"],
+    )
+    def test_validations_per_request(self, capsys, monkeypatch, argv):
+        seen = []
+        check = validate_classifier
+        for module in [m for name, m in sys.modules.items() if name.startswith("xinflate")]:
+            if getattr(module, "validate_classifier", None) is check:
+                monkeypatch.setattr(module, "validate_classifier", lambda *args: seen.append(args) or check(*args))
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(seen) == 1
 
 
 # small values only: a domain bound of 10**9 would make a grid search walk for hours

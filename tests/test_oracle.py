@@ -387,14 +387,15 @@ class TestOracleContract:
         inflate_axp(single, find_axp(single), trusted=True)
         assert single.oracle.stats.calls > 0 and single.oracle.stats.nodes == 0
 
-    def test_panel_decisions_and_nodes_are_pinned(self):
-        """The benchmark's 40-row forest panel: decisions and search nodes of
-        extraction with inflation, and of extraction with shrinking."""
-        mf = load_model(ROOT / "models" / "bench_forest.json")
+    @staticmethod
+    def _panel_counts(model: str, rows: int) -> dict:
+        """Decisions and search nodes of extraction with inflation, and of
+        extraction with shrinking, over the first rows of `data/bench.csv`."""
+        mf = load_model(ROOT / "models" / model)
         with open(ROOT / "data" / "bench.csv", newline="") as fh:
-            rows = [row[: mf.space.m] for row in list(csv.reader(fh))[1:41]]
+            panel = [row[: mf.space.m] for row in list(csv.reader(fh))[1 : rows + 1]]
         counts = {"axp": [0, 0], "cxp": [0, 0]}
-        for row in rows:
+        for row in panel:
             axp = ExplanationProblem.from_point(mf.classifier, mf.space, row)
             inflate_axp(axp, find_axp(axp), trusted=True)
             cxp = ExplanationProblem.from_point(mf.classifier, mf.space, row)
@@ -402,7 +403,15 @@ class TestOracleContract:
             for kind, problem in (("axp", axp), ("cxp", cxp)):
                 counts[kind][0] += problem.oracle.stats.calls
                 counts[kind][1] += problem.oracle.stats.nodes
-        assert counts == {"axp": [1568, 6851], "cxp": [1111, 3849]}
+        return counts
+
+    def test_panel_decisions_and_nodes_are_pinned(self):
+        """The benchmark's 40-row panel on the bundled 25-tree forest."""
+        assert self._panel_counts("bench_forest.json", 40) == {"axp": [1568, 6851], "cxp": [1111, 3849]}
+
+    def test_large_forest_decisions_and_nodes_are_pinned(self):
+        """Rows 0-19 on the 100-tree depth-8 forest, where the vote search dominates."""
+        assert self._panel_counts("forest_large.json", 20) == {"axp": [1397, 12489], "cxp": [908, 3040]}
 
     def test_constancy_probe_is_free(self):
         clf, space = risk_list()

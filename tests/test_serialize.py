@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pools import dl_pool
-from xinflate import serialize
+from xinflate import oracle
 from xinflate.classifiers import DecisionTree, LabelSplit, Leaf, OrdinalSplit
 from xinflate.errors import SchemaError, ValidationError
 from xinflate.examples import grade_model, risk_list
@@ -460,18 +460,27 @@ class TestThresholdsReadOncePerLoad:
 
 
 class TestWholeModelCheckAtLoad:
-    """`validate_classifier` runs at load only on the families with a rule
-    that no reader checks: monotone models and lists."""
+    """`load_model` compiles the families with a rule that no reader checks,
+    monotone models and lists, and so checks them whole; it leaves trees and
+    forests to their first problem."""
 
     @pytest.mark.parametrize(
-        "name, calls", [("bench_forest.json", 0), ("grade.json", 1), ("risk_list.json", 1)]
+        "name, builds", [("bench_forest.json", 0), ("grade.json", 1), ("risk_list.json", 1)]
     )
-    def test_calls_per_load(self, monkeypatch, name, calls):
-        seen = []
-        check = serialize.validate_classifier
-        monkeypatch.setattr(serialize, "validate_classifier", lambda *args: seen.append(check(*args)))
-        load_model(MODELS / name)
-        assert len(seen) == calls
+    def test_compiles_per_load(self, monkeypatch, name, builds):
+        built = []
+
+        class Counted(oracle.CompiledModel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(oracle, "CompiledModel", Counted)
+        mf = load_model(MODELS / name)
+        assert len(built) == builds
+        if builds:  # the problems of the loaded model find it compiled
+            assert oracle.discretize(mf.classifier, mf.space).__class__ is Counted
+            assert len(built) == 1
 
 
 class TestExplanationDocuments:
