@@ -58,6 +58,7 @@ ORACLE = "src/xinflate/oracle.py"
 TRAINER = "src/xinflate/trainer.py"
 CLASSIFIERS = "src/xinflate/classifiers.py"
 SERIALIZE = "src/xinflate/serialize.py"
+MODEL = "src/xinflate/model.py"
 
 # (name, path, old text, new text, test nodes expected to kill it...)
 CATALOG = (
@@ -244,6 +245,30 @@ CATALOG = (
         "    if isinstance(classifier, (MonotonicClassifier,)):\n",
         "tests/test_serialize.py::TestRefusalTable::test_refused_with_its_path",
         "tests/test_serialize.py::TestWholeModelCheckAtLoad::test_compiles_per_load",
+    ),
+    (
+        "a monotone model's common denominator leaves out the thresholds'",
+        ORACLE,
+        "scale = math.lcm(*(q.denominator for q in rationals))",
+        "scale = math.lcm(*(q.denominator for q in classifier.weights))",
+        "tests/test_inflate.py::TestCompiledProbes::test_shrink_cxp_matches_union_probes",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_integer_monotone_boundary_boxes_agree",
+    ),
+    (
+        "an open lower end at an integer on an integer domain keeps that integer",
+        MODEL,
+        "lo = math.ceil(lo) if lo_closed else math.floor(lo) + 1",
+        "lo = math.ceil(lo)",
+        "tests/test_inflate.py::TestGrowth::test_a_multi_atom_kept_is_topped_up_as_by_union_probes",
+        "tests/test_oracle.py::TestBruteForceEquivalence::test_boundary_boxes_agree",
+    ),
+    (
+        "continuous pieces that meet at one point merge only when both hold it",
+        MODEL,
+        "(cur.hi_closed or nxt.lo_closed)",
+        "(cur.hi_closed and nxt.lo_closed)",
+        "tests/test_model.py::TestIntervalUnion::test_half_open_pieces_touching_merge",
+        "tests/test_acceptance.py::test_criterion_3_inflation_maximality",
     ),
 )
 

@@ -177,8 +177,8 @@ def inflate_atoms(
     """Grow feature j from the instance's atom (see `_atom_bits`), probing
     each other atom once: labels in domain order, cells above ascending,
     then cells below descending.  current holds the other features' entries.
-    Refuses a monotone model: its one atom is the whole domain, and only
-    `inflate_ordinal`'s grid is exact there."""
+    Refuses a monotone model, which compiles to integer weights, thresholds
+    and domain ends but no atoms: only the delta grid is exact there."""
     if problem.oracle.model.monotone:
         raise ValidationError("a monotone model grows on the delta grid, not by atoms")
     bits, at = _atom_bits(problem, j)

@@ -11,11 +11,11 @@ is kept as each feature's extremes: its lowest point, its highest point and
 whether that is attained, read from the set's pieces through
 `model.clip_snap`.  With non-negative weights the lowest score takes every
 feature's lowest point and the highest score its highest, so two sums stand
-in for every combination of interval pieces.  The weights and thresholds
-are scaled once per model to integers over one common denominator, and the
-extremes are kept as integer numerators and denominators, so both sums are
-integer fractions compared with the thresholds by cross-multiplication.
-For lists, trees, and ensembles the ordinal axes are first discretized into
+in for every combination of interval pieces.  Such a model compiles only
+its weights and thresholds, as integers over one common denominator, and
+its domains' ends; the extremes are integer numerators and denominators,
+so both sums compare with the thresholds by cross-multiplication.  Lists,
+trees, and forests alone get atom tables: their ordinal axes are cut into
 the half-open cells induced by the model's own thresholds, [lo, d1),
 [d1, d2), ..., [dk, hi]: those that `validate_classifier` returns once it
 has checked them.  The prediction is constant on every product of cells,
@@ -30,7 +30,7 @@ is one mask per feature, an `OrdinalSplit` sends the cells at or above its
 threshold right, a `LabelSplit` sends its label's bit right, and a list
 literal passes the atoms it covers.  A decision list compiles to its rules,
 each a class and one (feature, mask) per literal, and its default class.
-All of this depends only on the classifier and the space, so it lives in a
+These tables depend only on the classifier and the space, so they live in a
 `CompiledModel`, built eagerly by `discretize`, which keeps the last one it
 built and returns it again while the same two objects come back, after
 `validate_classifier` accepts them; every `Oracle` over them shares it
@@ -112,7 +112,6 @@ from .classifiers import (
     Leaf,
     MonotonicClassifier,
     OrdinalSplit,
-    TreeEnsemble,
     validate_classifier,
 )
 from .errors import ValidationError
@@ -176,14 +175,16 @@ def _interval_mask(domain: Ordinal, splits: Sequence[Fraction], iv: Interval) ->
 
 
 class CompiledModel:
-    """Everything the box decisions need that depends only on (classifier,
-    space), built once a pair passes `validate_classifier`; `discretize`
-    builds it and shares it between problems."""
+    """What the box decisions need from a checked (classifier, space) pair:
+    a list's, tree's or forest's atom tables (`cells_for`, `atoms`, `valid`),
+    or a monotone model's integer weights, thresholds and domain ends."""
 
     def __init__(self, classifier: Classifier, space: FeatureSpace):
         self.splits = validate_classifier(classifier, space)
         self.classifier = classifier
         self.space = space
+        self.class_index = {c: i for i, c in enumerate(classifier.classes)}
+        self.rules = None  # a list's rules: (class index, ((f0, mask of the atoms it passes), ...))
         self.monotone = isinstance(classifier, MonotonicClassifier)
         if self.monotone:
             # the score and thresholds over one common denominator, as integers;
@@ -192,15 +193,14 @@ class CompiledModel:
             scale = math.lcm(*(q.denominator for q in rationals))
             self.weights = [(f0, int(w * scale)) for f0, w in enumerate(classifier.weights) if w]
             self.thresholds = [int(t * scale) for t in classifier.thresholds]
+            self.absent = [_ends(d.lo, d.hi, True) for d in space.domains]
+            return
         self.cells = tuple(_cells(d, sj) for d, sj in zip(space.domains, self.splits))
         self.atoms = [_atoms(d, cells) for d, cells in zip(space.domains, self.cells)]
-        self.valid = [sum(feature_atoms) for feature_atoms in self.atoms]
         # what an absent feature contributes to a box: its whole domain
-        self.absent = [_ends(d.lo, d.hi, True) for d in space.domains] if self.monotone else self.valid
+        self.valid = self.absent = [sum(feature_atoms) for feature_atoms in self.atoms]
         labels = (d.labels if isinstance(d, Categorical) else () for d in space.domains)
         self.labels = [{label: 1 << i for i, label in enumerate(ls)} for ls in labels]
-        self.class_index = {c: i for i, c in enumerate(classifier.classes)}
-        self.rules = None  # a list's rules: (class index, ((f0, mask of the atoms it passes), ...))
         if isinstance(classifier, DecisionList):
             self.rules = []
             for rule in classifier.rules:
@@ -213,7 +213,7 @@ class CompiledModel:
                         literals.append((f0, self.set_mask(f0, lit.values)))
                 self.rules.append((self.class_index[rule.class_id], tuple(literals)))
             self.default = self.class_index[classifier.default_class]
-        elif isinstance(classifier, (DecisionTree, TreeEnsemble)):
+        else:
             trees = (classifier,) if isinstance(classifier, DecisionTree) else classifier.trees
             # the right mask of each threshold: the cells at or above it
             above = [{t: -1 << (k + 1) for k, t in enumerate(sj)} for sj in self.splits]

@@ -151,12 +151,11 @@ class TestDiscretization:
                 for s in splits:
                     assert domain.lo < s <= domain.hi
 
-    def test_thresholdless_model_gets_single_cell(self):
+    def test_thresholdless_model_has_no_splits(self):
         clf, space = grade_model()
         disc = discretize(clf, space)
         for j in space.features():
             assert disc.splits[j - 1] == ()
-            assert len(disc.cells_for(j)) == 1
 
     def test_shared_split_deduplicated(self):
         space = FeatureSpace((Ordinal(F(0), F(10)),))
